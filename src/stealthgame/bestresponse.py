@@ -25,22 +25,23 @@ import numpy as np
 import scipy.linalg
 
 from .games import GameSpec, cost
-from .model import MeasurementModel, as_profile
+from .model import MeasurementModel, as_profile, posterior_matrix
 
 V_MAX = 1e12  # upper end of the action search range
 _BISECT_TOL = 1e-12
 _GOLDEN_WIDTH = 1e-10
-_COND_LIMIT = 1e12
 
 __all__ = [
     "BRContext",
     "BracketError",
     "V_MAX",
     "br_context",
+    "gain_context",
     "br_g1",
     "br_g2",
     "br_g3",
     "best_response",
+    "respond",
     "br_numeric",
 ]
 
@@ -54,9 +55,11 @@ class BRContext:
     """Scalars a best response depends on, for one player.
 
     alpha: e_i^T (Sigma_YY + sum_{j != i} v_j e_j e_j^T)^{-1} e_i
+           = 1 / (sigma2 + gamma)
     beta:  e_i^T Sigma_YY^{-1} e_i
     gamma: e_i^T A^{-1} G e_i with G = H Sigma_XX H^T and
-           A = G sum_{j != i} (sigma2 + v_j)^{-1} e_j e_j^T + I
+           A = G sum_{j != i} (sigma2 + v_j)^{-1} e_j e_j^T + I,
+           equal to b_i^T M^{-1} b_i for the kernel matrix M with w_i = 0
     s:     e_i^T Sigma_YY e_i
     c:     e_i^T G e_i  (= s - sigma2)
     """
@@ -68,51 +71,35 @@ class BRContext:
     c: float
 
 
+def gain_context(model: MeasurementModel, i: int, gamma: float) -> BRContext:
+    """The context of player i whose gain from the other players is gamma."""
+    if not (gamma >= 0.0 and math.isfinite(gamma)):
+        raise np.linalg.LinAlgError(f"invalid gain for player {i}: gamma={gamma}")
+    return BRContext(
+        alpha=1.0 / (model.sigma2 + gamma),
+        beta=float(model.inv_diag_YY[i]),
+        gamma=gamma,
+        s=float(model.s[i]),
+        c=float(model.c[i]),
+    )
+
+
 def br_context(model: MeasurementModel, i: int, v) -> BRContext:
     """Assemble the best-response scalars for player i at profile v.
 
     Only the complementary entries v_j, j != i, enter; v_i is ignored.
+    Factors the kernel matrix with player i's weight set to 0, so gamma
+    is a sum of squares without cancellation.
     """
     v = as_profile(model, v)
     i = int(i)
     if not 0 <= i < model.m:
         raise IndexError(f"measurement index {i} outside [0, {model.m})")
-
-    v_others = v.copy()
-    v_others[i] = 0.0
-    reduced = model.Sigma_YY.copy()
-    reduced[np.diag_indices_from(reduced)] += v_others
-    chol = np.linalg.cholesky(reduced)
-    e_i = np.zeros(model.m)
-    e_i[i] = 1.0
-    alpha = float(scipy.linalg.cho_solve((chol, True), e_i)[i])
-
-    weights = 1.0 / (model.sigma2 + v)
-    weights[i] = 0.0
-    A = model.signal_cov * weights[np.newaxis, :]
-    A[np.diag_indices_from(A)] += 1.0
-    try:
-        gamma = float(np.linalg.solve(A, model.signal_cov[:, i])[i])
-    except np.linalg.LinAlgError:
-        gamma = math.nan
-    if not math.isfinite(gamma) or gamma < 0:
-        # Only now pay for a condition estimate; A = G D + I is expected
-        # to be comfortably invertible for sigma2 > 0.
-        cond = float(np.linalg.cond(A))
-        if not math.isfinite(cond) or cond > _COND_LIMIT:
-            raise np.linalg.LinAlgError(
-                f"ill-conditioned system for player {i} (cond {cond:.3e})"
-            )
-
-    beta = float(model.inv_diag_YY[i])
-    ctx = BRContext(
-        alpha=alpha, beta=beta, gamma=gamma, s=float(model.s[i]), c=float(model.c[i])
-    )
-    if not (ctx.alpha > 0 and ctx.beta > 0):
-        raise np.linalg.LinAlgError(
-            f"invalid context for player {i}: alpha={ctx.alpha}, beta={ctx.beta}"
-        )
-    return ctx
+    w = 1.0 / (model.sigma2 + v)
+    w[i] = 0.0
+    chol = np.linalg.cholesky(posterior_matrix(model.B, w))
+    z = scipy.linalg.solve_triangular(chol, model.B[i], lower=True)
+    return gain_context(model, i, float(z @ z))
 
 
 def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
@@ -232,12 +219,20 @@ def best_response(
     br3_literal: bool = False,
 ) -> float:
     """Best response of player i to the complementary profile in v."""
-    ctx = br_context(model, i, v)
+    return respond(
+        spec, br_context(model, i, v), model.sigma2, br3_literal=br3_literal
+    )
+
+
+def respond(
+    spec: GameSpec, ctx: BRContext, sigma2: float, *, br3_literal: bool = False
+) -> float:
+    """Best response of the player described by ``ctx`` in game ``spec``."""
     if spec.game == 1:
-        return br_g1(ctx, model.sigma2, spec.lam)
+        return br_g1(ctx, sigma2, spec.lam)
     if spec.game == 2:
-        return br_g2(ctx, model.sigma2, spec.lam)
-    return br_g3(ctx, model.sigma2, spec.lam, literal=br3_literal)
+        return br_g2(ctx, sigma2, spec.lam)
+    return br_g3(ctx, sigma2, spec.lam, literal=br3_literal)
 
 
 def br_numeric(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:

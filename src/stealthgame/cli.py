@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -179,12 +177,6 @@ def cmd_run(parser, args) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("STEALTHGAME_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(n_jobs, cap))
-
-
 def cmd_sweep(parser, args) -> int:
     try:
         lambdas = [float(tok) for tok in args.lambda_list.replace(",", " ").split()]
@@ -196,14 +188,13 @@ def cmd_sweep(parser, args) -> int:
     model, source = _build_from_args(args)
     variant = "literal" if args.br3_literal else "gamma"
 
-    def solve(spec: GameSpec):
-        return run_brd(
+    ordered = sorted(specs, key=lambda sp: sp.lam)
+    results = [
+        run_brd(
             spec, model, t_max=args.tmax, tol=args.tol, br3_literal=args.br3_literal
         )
-
-    ordered = sorted(specs, key=lambda sp: sp.lam)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(ordered))) as pool:
-        results = list(pool.map(solve, ordered))
+        for spec in ordered
+    ]
 
     tag = variant if args.game == 3 else "-"
     all_converged = True

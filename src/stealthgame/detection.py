@@ -24,6 +24,7 @@ __all__ = [
     "llr_samples",
     "error_curve",
     "roc_auc",
+    "rank_auc",
 ]
 
 
@@ -142,20 +143,19 @@ def roc_auc(model: MeasurementModel, v, n_samples: int, seed: int) -> float:
     ties counted half.
     """
     llr_null, llr_attacked = llr_samples(model, v, int(n_samples), seed)
+    return rank_auc(llr_null, llr_attacked)
+
+
+def rank_auc(llr_null: np.ndarray, llr_attacked: np.ndarray) -> float:
+    """Mann-Whitney AUC of two samples, tied values sharing their midrank.
+
+    The midranks are integers or halves, so the rank sum is exact below
+    2**53 values.
+    """
     combined = np.concatenate([llr_null, llr_attacked])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty_like(order, dtype=float)
-    ranks[order] = np.arange(1, combined.size + 1)
-    # midranks for ties
-    sorted_vals = combined[order]
-    k = 0
-    while k < sorted_vals.size:
-        j = k
-        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[k]:
-            j += 1
-        if j > k:
-            ranks[order[k : j + 1]] = 0.5 * (k + 1 + j + 1)
-        k = j + 1
+    _, group, counts = np.unique(combined, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    ranks = ((2 * last - counts + 1) / 2.0)[group]
     n0 = llr_null.size
     n1 = llr_attacked.size
     rank_sum = float(np.sum(ranks[n0:]))

@@ -6,6 +6,11 @@ Because every game admits an exact potential and best responses
 minimize the player's own cost, the potential is non-increasing across
 updates; :func:`potential_audit` surfaces any numerical violation
 rather than hiding it.
+
+One :class:`~stealthgame.model.PosteriorKernel` per run supplies every
+best-response context and trajectory record: each update is a rank-one
+change, O(n^2), and the kernel is refactored once per round, so a round
+costs O(m n^2).
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestresponse import best_response
-from .games import GameSpec, potential
-from .metrics import kl_global, mi_global
-from .model import MeasurementModel, as_profile
+# best_response, potential, mi_global and kl_global are not called here
+# but stay bound: the benchmark's tracer wraps them in this module.
+from .bestresponse import best_response, gain_context, respond  # noqa: F401
+from .games import GameSpec, kernel_potential, potential  # noqa: F401
+from .metrics import kl_global, mi_global  # noqa: F401
+from .model import MeasurementModel, PosteriorKernel
 
 DEFAULT_T_MAX = 100
 DEFAULT_TOL = 1e-9
@@ -70,15 +77,15 @@ class ConvergenceReport:
 
 
 def _record(
-    spec: GameSpec, model: MeasurementModel, t: int, player: int, v: np.ndarray
+    spec: GameSpec, kernel: PosteriorKernel, t: int, player: int
 ) -> TrajectoryRecord:
     return TrajectoryRecord(
         round=t,
         player=player,
-        v_snapshot=v.copy(),
-        potential=potential(spec, model, v),
-        mi_global=mi_global(model, v),
-        kl_global=kl_global(model, v),
+        v_snapshot=kernel.v.copy(),
+        potential=kernel_potential(spec, kernel),
+        mi_global=kernel.mi,
+        kl_global=kernel.kl,
     )
 
 
@@ -103,30 +110,36 @@ def run_brd(
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    v = np.zeros(model.m) if v0 is None else as_profile(model, v0).copy()
+    kernel = PosteriorKernel(model, np.zeros(model.m) if v0 is None else v0)
 
-    trajectory = [_record(spec, model, 0, -1, v)]
+    trajectory = [_record(spec, kernel, 0, -1)]
     converged = False
     rounds_used = 0
     max_delta = math.inf
     for t in range(1, t_max + 1):
         max_delta = 0.0
         for i in range(model.m):
-            new_vi = best_response(spec, model, i, v, br3_literal=br3_literal)
+            ctx = gain_context(model, i, kernel.gain(i))
+            new_vi = respond(spec, ctx, model.sigma2, br3_literal=br3_literal)
             if not math.isfinite(new_vi):
-                trajectory.append(_record(spec, model, t, i, v))
+                trajectory.append(_record(spec, kernel, t, i))
                 raise NonFiniteUpdateError(
                     f"non-finite best response for player {i} in round {t}",
                     trajectory,
                 )
-            max_delta = max(max_delta, abs(new_vi - v[i]))
-            v[i] = new_vi
-            trajectory.append(_record(spec, model, t, i, v))
+            max_delta = max(max_delta, abs(new_vi - kernel.v[i]))
+            kernel.update(i, new_vi)
+            if i == model.m - 1:
+                # Once per round: drops the drift of the rank-one updates,
+                # so each round's last record is a fresh evaluation.
+                kernel.refactor()
+            trajectory.append(_record(spec, kernel, t, i))
         rounds_used = t
         if max_delta < tol:
             converged = True
             break
 
+    v = kernel.v
     report = ConvergenceReport(
         converged=converged,
         rounds_used=rounds_used,
@@ -143,12 +156,18 @@ def verify_ne(
     *,
     br3_literal: bool = False,
 ) -> float:
-    """Fixed-point residual: max_i |v_i - BR_i(complementary profile)|."""
-    v = as_profile(model, v)
-    return max(
-        abs(v[i] - best_response(spec, model, i, v, br3_literal=br3_literal))
-        for i in range(model.m)
-    )
+    """Fixed-point residual: max_i |v_i - BR_i(complementary profile)|.
+
+    Evaluates every player's context from one fresh kernel at v.
+    """
+    kernel = PosteriorKernel(model, v)
+    responses = [
+        respond(
+            spec, gain_context(model, i, gamma), model.sigma2, br3_literal=br3_literal
+        )
+        for i, gamma in enumerate(kernel.gains())
+    ]
+    return float(np.max(np.abs(kernel.v - responses)))
 
 
 def potential_audit(

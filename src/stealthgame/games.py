@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metrics import kl_global, kl_local, mi_global, mi_local
-from .model import MeasurementModel, as_profile
+import numpy as np
 
-__all__ = ["GameSpec", "cost", "potential"]
+from .metrics import kl_global, kl_local, mi_global, mi_local
+from .model import MeasurementModel, PosteriorKernel, as_profile
+
+__all__ = ["GameSpec", "cost", "potential", "kernel_potential"]
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,21 @@ def potential(spec: GameSpec, model: MeasurementModel, v) -> float:
     informations plus lam * kl_global.  Game 3: mi_global plus lam *
     sum of local KL divergences.
     """
-    v = as_profile(model, v)
+    return kernel_potential(spec, PosteriorKernel(model, v))
+
+
+def kernel_potential(spec: GameSpec, kernel: PosteriorKernel) -> float:
+    """Exact potential at the kernel's profile, from its global metrics.
+
+    The sums of ``mi_local`` and ``kl_local`` over all players are
+    evaluated as vectors.
+    """
+    model, v = kernel.model, kernel.v
     if spec.game == 1:
-        return mi_global(model, v) + spec.lam * kl_global(model, v)
+        return kernel.mi + spec.lam * kernel.kl
     if spec.game == 2:
-        local_mi = sum(mi_local(model, j, v[j]) for j in range(model.m))
-        return local_mi + spec.lam * kl_global(model, v)
-    local_kl = sum(kl_local(model, j, v[j]) for j in range(model.m))
-    return mi_global(model, v) + spec.lam * local_kl
+        local_mi = 0.5 * float(np.sum(np.log1p(model.c / (model.sigma2 + v))))
+        return local_mi + spec.lam * kernel.kl
+    s = model.s
+    local_kl = 0.5 * float(np.sum(v / s + np.log(s) - np.log(s + v)))
+    return kernel.mi + spec.lam * local_kl

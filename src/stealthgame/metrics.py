@@ -17,7 +17,13 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .model import MeasurementModel, as_profile, attacked_cov
+from .model import (
+    MeasurementModel,
+    PosteriorKernel,
+    as_profile,
+    attacked_cov,
+    chol_logdet,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 MC_MIN_SAMPLES = 10_000
@@ -47,21 +53,14 @@ def _check_scalar_variance(v_i: float) -> float:
     return v_i
 
 
-def _chol_logdet(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    chol = np.linalg.cholesky(mat)
-    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def mi_global(model: MeasurementModel, v) -> float:
     """Mutual information between the states and all attacked measurements.
 
-    Closed form: (1/2) log(|Sigma_YY + diag(v)| / |sigma2 I + diag(v)|).
+    Closed form: (1/2) log(|Sigma_YY + diag(v)| / |sigma2 I + diag(v)|),
+    evaluated as (1/2) log det M(v) of a fresh :class:`PosteriorKernel`.
     Nonnegative, and non-increasing in every v_i.
     """
-    v = as_profile(model, v)
-    _, logdet_attacked = _chol_logdet(attacked_cov(model, v))
-    logdet_noise = float(np.sum(np.log(model.sigma2 + v)))
-    return 0.5 * (logdet_attacked - logdet_noise)
+    return PosteriorKernel(model, v).mi
 
 
 def mi_local(model: MeasurementModel, i: int, v_i: float) -> float:
@@ -79,12 +78,10 @@ def kl_global(model: MeasurementModel, v) -> float:
     """KL divergence of attacked from clean measurement distribution.
 
     Closed form: (1/2)(log(|Sigma_YY| / |Sigma_YY + diag(v)|)
-    + tr(Sigma_YY^{-1} diag(v))).  Zero iff v = 0.
+    + tr(Sigma_YY^{-1} diag(v))), evaluated from a fresh
+    :class:`PosteriorKernel`.  Zero iff v = 0.
     """
-    v = as_profile(model, v)
-    _, logdet_attacked = _chol_logdet(attacked_cov(model, v))
-    trace_term = float(v @ model.inv_diag_YY)
-    return 0.5 * (model.logdet_YY - logdet_attacked + trace_term)
+    return PosteriorKernel(model, v).kl
 
 
 def kl_local(model: MeasurementModel, i: int, v_i: float) -> float:
@@ -137,11 +134,11 @@ def mc_mi_oracle(model: MeasurementModel, v, n_samples: int, seed: int) -> McEst
     logdet_XX = 2.0 * float(np.sum(np.log(np.diag(chol_XX))))
 
     cov_attacked = attacked_cov(model, v)
-    chol_A, logdet_A = _chol_logdet(cov_attacked)
+    chol_A, logdet_A = chol_logdet(cov_attacked)
 
     cross = model.Sigma_XX @ model.H.T
     joint = np.block([[model.Sigma_XX, cross], [cross.T, cov_attacked]])
-    chol_J, logdet_J = _chol_logdet(joint)
+    chol_J, logdet_J = chol_logdet(joint)
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_samples, model.n)) @ chol_XX.T
@@ -168,7 +165,7 @@ def mc_kl_oracle(model: MeasurementModel, v, n_samples: int, seed: int) -> McEst
     """
     v = as_profile(model, v)
     n_samples = _check_mc_args(n_samples)
-    chol_A, logdet_A = _chol_logdet(attacked_cov(model, v))
+    chol_A, logdet_A = chol_logdet(attacked_cov(model, v))
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((n_samples, model.m)) @ chol_A.T
     ratio = _gauss_logpdf(chol_A, logdet_A, Y) - _gauss_logpdf(

@@ -14,9 +14,15 @@ from stealthgame.bestresponse import (
     br_numeric,
 )
 from stealthgame.games import GameSpec, cost
-from stealthgame.model import build_model
+from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
+from stealthgame.model import (
+    StatePriorSpec,
+    build_model,
+    calibrate_noise,
+    toeplitz_cov,
+)
 
-from _helpers import random_desk_model, random_profile
+from _helpers import oracle_br_context, random_desk_model, random_profile
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,6 +67,40 @@ class TestBRContext:
     def test_index_validation(self, ring3_model):
         with pytest.raises(IndexError):
             br_context(ring3_model, 17, np.zeros(6))
+
+    def test_matches_mxm_oracle(self, rng):
+        for _ in range(20):
+            model = random_desk_model(rng)
+            v = random_profile(rng, model)
+            for i in range(model.m):
+                ctx = br_context(model, i, v)
+                ref = oracle_br_context(model, i, v)
+                assert ctx.alpha == pytest.approx(ref.alpha, rel=1e-12, abs=0.0)
+                assert ctx.gamma == pytest.approx(ref.gamma, rel=1e-12, abs=0.0)
+                assert (ctx.beta, ctx.s, ctx.c) == (ref.beta, ref.s, ref.c)
+
+    @pytest.mark.parametrize("snr", [30.0, 50.0, 70.0])
+    def test_alpha_matches_high_precision_reference(self, snr):
+        mpmath = pytest.importorskip("mpmath")
+        with open(bundled_case("ieee9"), encoding="utf-8") as fh:
+            H = build_dc_jacobian(parse_network(fh.read())).H
+        Sigma_XX = toeplitz_cov(StatePriorSpec(8, 0.9))
+        model = build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
+        v = model.sigma2 * (1.0 + np.arange(model.m) % 5)
+        with mpmath.workdps(50):
+            Hm = mpmath.matrix(H.tolist())
+            signal = Hm * mpmath.matrix(Sigma_XX.tolist()) * Hm.T
+            for i in range(model.m):
+                S = signal.copy()
+                for j in range(model.m):
+                    S[j, j] += mpmath.mpf(model.sigma2) + (
+                        0 if j == i else mpmath.mpf(v[j])
+                    )
+                e_i = mpmath.matrix(model.m, 1)
+                e_i[i] = 1
+                ref = mpmath.lu_solve(S, e_i)[i]
+                alpha = br_context(model, i, v).alpha
+                assert abs(alpha - ref) <= 1e-13 * abs(ref)
 
 
 class TestClosedForms:

@@ -230,6 +230,14 @@ class TestDetect:
                 _, alpha_hat, beta_hat = map(float, row.split(","))
                 assert 0.95 <= alpha_hat + beta_hat <= 1.05
 
+    def test_nonfinite_profile_exits_4(self, tmp_path, capsys):
+        ne = tmp_path / "nan.ne.json"
+        ne.write_text(json.dumps({"v_star": [0.0] * 17 + [math.nan]}))
+        rc = main(["detect", *MODEL_FLAGS, "--ne", str(ne),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 4
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_ne_file_exits_4(self, tmp_path, capsys):
         rc = main(["detect", *MODEL_FLAGS, "--ne", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "x.csv")])

@@ -8,13 +8,14 @@ from stealthgame.detection import (
     llr_joint,
     llr_local,
     llr_samples,
+    rank_auc,
     roc_auc,
     sample_observations,
 )
 from stealthgame.metrics import kl_global, kl_local
 from stealthgame.model import attacked_cov
 
-from _helpers import random_profile
+from _helpers import oracle_rank_auc, random_profile
 
 
 class TestSampleObservations:
@@ -156,3 +157,21 @@ class TestRocAuc:
     def test_determinism(self, ring3_model, rng):
         v = random_profile(rng, ring3_model)
         assert roc_auc(ring3_model, v, 2_000, 3) == roc_auc(ring3_model, v, 2_000, 3)
+
+
+class TestRankAuc:
+    @pytest.mark.parametrize("decimals", [0, 1, 3])
+    def test_matches_midrank_loop_with_ties(self, rng, decimals):
+        null = np.round(rng.standard_normal(5_000), decimals)
+        attacked = np.round(rng.standard_normal(4_000) + 0.4, decimals)
+        assert rank_auc(null, attacked) == oracle_rank_auc(null, attacked)
+
+    def test_all_tied_is_one_half(self):
+        assert rank_auc(np.zeros(7), np.zeros(5)) == 0.5 == oracle_rank_auc(
+            np.zeros(7), np.zeros(5)
+        )
+
+    def test_roc_auc_matches_midrank_loop(self, ring3_model, rng):
+        v = random_profile(rng, ring3_model, scale=0.5)
+        null, attacked = llr_samples(ring3_model, v, 10_000, 17)
+        assert roc_auc(ring3_model, v, 10_000, 17) == oracle_rank_auc(null, attacked)

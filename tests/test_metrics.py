@@ -61,6 +61,12 @@ class TestMiGlobal:
             mi_global(scalar_model, [-0.5])
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_profile_rejected(self, ring3_model, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mi_global(ring3_model, [0.0, bad, 0.0, 0.0, 0.0, 0.0])
+
+
 class TestMiLocal:
     def test_single_measurement_equals_global(self, scalar_model):
         for v_i in (0.0, 0.7, 3.0, 100.0):

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from stealthgame.model import (
+    PosteriorKernel,
     StatePriorSpec,
+    as_profile,
     attacked_cov,
     build_model,
     calibrate_noise,
@@ -146,6 +148,29 @@ class TestAttackedCov:
     def test_negative_variance(self, ring3_model):
         with pytest.raises(ValueError, match="nonnegative"):
             attacked_cov(ring3_model, [-1.0, 0, 0, 0, 0, 0])
+
+
+class TestAsProfile:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, ring3_model, bad):
+        v = np.ones(6)
+        v[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            as_profile(ring3_model, v)
+
+
+class TestPosteriorKernel:
+    def test_rank_one_updates_match_refactor(self, rng):
+        for _ in range(10):
+            model = random_desk_model(rng)
+            kernel = PosteriorKernel(model, random_profile(rng, model))
+            for _ in range(3 * model.m):
+                i = int(rng.integers(0, model.m))
+                kernel.update(i, float(rng.uniform(0.0, 5.0)))
+            fresh = PosteriorKernel(model, kernel.v)
+            np.testing.assert_allclose(kernel.inv, fresh.inv, rtol=1e-10, atol=1e-13)
+            assert kernel.logdet == pytest.approx(fresh.logdet, rel=1e-12)
+            np.testing.assert_allclose(kernel.gains(), fresh.gains(), rtol=1e-10)
 
 
 def test_model_snr_roundtrip(ieee9_model):
