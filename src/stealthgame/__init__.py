@@ -62,6 +62,7 @@ from .detection import (
     llr_samples,
     roc_auc,
     sample_observations,
+    threshold_curve,
 )
 
 __version__ = "0.1.0"

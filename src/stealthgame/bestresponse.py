@@ -22,10 +22,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .games import GameSpec, cost
-from .model import MeasurementModel, as_profile, posterior_matrix
+from .model import MeasurementModel, as_profile, check_index, posterior_matrix
 
 V_MAX = 1e12  # upper end of the action search range
 _BISECT_TOL = 1e-12
@@ -92,13 +91,11 @@ def br_context(model: MeasurementModel, i: int, v) -> BRContext:
     is a sum of squares without cancellation.
     """
     v = as_profile(model, v)
-    i = int(i)
-    if not 0 <= i < model.m:
-        raise IndexError(f"measurement index {i} outside [0, {model.m})")
+    i = check_index(model, i)
     w = 1.0 / (model.sigma2 + v)
     w[i] = 0.0
     chol = np.linalg.cholesky(posterior_matrix(model.B, w))
-    z = scipy.linalg.solve_triangular(chol, model.B[i], lower=True)
+    z = np.linalg.solve(chol, model.B[i])
     return gain_context(model, i, float(z @ z))
 
 

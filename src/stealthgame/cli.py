@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .bestresponse import BracketError
-from .detection import error_curve, llr_samples
+from .detection import llr_samples, threshold_curve
 from .dynamics import NonFiniteUpdateError, run_brd
 from .games import GameSpec
 from .grid import NetworkFormatError, build_dc_jacobian, load_matrix, parse_network
@@ -235,18 +236,23 @@ def cmd_detect(parser, args) -> int:
             f"{args.ne}: profile length {v.size} does not match model m={model.m}"
         )
 
-    # Threshold grid spanning the observed LLR range; the same seed is
-    # passed to error_curve, which redraws identical samples.
+    # A profile whose divergence overflows would overflow the sampler
+    # too; reject it before drawing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kl = kl_global(model, v)
+    if not math.isfinite(kl):
+        raise ValueError(f"{args.ne}: 'v_star' gives a non-finite kl_global ({kl})")
+
+    # One draw per hypothesis gives both the threshold grid, spanning
+    # the observed LLR range, and the curve.
     llr_null, llr_attacked = llr_samples(model, v, args.samples, args.seed)
     lo = float(min(llr_null.min(), llr_attacked.min()))
     hi = float(max(llr_null.max(), llr_attacked.max()))
     if hi - lo < 1e-9:
         lo, hi = -1.0, 1.0
     log_taus = np.linspace(max(lo - 1e-9, -700.0), min(hi + 1e-9, 700.0), args.grid)
-    taus = np.exp(log_taus)
-    curve = error_curve(model, v, args.samples, args.seed, taus)
+    curve = threshold_curve(llr_null, llr_attacked, np.exp(log_taus))
 
-    kl = kl_global(model, v)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# stealthgame detection curve\n")
         for line in _model_header_lines(args, model, source):

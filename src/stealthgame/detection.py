@@ -6,6 +6,12 @@ error trade-offs for threshold tests.  Thresholds are applied on the
 log scale to avoid overflow.  Sampling uses the symmetric square root
 of the covariance with an explicitly seeded generator, so every result
 is reproducible byte for byte.
+
+The joint LLR is one quadratic form, ``(1/2) y^T Delta y`` plus a
+log-determinant ratio, with ``Delta = Sigma_YY^{-1} diag(v) Sigma_a^{-1}``
+(``Sigma_a = Sigma_YY + diag(v)``): this equals ``Sigma_YY^{-1} -
+Sigma_a^{-1}`` without the cancellation of the difference, is exactly 0
+at ``v = 0``, and a batch of observations costs one matrix product.
 """
 
 from __future__ import annotations
@@ -13,15 +19,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
-from .model import MeasurementModel, as_profile, attacked_cov
+from .model import (
+    MeasurementModel,
+    as_profile,
+    attacked_cov,
+    check_index,
+    check_scalar_variance,
+    chol_inverse,
+    chol_logdet,
+)
+
+MIN_CURVE_SAMPLES = 1000
 
 __all__ = [
     "sample_observations",
     "llr_joint",
     "llr_local",
     "llr_samples",
+    "threshold_curve",
     "error_curve",
     "roc_auc",
     "rank_auc",
@@ -64,24 +80,18 @@ def llr_joint(model: MeasurementModel, v, y) -> float | np.ndarray:
     if Y.shape[1] != model.m:
         raise ValueError(f"observations have {Y.shape[1]} columns, expected {model.m}")
 
-    chol_a = np.linalg.cholesky(attacked_cov(model, v))
-    logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
-    w0 = scipy.linalg.solve_triangular(model.chol_YY, Y.T, lower=True)
-    wa = scipy.linalg.solve_triangular(chol_a, Y.T, lower=True)
-    quad0 = np.sum(w0 * w0, axis=0)
-    quada = np.sum(wa * wa, axis=0)
-    out = 0.5 * (quad0 - quada) + 0.5 * (model.logdet_YY - logdet_a)
+    chol_a, logdet_a = chol_logdet(attacked_cov(model, v))
+    delta = chol_inverse(model.chol_YY) @ (v[:, None] * chol_inverse(chol_a))
+    delta = 0.5 * (delta + delta.T)
+    quad = np.einsum("ij,ij->i", Y @ delta, Y)
+    out = 0.5 * quad + 0.5 * (model.logdet_YY - logdet_a)
     return float(out[0]) if single else out
 
 
 def llr_local(model: MeasurementModel, i: int, v_i: float, y_i) -> float | np.ndarray:
     """Scalar log-likelihood ratio for measurement i alone."""
-    i = int(i)
-    if not 0 <= i < model.m:
-        raise IndexError(f"measurement index {i} outside [0, {model.m})")
-    v_i = float(v_i)
-    if v_i < 0:
-        raise ValueError(f"attack variance must be nonnegative, got {v_i}")
+    i = check_index(model, i)
+    v_i = check_scalar_variance(v_i)
     s_i = model.s[i]
     y = np.asarray(y_i, dtype=float)
     out = 0.5 * y * y * (1.0 / s_i - 1.0 / (s_i + v_i)) + 0.5 * (
@@ -104,6 +114,36 @@ def llr_samples(
     return llr_joint(model, v, null), llr_joint(model, v, comp)
 
 
+def threshold_curve(
+    llr_null: np.ndarray, llr_attacked: np.ndarray, thresholds
+) -> list[tuple[float, float, float]]:
+    """Empirical (tau, Type-I, Type-II) triples from joint LLR samples.
+
+    For each threshold tau > 0 the detector accuses when the joint LLR
+    is at least log(tau).  Type-I error is estimated on ``llr_null``
+    (clean samples), Type-II on ``llr_attacked``; each needs at least
+    ``MIN_CURVE_SAMPLES`` values.
+    """
+    thresholds = [float(t) for t in thresholds]
+    if not thresholds:
+        raise ValueError("thresholds must be a nonempty list")
+    if not all(t > 0 for t in thresholds):
+        raise ValueError("thresholds must be positive (they are ratio levels)")
+    n_samples = min(np.size(llr_null), np.size(llr_attacked))
+    if n_samples < MIN_CURVE_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_CURVE_SAMPLES} samples per hypothesis, got {n_samples}"
+        )
+
+    curve = []
+    for tau in thresholds:
+        log_tau = math.log(tau)
+        alpha_hat = float(np.mean(llr_null >= log_tau))
+        beta_hat = float(np.mean(llr_attacked < log_tau))
+        curve.append((tau, alpha_hat, beta_hat))
+    return curve
+
+
 def error_curve(
     model: MeasurementModel,
     v,
@@ -113,27 +153,11 @@ def error_curve(
 ) -> list[tuple[float, float, float]]:
     """Empirical (tau, Type-I, Type-II) triples for the joint LRT.
 
-    For each threshold tau > 0 the detector accuses when the joint LLR
-    is at least log(tau).  Type-I error is estimated on clean samples,
-    Type-II on attacked samples, ``n_samples`` of each.
+    :func:`threshold_curve` of ``n_samples`` fresh clean and attacked
+    samples each, drawn by :func:`llr_samples`.
     """
-    thresholds = [float(t) for t in thresholds]
-    if not thresholds:
-        raise ValueError("thresholds must be a nonempty list")
-    if any(t <= 0 for t in thresholds):
-        raise ValueError("thresholds must be positive (they are ratio levels)")
-    n_samples = int(n_samples)
-    if n_samples < 1000:
-        raise ValueError(f"need at least 1000 samples per hypothesis, got {n_samples}")
-
     llr_null, llr_attacked = llr_samples(model, v, n_samples, seed)
-    curve = []
-    for tau in thresholds:
-        log_tau = math.log(tau)
-        alpha_hat = float(np.mean(llr_null >= log_tau))
-        beta_hat = float(np.mean(llr_attacked < log_tau))
-        curve.append((tau, alpha_hat, beta_hat))
-    return curve
+    return threshold_curve(llr_null, llr_attacked, thresholds)
 
 
 def roc_auc(model: MeasurementModel, v, n_samples: int, seed: int) -> float:

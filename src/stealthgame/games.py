@@ -13,6 +13,7 @@ change.  Minimizing the potential therefore finds the Nash equilibrium.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class GameSpec:
     def __post_init__(self):
         if self.game not in (1, 2, 3):
             raise ValueError(f"game must be 1, 2 or 3, got {self.game}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if self.game == 1 and self.lam < 1.0:
             raise ValueError(
                 f"game 1 requires lam >= 1 (cost convexity), got {self.lam}"

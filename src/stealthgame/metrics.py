@@ -15,13 +15,14 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     MeasurementModel,
     PosteriorKernel,
     as_profile,
     attacked_cov,
+    check_index,
+    check_scalar_variance,
     chol_logdet,
 )
 
@@ -37,20 +38,6 @@ __all__ = [
     "mc_mi_oracle",
     "mc_kl_oracle",
 ]
-
-
-def _check_index(model: MeasurementModel, i: int) -> int:
-    i = int(i)
-    if not 0 <= i < model.m:
-        raise IndexError(f"measurement index {i} outside [0, {model.m})")
-    return i
-
-
-def _check_scalar_variance(v_i: float) -> float:
-    v_i = float(v_i)
-    if v_i < 0:
-        raise ValueError(f"attack variance must be nonnegative, got {v_i}")
-    return v_i
 
 
 def mi_global(model: MeasurementModel, v) -> float:
@@ -69,8 +56,8 @@ def mi_local(model: MeasurementModel, i: int, v_i: float) -> float:
     Closed form: (1/2) log(1 + c_i / (sigma2 + v_i)) with
     c_i = e_i^T H Sigma_XX H^T e_i.
     """
-    i = _check_index(model, i)
-    v_i = _check_scalar_variance(v_i)
+    i = check_index(model, i)
+    v_i = check_scalar_variance(v_i)
     return 0.5 * math.log1p(model.c[i] / (model.sigma2 + v_i))
 
 
@@ -90,8 +77,8 @@ def kl_local(model: MeasurementModel, i: int, v_i: float) -> float:
     Closed form: (1/2)(v_i / s_i + log(s_i / (s_i + v_i))) with
     s_i = e_i^T Sigma_YY e_i.
     """
-    i = _check_index(model, i)
-    v_i = _check_scalar_variance(v_i)
+    i = check_index(model, i)
+    v_i = check_scalar_variance(v_i)
     s_i = model.s[i]
     return 0.5 * (v_i / s_i + math.log(s_i) - math.log(s_i + v_i))
 
@@ -103,7 +90,7 @@ class McEstimate(NamedTuple):
 
 def _gauss_logpdf(chol: np.ndarray, logdet: float, X: np.ndarray) -> np.ndarray:
     """Per-row log density of N(0, L L^T) given the lower factor L."""
-    W = scipy.linalg.solve_triangular(chol, X.T, lower=True)
+    W = np.linalg.solve(chol, X.T)
     quad = np.sum(W * W, axis=0)
     d = chol.shape[0]
     return -0.5 * (quad + logdet + d * _LOG_2PI)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 PSD_TOL = 1e-12  # absolute eigenvalue slack when validating covariances
 
@@ -31,6 +30,7 @@ __all__ = [
     "build_model",
     "attacked_cov",
     "chol_logdet",
+    "chol_inverse",
     "posterior_matrix",
     "PosteriorKernel",
 ]
@@ -51,8 +51,9 @@ class StatePriorSpec:
 
 
 def toeplitz_cov(spec: StatePriorSpec) -> np.ndarray:
-    first_row = spec.rho ** np.arange(spec.n)
-    return scipy.linalg.toeplitz(first_row)
+    idx = np.arange(spec.n)
+    first_row = spec.rho**idx
+    return first_row[np.abs(idx[:, None] - idx[None, :])]
 
 
 def snr_db(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> float:
@@ -137,7 +138,9 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
     signal_cov = 0.5 * (signal_cov + signal_cov.T)  # enforce exact symmetry
     Sigma_YY = signal_cov + sigma2 * np.eye(m)
     chol_YY, logdet_YY = chol_logdet(Sigma_YY)
-    inv_YY = scipy.linalg.cho_solve((chol_YY, True), np.eye(m))
+    # Sigma_YY^{-1} = L^{-T} L^{-1}: its diagonal holds the column sums
+    # of the squared entries of L^{-1}.
+    inv_chol_YY = np.linalg.inv(chol_YY)
     # The weights, hence the log-determinant, of a kernel at v = 0, so
     # that kl_global(model, 0) is exactly 0.
     _, logdet_M0 = chol_logdet(posterior_matrix(B, np.full(m, 1.0 / sigma2)))
@@ -149,7 +152,7 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         signal_cov=signal_cov,
         chol_YY=chol_YY,
         logdet_YY=logdet_YY,
-        inv_diag_YY=np.diag(inv_YY).copy(),
+        inv_diag_YY=np.sum(inv_chol_YY**2, axis=0),
         s=np.diag(Sigma_YY).copy(),
         c=np.diag(signal_cov).copy(),
         B=B,
@@ -169,6 +172,24 @@ def as_profile(model: MeasurementModel, v) -> np.ndarray:
     return v
 
 
+def check_index(model: MeasurementModel, i: int) -> int:
+    """Validate a 0-based measurement index."""
+    i = int(i)
+    if not 0 <= i < model.m:
+        raise IndexError(f"measurement index {i} outside [0, {model.m})")
+    return i
+
+
+def check_scalar_variance(v_i: float) -> float:
+    """Validate one attack variance: finite and nonnegative."""
+    v_i = float(v_i)
+    if not math.isfinite(v_i):
+        raise ValueError(f"attack variance must be finite, got {v_i}")
+    if v_i < 0:
+        raise ValueError(f"attack variance must be nonnegative, got {v_i}")
+    return v_i
+
+
 def attacked_cov(model: MeasurementModel, v) -> np.ndarray:
     """Covariance of the compromised measurements, Sigma_YY + diag(v)."""
     v = as_profile(model, v)
@@ -181,6 +202,12 @@ def chol_logdet(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a positive definite matrix, and its log-determinant."""
     chol = np.linalg.cholesky(mat)
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def chol_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse L^{-T} L^{-1} of the matrix whose lower Cholesky factor is L."""
+    inv_chol = np.linalg.inv(chol)
+    return inv_chol.T @ inv_chol
 
 
 def posterior_matrix(B: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -217,10 +244,7 @@ class PosteriorKernel:
         """Rebuild the inverse and log-determinant from the profile."""
         self.w = 1.0 / (self.model.sigma2 + self.v)
         chol, self.logdet = chol_logdet(posterior_matrix(self.model.B, self.w))
-        inv_chol = scipy.linalg.solve_triangular(
-            chol, np.eye(self.model.n), lower=True
-        )
-        self.inv = inv_chol.T @ inv_chol
+        self.inv = chol_inverse(chol)
 
     def gain(self, i: int) -> float:
         """gamma_i: variance of (H x)_i given the other attacked measurements."""

@@ -8,7 +8,6 @@ closed-form/oracle comparisons check two genuinely different routes.
 """
 
 import numpy as np
-import scipy.linalg
 
 from stealthgame.bestresponse import BRContext
 from stealthgame.model import (
@@ -71,16 +70,15 @@ def single_row_submodel(model, i):
 def oracle_br_context(model, i, v):
     """Best-response context from m-by-m factorizations.
 
-    alpha from a Cholesky solve with Sigma_YY + diag(v with v_i = 0);
+    alpha from a dense solve with Sigma_YY + diag(v with v_i = 0);
     gamma from a dense solve with A = G D + I, D the inverse noise-plus-
     attack variances with player i's entry set to 0.
     """
     v_others = np.asarray(v, dtype=float).copy()
     v_others[i] = 0.0
-    chol = np.linalg.cholesky(attacked_cov(model, v_others))
     e_i = np.zeros(model.m)
     e_i[i] = 1.0
-    alpha = float(scipy.linalg.cho_solve((chol, True), e_i)[i])
+    alpha = float(np.linalg.solve(attacked_cov(model, v_others), e_i)[i])
 
     weights = 1.0 / (model.sigma2 + np.asarray(v, dtype=float))
     weights[i] = 0.0

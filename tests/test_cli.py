@@ -175,8 +175,7 @@ class TestSweep:
         ][0]
         assert data_row.endswith(",literal")
 
-    def test_deterministic(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("STEALTHGAME_THREADS", "2")
+    def test_deterministic(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "sa.csv", tmp_path / "sb.csv"
         for out in (out_a, out_b):
             assert main(["sweep", *MODEL_FLAGS, "--game", "1",
