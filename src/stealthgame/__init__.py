@@ -27,25 +27,20 @@ from .model import (
     toeplitz_cov,
 )
 from .metrics import (
-    McEstimate,
     kl_global,
     kl_local,
-    mc_kl_oracle,
-    mc_mi_oracle,
     mi_global,
     mi_local,
 )
 from .games import GameSpec, cost, potential
 from .bestresponse import (
     BRContext,
-    BracketError,
     V_MAX,
     best_response,
     br_context,
     br_g1,
     br_g2,
     br_g3,
-    br_numeric,
 )
 from .dynamics import (
     ConvergenceReport,

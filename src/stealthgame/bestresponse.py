@@ -5,8 +5,7 @@ quadratic obtained from the stationarity condition of the player's
 cost, clamped to the action set [0, inf).  Games 2 and 3 reduce to a
 monotone scalar root problem (the cost is convex in the player's own
 variance, so its derivative crosses zero at most once) solved by
-bisection.  An independent golden-section minimizer over the raw cost
-serves as the numerical oracle for all three.
+bisection.
 
 For game 3 the stationarity condition uses the scalar ``gamma_i`` in
 both the numerator and the shifted denominator factor; set
@@ -23,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameSpec, cost
+from .games import GameSpec
 from .model import MeasurementModel, as_profile, check_index, posterior_matrix
 
 V_MAX = 1e12  # upper end of the action search range
 _BISECT_TOL = 1e-12
-_GOLDEN_WIDTH = 1e-10
 
 __all__ = [
     "BRContext",
-    "BracketError",
     "V_MAX",
     "br_context",
     "gain_context",
@@ -41,12 +38,7 @@ __all__ = [
     "br_g3",
     "best_response",
     "respond",
-    "br_numeric",
 ]
-
-
-class BracketError(RuntimeError):
-    """The numeric minimizer could not bracket a finite minimum."""
 
 
 @dataclass(frozen=True)
@@ -230,83 +222,3 @@ def respond(
     if spec.game == 2:
         return br_g2(ctx, sigma2, spec.lam)
     return br_g3(ctx, sigma2, spec.lam, literal=br3_literal)
-
-
-def br_numeric(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:
-    """Numerical oracle: minimize the raw cost over the player's action.
-
-    Brackets the minimum by doubling the upper end until the cost slope
-    (finite difference) turns positive, shrinks by golden-section to an
-    interval of width ~1e-10, then polishes by bisecting the
-    finite-difference slope (golden-section alone is limited to about
-    sqrt(eps) relative accuracy in the minimizer position).  Touches
-    only ``games.cost``; independent of the closed-form/bisection
-    solvers.
-    """
-    v = as_profile(model, v).copy()
-
-    def f(t: float) -> float:
-        v[i] = t
-        return cost(spec, model, i, v)
-
-    def slope(t: float) -> float:
-        # Adaptive step: wide enough away from zero to beat roundoff in
-        # the O(100)-nat cost values, narrow near zero so minimizers of
-        # order 1e-6 are still resolved.  Five-point stencil when there
-        # is room, offset central difference otherwise.
-        h = 3e-5 * (1.0 + t)
-        if t > 0.0:
-            h = min(h, max(0.25 * t, 1e-7))
-        if t - 2.0 * h >= 0.0:
-            return (
-                8.0 * (f(t + h) - f(t - h)) - (f(t + 2.0 * h) - f(t - 2.0 * h))
-            ) / (12.0 * h)
-        left = max(t - h, 0.0)
-        return (f(t + h) - f(left)) / (t + h - left)
-
-    # Multi-scale chord test at the boundary: the minimum is interior
-    # only if the cost actually drops below f(0) somewhere nearby.
-    f0 = f(0.0)
-    if all(f(h0) >= f0 for h0 in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)):
-        return 0.0
-    hi = 1.0
-    while slope(hi) <= 0.0:
-        hi *= 2.0
-        if hi > V_MAX:
-            raise BracketError(
-                f"no finite minimum below V_MAX={V_MAX:g} for player {i} "
-                f"(game {spec.game}, lam {spec.lam})"
-            )
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = 0.0
-    a = hi - inv_phi * (hi - lo)
-    b = lo + inv_phi * (hi - lo)
-    fa, fb = f(a), f(b)
-    while hi - lo > _GOLDEN_WIDTH:
-        if fa < fb:
-            hi, b, fb = b, a, fa
-            a = hi - inv_phi * (hi - lo)
-            fa = f(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + inv_phi * (hi - lo)
-            fb = f(b)
-
-    mid = 0.5 * (lo + hi)
-    pad = 1e-5 * (1.0 + mid)
-    a = max(mid - pad, 0.0)
-    b = mid + pad
-    if slope(a) >= 0.0:
-        return a
-    if slope(b) <= 0.0:
-        return b
-    for _ in range(100):
-        t = 0.5 * (a + b)
-        if slope(t) < 0.0:
-            a = t
-        else:
-            b = t
-        if b - a <= 1e-13 * (1.0 + t):
-            break
-    return 0.5 * (a + b)

@@ -20,7 +20,6 @@ import sys
 
 import numpy as np
 
-from .bestresponse import BracketError
 from .detection import llr_samples, threshold_curve
 from .dynamics import NonFiniteUpdateError, run_brd
 from .games import GameSpec
@@ -106,17 +105,6 @@ def cmd_build(parser, args) -> int:
         "cond_Sigma_YY": float(np.linalg.cond(model.Sigma_YY)),
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    if args.out:
-        cache = {
-            "H": model.H.tolist(),
-            "rho": args.rho,
-            "sigma2": model.sigma2,
-            "m": model.m,
-            "n": model.n,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return EXIT_OK
 
 
@@ -277,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a model and print its summary")
     _add_model_args(p_build)
-    p_build.add_argument("--out", help="optional model cache file (JSON)")
     p_build.set_defaults(func=cmd_build)
 
     p_run = sub.add_parser("run", help="run best-response dynamics to the NE")
@@ -328,7 +315,6 @@ def main(argv=None) -> int:
         OSError,
         json.JSONDecodeError,
         NonFiniteUpdateError,
-        BracketError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -3,8 +3,9 @@
 Samples clean and attacked measurement vectors, evaluates joint and
 per-measurement log-likelihood ratios, and estimates Type-I/Type-II
 error trade-offs for threshold tests.  Thresholds are applied on the
-log scale to avoid overflow.  Sampling uses the symmetric square root
-of the covariance with an explicitly seeded generator, so every result
+log scale to avoid overflow.  Sampling multiplies standard normals by
+the lower Cholesky factor of the covariance (the clean one is cached as
+``model.chol_YY``) with an explicitly seeded generator, so every result
 is reproducible byte for byte.
 
 The joint LLR is one quadratic form, ``(1/2) y^T Delta y`` plus a
@@ -44,27 +45,25 @@ __all__ = [
 ]
 
 
-def _sym_sqrt(cov: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals[0] <= 0:
-        raise ValueError(
-            f"covariance is not positive definite (min eigenvalue {eigvals[0]:.3e})"
-        )
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-
-
 def sample_observations(
     model: MeasurementModel, v, n_samples: int, seed: int, attacked: bool
 ) -> np.ndarray:
-    """Draw measurement vectors, one per row, clean or attacked."""
+    """Draw measurement vectors, one per row, clean or attacked.
+
+    Row k is ``L z_k`` for standard normal ``z_k`` and the lower Cholesky
+    factor ``L`` of ``Sigma_YY`` (clean) or ``Sigma_YY + diag(v)``
+    (attacked); the same seed gives the same ``z_k`` under both.
+    """
     v = as_profile(model, v)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    cov = attacked_cov(model, v) if attacked else model.Sigma_YY
-    root = _sym_sqrt(cov)
+    if attacked:
+        chol = np.linalg.cholesky(attacked_cov(model, v))
+    else:
+        chol = model.chol_YY
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n_samples, model.m)) @ root
+    return rng.standard_normal((n_samples, model.m)) @ chol.T
 
 
 def llr_joint(model: MeasurementModel, v, y) -> float | np.ndarray:

@@ -108,8 +108,8 @@ def run_brd(
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     kernel = PosteriorKernel(model, np.zeros(model.m) if v0 is None else v0)
 
     trajectory = [_record(spec, kernel, 0, -1)]

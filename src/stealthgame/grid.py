@@ -15,6 +15,7 @@ n_bus``.  The slack bus angle is the removed state column, giving
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,9 @@ class BusNetwork:
                 raise NetworkFormatError(
                     f"branch {k + 1}: from_bus equals to_bus ({br.from_bus})"
                 )
-            if not br.susceptance > 0:
+            if not (br.susceptance > 0 and math.isfinite(br.susceptance)):
                 raise NetworkFormatError(
-                    f"branch {k + 1}: susceptance must be positive, "
+                    f"branch {k + 1}: susceptance must be finite and positive, "
                     f"got {br.susceptance}"
                 )
         if not _connected(self.n_bus, self.branches):
@@ -193,7 +194,11 @@ def _parse_branch_value(token: str, lineno: int) -> float:
             raise NetworkFormatError(
                 f"line {lineno}: reactance must be positive, got {value}"
             )
-        return 1.0 / value
+        value = 1.0 / value
+    if not math.isfinite(value):
+        raise NetworkFormatError(
+            f"line {lineno}: branch value {token!r} gives a non-finite susceptance"
+        )
     return value
 
 
@@ -257,6 +262,8 @@ def load_matrix(text: str) -> JacobianMatrix:
             rows.append([float(tok) for tok in tokens])
         except ValueError as exc:
             raise NetworkFormatError(f"line {lineno}: non-numeric token ({exc})") from None
+        if not all(math.isfinite(x) for x in rows[-1]):
+            raise NetworkFormatError(f"line {lineno}: matrix entries must be finite")
         if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
             raise NetworkFormatError(
                 f"line {lineno}: ragged row ({len(rows[-1])} values, "

@@ -125,8 +125,12 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         raise ValueError(
             f"Sigma_XX shape {Sigma_XX.shape} does not match H columns ({n})"
         )
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    if not (sigma2 > 0 and math.isfinite(sigma2)):
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("H entries must be finite")
+    if not np.all(np.isfinite(Sigma_XX)):
+        raise ValueError("Sigma_XX entries must be finite")
     if not np.allclose(Sigma_XX, Sigma_XX.T, atol=1e-10):
         raise ValueError("Sigma_XX must be symmetric")
     eigvals, eigvecs = np.linalg.eigh(Sigma_XX)
@@ -136,6 +140,8 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
 
     signal_cov = H @ Sigma_XX @ H.T
     signal_cov = 0.5 * (signal_cov + signal_cov.T)  # enforce exact symmetry
+    if not np.all(np.isfinite(signal_cov)):
+        raise ValueError("H Sigma_XX H^T overflows: H or Sigma_XX entries too large")
     Sigma_YY = signal_cov + sigma2 * np.eye(m)
     chol_YY, logdet_YY = chol_logdet(Sigma_YY)
     # Sigma_YY^{-1} = L^{-T} L^{-1}: its diagonal holds the column sums

@@ -5,18 +5,33 @@ covariance of (states, attacked measurements), best-response contexts
 through m-by-m factorizations and the AUC through a loop over tied runs;
 they never call the package's closed forms or its n-by-n kernel, so
 closed-form/oracle comparisons check two genuinely different routes.
+The Monte-Carlo estimators ``mc_mi_oracle``/``mc_kl_oracle`` sample the
+generative model and average log-density ratios; the numeric
+best-response minimizer ``br_numeric`` touches only ``games.cost``,
+never the closed-form or bisection solvers.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from stealthgame.bestresponse import BRContext
+from stealthgame.bestresponse import V_MAX, BRContext
+from stealthgame.games import GameSpec, cost
 from stealthgame.model import (
+    MeasurementModel,
     StatePriorSpec,
+    as_profile,
     attacked_cov,
     build_model,
     calibrate_noise,
+    chol_logdet,
     toeplitz_cov,
 )
+
+_GOLDEN_WIDTH = 1e-10
+_LOG_2PI = math.log(2.0 * math.pi)
+MC_MIN_SAMPLES = 10_000
 
 
 def random_desk_model(rng, m_max=10, n_max=6):
@@ -113,3 +128,167 @@ def oracle_rank_auc(llr_null, llr_attacked):
     n1 = llr_attacked.size
     rank_sum = float(np.sum(ranks[n0:]))
     return (rank_sum - n1 * (n1 + 1) / 2.0) / (n0 * n1)
+
+
+class BracketError(RuntimeError):
+    """The numeric minimizer could not bracket a finite minimum."""
+
+
+def br_numeric(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:
+    """Numerical oracle: minimize the raw cost over the player's action.
+
+    Brackets the minimum by doubling the upper end until the cost slope
+    (finite difference) turns positive, shrinks by golden-section to an
+    interval of width ~1e-10, then polishes by bisecting the
+    finite-difference slope (golden-section alone is limited to about
+    sqrt(eps) relative accuracy in the minimizer position).  Touches
+    only ``games.cost``; independent of the closed-form/bisection
+    solvers.
+    """
+    v = as_profile(model, v).copy()
+
+    def f(t: float) -> float:
+        v[i] = t
+        return cost(spec, model, i, v)
+
+    def slope(t: float) -> float:
+        # Adaptive step: wide enough away from zero to beat roundoff in
+        # the O(100)-nat cost values, narrow near zero so minimizers of
+        # order 1e-6 are still resolved.  Five-point stencil when there
+        # is room, offset central difference otherwise.
+        h = 3e-5 * (1.0 + t)
+        if t > 0.0:
+            h = min(h, max(0.25 * t, 1e-7))
+        if t - 2.0 * h >= 0.0:
+            return (
+                8.0 * (f(t + h) - f(t - h)) - (f(t + 2.0 * h) - f(t - 2.0 * h))
+            ) / (12.0 * h)
+        left = max(t - h, 0.0)
+        return (f(t + h) - f(left)) / (t + h - left)
+
+    # Multi-scale chord test at the boundary: the minimum is interior
+    # only if the cost actually drops below f(0) somewhere nearby.
+    f0 = f(0.0)
+    if all(f(h0) >= f0 for h0 in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)):
+        return 0.0
+    hi = 1.0
+    while slope(hi) <= 0.0:
+        hi *= 2.0
+        if hi > V_MAX:
+            raise BracketError(
+                f"no finite minimum below V_MAX={V_MAX:g} for player {i} "
+                f"(game {spec.game}, lam {spec.lam})"
+            )
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo = 0.0
+    a = hi - inv_phi * (hi - lo)
+    b = lo + inv_phi * (hi - lo)
+    fa, fb = f(a), f(b)
+    while hi - lo > _GOLDEN_WIDTH:
+        if fa < fb:
+            hi, b, fb = b, a, fa
+            a = hi - inv_phi * (hi - lo)
+            fa = f(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + inv_phi * (hi - lo)
+            fb = f(b)
+
+    mid = 0.5 * (lo + hi)
+    pad = 1e-5 * (1.0 + mid)
+    a = max(mid - pad, 0.0)
+    b = mid + pad
+    if slope(a) >= 0.0:
+        return a
+    if slope(b) <= 0.0:
+        return b
+    for _ in range(100):
+        t = 0.5 * (a + b)
+        if slope(t) < 0.0:
+            a = t
+        else:
+            b = t
+        if b - a <= 1e-13 * (1.0 + t):
+            break
+    return 0.5 * (a + b)
+
+
+class McEstimate(NamedTuple):
+    value: float
+    std_error: float
+
+
+def _gauss_logpdf(chol: np.ndarray, logdet: float, X: np.ndarray) -> np.ndarray:
+    """Per-row log density of N(0, L L^T) given the lower factor L."""
+    W = np.linalg.solve(chol, X.T)
+    quad = np.sum(W * W, axis=0)
+    d = chol.shape[0]
+    return -0.5 * (quad + logdet + d * _LOG_2PI)
+
+
+def _check_mc_args(n_samples: int) -> int:
+    n_samples = int(n_samples)
+    if n_samples < MC_MIN_SAMPLES:
+        raise ValueError(
+            f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}"
+        )
+    return n_samples
+
+
+def mc_mi_oracle(model: MeasurementModel, v, n_samples: int, seed: int) -> McEstimate:
+    """Sample-average estimator of the global mutual information.
+
+    Draws (state, attacked measurement) pairs from the generative model
+    and averages log f(x, y) - log f(x) - log f(y) under the joint
+    Gaussian.  Deterministic for a fixed seed.
+    """
+    v = as_profile(model, v)
+    n_samples = _check_mc_args(n_samples)
+    try:
+        chol_XX, logdet_XX = chol_logdet(model.Sigma_XX)
+    except np.linalg.LinAlgError:
+        raise ValueError("Sigma_XX must be positive definite for the MC oracle") from None
+
+    cov_attacked = attacked_cov(model, v)
+    chol_A, logdet_A = chol_logdet(cov_attacked)
+
+    cross = model.Sigma_XX @ model.H.T
+    joint = np.block([[model.Sigma_XX, cross], [cross.T, cov_attacked]])
+    chol_J, logdet_J = chol_logdet(joint)
+
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_samples, model.n)) @ chol_XX.T
+    Z = math.sqrt(model.sigma2) * rng.standard_normal((n_samples, model.m))
+    A = np.sqrt(v) * rng.standard_normal((n_samples, model.m))
+    Y = X @ model.H.T + Z + A
+
+    ratio = (
+        _gauss_logpdf(chol_J, logdet_J, np.hstack([X, Y]))
+        - _gauss_logpdf(chol_XX, logdet_XX, X)
+        - _gauss_logpdf(chol_A, logdet_A, Y)
+    )
+    return McEstimate(
+        value=float(np.mean(ratio)),
+        std_error=float(np.std(ratio, ddof=1) / math.sqrt(n_samples)),
+    )
+
+
+def mc_kl_oracle(model: MeasurementModel, v, n_samples: int, seed: int) -> McEstimate:
+    """Sample-average estimator of the global KL divergence.
+
+    Averages the log-likelihood ratio of attacked vs. clean densities
+    over samples drawn from the attacked distribution.
+    """
+    v = as_profile(model, v)
+    n_samples = _check_mc_args(n_samples)
+    chol_A, logdet_A = chol_logdet(attacked_cov(model, v))
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((n_samples, model.m)) @ chol_A.T
+    ratio = _gauss_logpdf(chol_A, logdet_A, Y) - _gauss_logpdf(
+        model.chol_YY, model.logdet_YY, Y
+    )
+    return McEstimate(
+        value=float(np.mean(ratio)),
+        std_error=float(np.std(ratio, ddof=1) / math.sqrt(n_samples)),
+    )

@@ -12,22 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from stealthgame.bestresponse import best_response, br_numeric
+from stealthgame.bestresponse import best_response
 from stealthgame.cli import main
 from stealthgame.detection import roc_auc
 from stealthgame.dynamics import potential_audit, run_brd, verify_ne
 from stealthgame.games import GameSpec, cost, potential
 from stealthgame.grid import bundled_case
-from stealthgame.metrics import (
-    kl_global,
-    kl_local,
-    mc_kl_oracle,
-    mc_mi_oracle,
-    mi_global,
-    mi_local,
-)
+from stealthgame.metrics import kl_global, kl_local, mi_global, mi_local
 
 from _helpers import (
+    br_numeric,
+    mc_kl_oracle,
+    mc_mi_oracle,
     oracle_mi_joint,
     oracle_mi_local_joint,
     random_desk_model,

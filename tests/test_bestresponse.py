@@ -5,13 +5,11 @@ import pytest
 
 from stealthgame.bestresponse import (
     V_MAX,
-    BracketError,
     best_response,
     br_context,
     br_g1,
     br_g2,
     br_g3,
-    br_numeric,
 )
 from stealthgame.games import GameSpec, cost
 from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
@@ -22,7 +20,13 @@ from stealthgame.model import (
     toeplitz_cov,
 )
 
-from _helpers import oracle_br_context, random_desk_model, random_profile
+from _helpers import (
+    BracketError,
+    br_numeric,
+    oracle_br_context,
+    random_desk_model,
+    random_profile,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

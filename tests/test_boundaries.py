@@ -11,8 +11,16 @@ from stealthgame.bestresponse import br_context
 from stealthgame.cli import main
 from stealthgame.detection import llr_local
 from stealthgame.games import GameSpec
-from stealthgame.grid import bundled_case
+from stealthgame.grid import (
+    Branch,
+    BusNetwork,
+    NetworkFormatError,
+    bundled_case,
+    load_matrix,
+    parse_network,
+)
 from stealthgame.metrics import kl_local, mi_local
+from stealthgame.model import build_model
 
 MODEL_FLAGS = ["--case", bundled_case("ieee9"), "--rho", "0.9", "--snr-db", "30"]
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -83,3 +91,74 @@ class TestDegenerateDetectInput:
         assert str(ne) in err
         assert "kl_global" in err
         assert not out.exists()
+
+
+class TestNonFiniteModelInput:
+    @pytest.mark.parametrize("sigma2", NON_FINITE)
+    def test_build_model_rejects_noise(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            build_model([[1.0]], [[1.0]], sigma2)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_build_model_rejects_matrix_entries(self, bad):
+        with pytest.raises(ValueError, match="H entries must be finite"):
+            build_model([[1.0, bad]], np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="Sigma_XX entries must be finite"):
+            build_model(np.eye(2), [[1.0, bad], [bad, 1.0]], 1.0)
+
+    def test_build_model_rejects_overflowing_signal(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="overflows"):
+                build_model([[1e200]], [[1.0]], 1.0)
+
+    @pytest.mark.parametrize("b", NON_FINITE)
+    def test_bus_network_rejects_susceptance(self, b):
+        with pytest.raises(NetworkFormatError, match="branch 1: susceptance"):
+            BusNetwork(n_bus=2, slack=1, branches=(Branch(1, 2, b),))
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "x:1e-320"])
+    def test_network_file_names_the_line(self, value):
+        with pytest.raises(NetworkFormatError, match="line 3: .*susceptance"):
+            parse_network(f"bus 2\n# comment\nbranch 1 2 {value}\n")
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_matrix_file_names_the_line(self, token):
+        with pytest.raises(NetworkFormatError, match="line 2: .*finite"):
+            load_matrix(f"1 0\n0 {token}\n")
+
+    @pytest.mark.parametrize("value", ["inf", "x:1e-320"])
+    def test_build_exits_4_on_case(self, tmp_path, capfd, value):
+        case = tmp_path / "bad.net"
+        case.write_text(f"bus 3\nbranch 1 2 1.0\nbranch 2 3 {value}\n")
+        rc = main(["build", "--case", str(case), "--rho", "0.9", "--snr-db", "30"])
+        out, err = capfd.readouterr()
+        assert rc == 4
+        assert out == ""  # no summary, and no LAPACK complaint either
+        assert "line 3" in err and "susceptance" in err
+
+    def test_build_exits_4_on_matrix_file(self, tmp_path, capfd):
+        mat = tmp_path / "h.mat"
+        mat.write_text("1 0\nnan 1\n")
+        rc = main(["build", "--h-matrix", str(mat), "--rho", "0.5",
+                   "--sigma2", "1"])
+        out, err = capfd.readouterr()
+        assert rc == 4
+        assert out == ""
+        assert "line 2" in err and "finite" in err
+
+    def test_build_exits_4_on_noise(self, capsys):
+        rc = main(["build", *MODEL_FLAGS[:4], "--sigma2", "nan"])
+        assert rc == 4
+        assert "sigma2" in capsys.readouterr().err
+
+
+class TestNonFiniteTolerance:
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_run_exits_4(self, tmp_path, capsys, tol):
+        out = tmp_path / "g1"
+        rc = main(["run", *MODEL_FLAGS, "--game", "1", "--lambda", "2",
+                   "--tol", tol, "--out", str(out)])
+        assert rc == 4
+        assert "tol" in capsys.readouterr().err
+        assert not (tmp_path / "g1.ne.json").exists()

@@ -59,12 +59,6 @@ class TestBuild:
             main(["build", "--case", IEEE9, "--rho", "0.9"])
         assert excinfo.value.code == 2
 
-    def test_model_cache_written(self, tmp_path, capsys):
-        out = tmp_path / "model.json"
-        assert main(["build", *MODEL_FLAGS, "--out", str(out)]) == 0
-        cache = json.loads(out.read_text())
-        assert len(cache["H"]) == 18
-
     def test_malformed_case_exits_4(self, tmp_path, capsys):
         case = tmp_path / "bad.net"
         case.write_text("bus 2\nbranch 1 5 1.0\n")

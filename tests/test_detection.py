@@ -45,6 +45,31 @@ class TestSampleObservations:
             sample_observations(ring3_model, np.zeros(6), 0, 1, attacked=False)
 
 
+class TestSamplingConvention:
+    """Row k of a draw is L z_k, L the lower Cholesky factor, z_k standard
+    normal from the seeded generator."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_clean_draw_uses_cached_cholesky(self, ieee9_model, seed):
+        model = ieee9_model
+        obs = sample_observations(model, np.zeros(model.m), 300, seed, attacked=False)
+        expected = np.random.default_rng(seed).standard_normal((300, model.m))
+        np.testing.assert_array_equal(obs, expected @ model.chol_YY.T)
+
+    def test_attacked_draw_at_zero_profile_equals_clean(self, ieee9_model):
+        v = np.zeros(ieee9_model.m)
+        clean = sample_observations(ieee9_model, v, 300, 4, attacked=False)
+        attacked = sample_observations(ieee9_model, v, 300, 4, attacked=True)
+        np.testing.assert_array_equal(attacked, clean)
+
+    def test_attacked_draw_uses_attacked_cholesky(self, ring3_model, rng):
+        v = random_profile(rng, ring3_model)
+        obs = sample_observations(ring3_model, v, 300, 5, attacked=True)
+        chol = np.linalg.cholesky(attacked_cov(ring3_model, v))
+        expected = np.random.default_rng(5).standard_normal((300, 6)) @ chol.T
+        np.testing.assert_array_equal(obs, expected)
+
+
 class TestLlrJoint:
     def test_zero_profile_gives_zero_everywhere(self, ring3_model, rng):
         y = rng.standard_normal(6)

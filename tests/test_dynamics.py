@@ -96,6 +96,8 @@ class TestRunBrd:
             run_brd(spec, ring3_model, t_max=0)
         with pytest.raises(ValueError, match="tol"):
             run_brd(spec, ring3_model, tol=0.0)
+        with pytest.raises(ValueError, match="tol"):
+            run_brd(spec, ring3_model, tol=math.inf)
         with pytest.raises(ValueError, match="nonnegative"):
             run_brd(spec, ring3_model, v0=-np.ones(6))
 

@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from stealthgame.metrics import (
-    kl_global,
-    kl_local,
-    mc_kl_oracle,
-    mc_mi_oracle,
-    mi_global,
-    mi_local,
-)
+from stealthgame.metrics import kl_global, kl_local, mi_global, mi_local
 from stealthgame.model import build_model
 
 from _helpers import (
+    mc_kl_oracle,
+    mc_mi_oracle,
     oracle_mi_joint,
     oracle_mi_local_joint,
     random_desk_model,
