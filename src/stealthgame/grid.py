@@ -190,9 +190,9 @@ def _parse_branch_value(token: str, lineno: int) -> float:
             f"line {lineno}: bad branch value {token!r}"
         ) from None
     if is_reactance:
-        if value <= 0:
+        if not (value > 0 and math.isfinite(value)):
             raise NetworkFormatError(
-                f"line {lineno}: reactance must be positive, got {value}"
+                f"line {lineno}: reactance must be finite and positive, got {value}"
             )
         value = 1.0 / value
     if not math.isfinite(value):

@@ -127,6 +127,8 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         )
     if not (sigma2 > 0 and math.isfinite(sigma2)):
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
+    if not math.isfinite(1.0 / sigma2):
+        raise ValueError(f"sigma2 {sigma2} is too small: its reciprocal overflows")
     if not np.all(np.isfinite(H)):
         raise ValueError("H entries must be finite")
     if not np.all(np.isfinite(Sigma_XX)):

@@ -2,8 +2,9 @@
 
 The oracles here compute mutual information through the explicit joint
 covariance of (states, attacked measurements), best-response contexts
-through m-by-m factorizations and the AUC through a loop over tied runs;
-they never call the package's closed forms or its n-by-n kernel, so
+through m-by-m factorizations, the AUC through a loop over tied runs
+and threshold curves through two comparisons per threshold; they never
+call the package's closed forms or its n-by-n kernel, so
 closed-form/oracle comparisons check two genuinely different routes.
 The Monte-Carlo estimators ``mc_mi_oracle``/``mc_kl_oracle`` sample the
 generative model and average log-density ratios; the numeric
@@ -128,6 +129,17 @@ def oracle_rank_auc(llr_null, llr_attacked):
     n1 = llr_attacked.size
     rank_sum = float(np.sum(ranks[n0:]))
     return (rank_sum - n1 * (n1 + 1) / 2.0) / (n0 * n1)
+
+
+def oracle_threshold_curve(llr_null, llr_attacked, thresholds):
+    """(tau, Type-I, Type-II) triples by two full comparisons per threshold."""
+    curve = []
+    for tau in thresholds:
+        log_tau = math.log(tau)
+        alpha_hat = float(np.mean(llr_null >= log_tau))
+        beta_hat = float(np.mean(llr_attacked < log_tau))
+        curve.append((tau, alpha_hat, beta_hat))
+    return curve
 
 
 class BracketError(RuntimeError):

@@ -99,6 +99,11 @@ class TestNonFiniteModelInput:
         with pytest.raises(ValueError, match="sigma2 must be finite"):
             build_model([[1.0]], [[1.0]], sigma2)
 
+    @pytest.mark.parametrize("sigma2", [1e-320, 5e-324])
+    def test_build_model_rejects_subnormal_noise(self, sigma2):
+        with pytest.raises(ValueError, match="reciprocal overflows"):
+            build_model(np.eye(3), np.eye(3), sigma2)
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_build_model_rejects_matrix_entries(self, bad):
         with pytest.raises(ValueError, match="H entries must be finite"):
@@ -151,6 +156,22 @@ class TestNonFiniteModelInput:
         rc = main(["build", *MODEL_FLAGS[:4], "--sigma2", "nan"])
         assert rc == 4
         assert "sigma2" in capsys.readouterr().err
+
+    def test_build_exits_4_on_subnormal_noise(self, tmp_path, capfd):
+        mat = tmp_path / "h.mat"
+        mat.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        rc = main(["build", "--h-matrix", str(mat), "--rho", "0.5",
+                   "--sigma2", "1e-320"])
+        out, err = capfd.readouterr()
+        assert rc == 4
+        assert out == ""
+        assert "sigma2" in err and "reciprocal overflows" in err
+
+    @pytest.mark.parametrize("value", ["x:inf", "x:nan", "x:-inf"])
+    def test_nonfinite_reactance_names_the_line(self, value):
+        with pytest.raises(NetworkFormatError,
+                           match=r"^line 3: reactance must be finite and positive"):
+            parse_network(f"bus 2\n# comment\nbranch 1 2 {value}\n")
 
 
 class TestNonFiniteTolerance:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import stealthgame.detection as detection
 from stealthgame.detection import (
+    SAMPLE_CHUNK_ROWS,
     error_curve,
     llr_joint,
     llr_local,
@@ -95,6 +97,75 @@ class TestLlrJoint:
         batch = llr_joint(ring3_model, v, Y)
         for k in range(4):
             assert batch[k] == pytest.approx(llr_joint(ring3_model, v, Y[k]))
+
+
+class TestWhitenedLlrSamples:
+    """llr_samples draws (1/2) sum_k w_k z_k^2 - (1/2) sum_k log1p(kappa_k),
+    w = kappa / (1 + kappa) (clean) or kappa (attacked)."""
+
+    @staticmethod
+    def spectrum(model, v):
+        """kappa and eigenvectors of F F^T, F = L^{-1} diag(sqrt(v)), by eigh."""
+        F = np.linalg.inv(model.chol_YY) * np.sqrt(v)
+        kappa, U = np.linalg.eigh(F @ F.T)
+        return np.clip(kappa, 0.0, None), U
+
+    @staticmethod
+    def weighted_squares(kappa, Z, attacked):
+        weights = kappa if attacked else kappa / (1.0 + kappa)
+        return 0.5 * (Z**2 @ weights) - 0.5 * np.sum(np.log1p(kappa))
+
+    @pytest.mark.parametrize("attacked", [False, True])
+    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
+    def test_llr_joint_of_whitened_observations(self, request, rng, name, attacked):
+        model = request.getfixturevalue(name)
+        v = random_profile(rng, model)
+        kappa, U = self.spectrum(model, v)
+        Z = rng.standard_normal((200, model.m))
+        scale = np.sqrt(1.0 + kappa) if attacked else np.ones(model.m)
+        Y = (Z * scale) @ (model.chol_YY @ U).T
+        expected = self.weighted_squares(kappa, Z, attacked)
+        err = np.max(np.abs(llr_joint(model, v, Y) - expected))
+        assert err <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
+    def test_samples_are_weighted_squares_of_child_draws(self, request, rng, name):
+        model = request.getfixturevalue(name)
+        v = random_profile(rng, model)
+        kappa, _ = self.spectrum(model, v)
+        children = np.random.SeedSequence(3).spawn(2)
+        for values, child, attacked in zip(
+            llr_samples(model, v, 500, 3), children, (False, True)
+        ):
+            Z = np.random.default_rng(child).standard_normal((500, model.m))
+            expected = self.weighted_squares(kappa, Z, attacked)
+            err = np.max(np.abs(values - expected))
+            assert err <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
+    def test_closed_form_mean_is_kl_global(self, request, rng, name):
+        model = request.getfixturevalue(name)
+        v = random_profile(rng, model)
+        kappa = detection._whitened_spectrum(model, v)
+        mean = 0.5 * np.sum(kappa) - 0.5 * np.sum(np.log1p(kappa))
+        assert mean == pytest.approx(kl_global(model, v), rel=1e-12, abs=0.0)
+
+    def test_zero_profile_gives_zero_everywhere(self, ieee9_model):
+        for values in llr_samples(ieee9_model, np.zeros(ieee9_model.m), 1_000, 2):
+            np.testing.assert_array_equal(values, np.zeros(1_000))
+            assert not np.any(np.signbit(values))
+
+    def test_prefix_consistency_across_chunks(self, ring3_model, rng):
+        v = random_profile(rng, ring3_model)
+        k = SAMPLE_CHUNK_ROWS + 3
+        short = llr_samples(ring3_model, v, k, 8)
+        long = llr_samples(ring3_model, v, 2 * SAMPLE_CHUNK_ROWS + 5, 8)
+        for head, full in zip(short, long):
+            np.testing.assert_array_equal(head, full[:k])
+
+    def test_sample_count_validated(self, ring3_model):
+        with pytest.raises(ValueError, match="n_samples"):
+            llr_samples(ring3_model, np.zeros(6), 0, 1)
 
 
 class TestLlrLocal:
