@@ -1,11 +1,34 @@
 """Per-player best responses for the three games.
 
-Game 1 has a closed-form best response: the larger root of the
-quadratic obtained from the stationarity condition of the player's
-cost, clamped to the action set [0, inf).  Games 2 and 3 reduce to a
-monotone scalar root problem (the cost is convex in the player's own
-variance, so its derivative crosses zero at most once) solved by
-bisection.
+A player's cost is convex in its own variance l, so its best response
+is the root of the cost derivative on [0, inf), or 0 when the
+derivative at 0 is already nonnegative.  The derivative depends on l
+only through the scalars of the player's :class:`BRContext`, and on the
+other players only through the gain difference
+``d = gamma - gamma0 >= 0`` (the others' attacks can only make their
+measurements less informative about ``(H x)_i``; clamped at 0 against
+rounding).
+
+Game 1: the stationarity condition is the quadratic l^2 + B l + C = 0
+with B = sigma2 + d and C = sigma2 d - gamma (sigma2 + gamma0) / lam,
+solved in the cancellation-free form l = -2C / (B + sqrt(B^2 - 4C)).
+
+Games 2 and 3: multiplying the derivative by its positive denominators
+gives a cubic,
+
+    game 2: lam (sigma2 + l)(s + l)(d + l) - c (sigma2 + gamma0)(sigma2 + gamma + l)
+    game 3: lam l (sigma2 + l)(sigma2 + g + l) - gamma s (s + l)
+
+with g = gamma (or g = alpha with ``literal=True``, see below).  For
+lam > 0 its l^3 and l^2 coefficients are positive, and a root is needed
+only when its constant is negative; Descartes' rule of signs then leaves
+exactly one positive root, and the cubic is convex on [0, inf).  That
+root is found by safeguarded Newton iteration, started from the
+player's current variance (``BRContext.v``) and bracketed by a
+power-of-two Fujiwara bound that also scales the cubic, so no
+coefficient overflows for any finite lam.  With lam = 0 the cost of
+games 2 and 3 strictly decreases and :data:`V_MAX` is returned with a
+RuntimeWarning.
 
 For game 3 the stationarity condition uses the scalar ``gamma_i`` in
 both the numerator and the shifted denominator factor; set
@@ -18,15 +41,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .games import GameSpec
 from .model import MeasurementModel, as_profile, check_index, posterior_matrix
 
-V_MAX = 1e12  # upper end of the action search range
-_BISECT_TOL = 1e-12
+V_MAX = 1e12  # the best response of games 2 and 3 at lam = 0
+_NEWTON_RTOL = 2.0**-50  # relative size of the step that ends the iteration
+_NEWTON_MAX_ITER = 100
+# The constants of games 1 and 2 are recomputed in exact rational
+# arithmetic, and rounded once, when they have lost more than 4 bits to
+# cancellation; near-zero best responses then keep full precision.
+_CANCELLED = 2.0**-4
 
 __all__ = [
     "BRContext",
@@ -45,42 +74,53 @@ __all__ = [
 class BRContext:
     """Scalars a best response depends on, for one player.
 
-    alpha: e_i^T (Sigma_YY + sum_{j != i} v_j e_j e_j^T)^{-1} e_i
-           = 1 / (sigma2 + gamma)
-    beta:  e_i^T Sigma_YY^{-1} e_i
-    gamma: e_i^T A^{-1} G e_i with G = H Sigma_XX H^T and
-           A = G sum_{j != i} (sigma2 + v_j)^{-1} e_j e_j^T + I,
-           equal to b_i^T M^{-1} b_i for the kernel matrix M with w_i = 0
-    s:     e_i^T Sigma_YY e_i
-    c:     e_i^T G e_i  (= s - sigma2)
+    alpha:  e_i^T (Sigma_YY + sum_{j != i} v_j e_j e_j^T)^{-1} e_i
+            = 1 / (sigma2 + gamma)
+    beta:   e_i^T Sigma_YY^{-1} e_i  (about 1 / (sigma2 + gamma0))
+    gamma:  e_i^T A^{-1} G e_i with G = H Sigma_XX H^T and
+            A = G sum_{j != i} (sigma2 + v_j)^{-1} e_j e_j^T + I,
+            equal to b_i^T M^{-1} b_i for the kernel matrix M with w_i = 0
+    gamma0: gamma with every other v_j = 0
+    s:      e_i^T Sigma_YY e_i
+    c:      e_i^T G e_i  (= s - sigma2)
+    v:      the player's current variance, where root-finding starts;
+            it does not change the best response and is not compared
     """
 
     alpha: float
     beta: float
     gamma: float
+    gamma0: float
     s: float
     c: float
+    v: float = field(default=0.0, compare=False)
 
 
-def gain_context(model: MeasurementModel, i: int, gamma: float) -> BRContext:
-    """The context of player i whose gain from the other players is gamma."""
+def gain_context(
+    model: MeasurementModel, i: int, gamma: float, v_i: float
+) -> BRContext:
+    """The context of player i, at variance v_i, whose gain from the other
+    players is gamma."""
     if not (gamma >= 0.0 and math.isfinite(gamma)):
         raise np.linalg.LinAlgError(f"invalid gain for player {i}: gamma={gamma}")
     return BRContext(
         alpha=1.0 / (model.sigma2 + gamma),
         beta=float(model.inv_diag_YY[i]),
         gamma=gamma,
+        gamma0=float(model.gain0[i]),
         s=float(model.s[i]),
         c=float(model.c[i]),
+        v=float(v_i),
     )
 
 
 def br_context(model: MeasurementModel, i: int, v) -> BRContext:
     """Assemble the best-response scalars for player i at profile v.
 
-    Only the complementary entries v_j, j != i, enter; v_i is ignored.
-    Factors the kernel matrix with player i's weight set to 0, so gamma
-    is a sum of squares without cancellation.
+    Only the complementary entries v_j, j != i, enter the scalars; v_i
+    is only the root-finder's starting point.  Factors the kernel matrix
+    with player i's weight set to 0, so gamma is a sum of squares
+    without cancellation.
     """
     v = as_profile(model, v)
     i = check_index(model, i)
@@ -88,52 +128,87 @@ def br_context(model: MeasurementModel, i: int, v) -> BRContext:
     w[i] = 0.0
     chol = np.linalg.cholesky(posterior_matrix(model.B, w))
     z = np.linalg.solve(chol, model.B[i])
-    return gain_context(model, i, float(z @ z))
+    return gain_context(model, i, float(z @ z), v[i])
+
+
+def _gain0(ctx: BRContext) -> float:
+    """gamma0, capped at gamma so that d = gamma - gamma0 >= 0 despite rounding."""
+    return min(ctx.gamma0, ctx.gamma)
 
 
 def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     """Closed-form best response in game 1 (lam >= 1).
 
-    Positive root of l^2 + B l + C = 0 with
-    B = (beta + alpha sigma2 beta - alpha) / (beta alpha) and
-    C = (beta sigma2 - alpha sigma2 + (alpha sigma2 - 1)/lam) / (beta alpha),
-    clamped to 0.  A negative discriminant means the cost derivative
-    never vanishes on [0, inf); the cost is then increasing there and
-    the boundary 0 is optimal.
+    Positive root of l^2 + B l + C = 0 with B = sigma2 + d and
+    C = sigma2 d - gamma (sigma2 + gamma0) / lam, d = gamma - gamma0;
+    0 when C >= 0, since B > 0 then leaves no positive root and the cost
+    is nondecreasing on [0, inf).
     """
     if lam < 1.0:
         raise ValueError(f"game 1 requires lam >= 1, got {lam}")
-    a, b = ctx.alpha, ctx.beta
-    B = (b + a * sigma2 * b - a) / (b * a)
-    C = (b * sigma2 - a * sigma2 + (a * sigma2 - 1.0) / lam) / (b * a)
-    disc = B * B - 4.0 * C
-    if disc < 0.0:
+    gamma, gamma0 = ctx.gamma, _gain0(ctx)
+    d = gamma - gamma0
+    B = sigma2 + d
+    gain_term = sigma2 * d
+    C = gain_term - gamma * (sigma2 + gamma0) / lam
+    if abs(C) < _CANCELLED * gain_term:
+        s2, g, g0 = Fraction(sigma2), Fraction(gamma), Fraction(gamma0)
+        C = float(s2 * (g - g0) - g * (s2 + g0) / Fraction(lam))
+    if C >= 0.0:
         return 0.0
-    root = -0.5 * B + 0.5 * math.sqrt(disc)
-    return max(root, 0.0)
+    # sqrt(B^2 - 4C) = hypot(B, 2 sqrt(-C)); the sum has no cancellation.
+    return -2.0 * C / (B + math.hypot(B, 2.0 * math.sqrt(-C)))
 
 
-def _bisect_nonneg(deriv, hi_start: float = 1.0) -> float:
-    """Root of a non-decreasing derivative on [0, inf).
+def _newton_cubic(b2: float, b1: float, b0: float, t: float) -> float:
+    """Positive root of p(t) = t^3 + b2 t^2 + b1 t + b0, b2 >= 0 > b0.
 
-    Assumes deriv(0) < 0 has already been established by the caller.
+    p is convex on [0, inf) with p(0) < 0, so the root is unique, and a
+    Newton step from any point with p' > 0 lands at or right of it.  The
+    step is taken as t - p/p' = (2t^3 + b2 t^2 - b0) / p', whose
+    numerator cannot cancel however far t lies right of the root.  The
+    iteration starts at ``t`` when that lies in the window
+    [s + u/3, s + u] that the bounds below give for the root, and at
+    s + u otherwise; steps leaving the bracket [lo, hi], initially
+    [0, 2(s + u)], bisect it instead.  It stops once a step moves t by at
+    most 2^-50 of its size.
     """
-    lo = 0.0
-    hi = hi_start
-    while deriv(hi) < 0.0:
-        hi *= 2.0
-        if hi > V_MAX:
-            return V_MAX
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = deriv(mid)
-        if abs(g) <= _BISECT_TOL or (hi - lo) <= _BISECT_TOL:
-            return mid
-        if g < 0.0:
-            lo = mid
+    # With s >= 0 the positive root of t^2 + b2 t + b1 (s = 0 if b1 >= 0),
+    # p(s + u) = u^3 + c2 u^2 + c1 u + b0 with c2, c1 >= 0: each single
+    # term's root bounds the root in u from above, and the least of them,
+    # u, is within a factor 3 of it.
+    if b1 >= 0.0:
+        shift, c1 = 0.0, b1
+    else:
+        shift = -2.0 * b1 / (b2 + math.sqrt(b2 * b2 - 4.0 * b1))
+        c1 = shift * (2.0 * shift + b2)
+    c2 = 3.0 * shift + b2
+    u = math.cbrt(-b0)
+    if c2 > 0.0:
+        u = min(u, math.sqrt(-b0 / c2))
+    if c1 > 0.0:
+        u = min(u, -b0 / c1)
+    if not shift + u / 3.0 <= t <= shift + u:
+        t = shift + u
+    lo, hi = 0.0, 2.0 * (shift + u)
+    for _ in range(_NEWTON_MAX_ITER):
+        p = ((t + b2) * t + b1) * t + b0
+        if p > 0.0:
+            hi = t
+        elif p < 0.0:
+            lo = t
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return t
+        dp = (3.0 * t + 2.0 * b2) * t + b1
+        if dp > 0.0:
+            nxt = ((2.0 * t + b2) * t * t - b0) / dp
+            if abs(nxt - t) <= _NEWTON_RTOL * nxt:
+                return nxt
+            if lo < nxt < hi:
+                t = nxt
+                continue
+        t = 0.5 * (lo + hi)
+    return t
 
 
 def _warn_degenerate(game: int) -> float:
@@ -149,25 +224,33 @@ def _warn_degenerate(game: int) -> float:
 def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
     """Best response in game 2: root of the cost derivative.
 
-    Solves -c / ((sigma2 + l)(s + l)) - lam alpha / (1 + l alpha)
-    + lam beta = 0 for l >= 0; returns 0 when the derivative at 0 is
+    Solves -c / ((sigma2 + l)(s + l)) - lam / (sigma2 + gamma + l)
+    + lam / (sigma2 + gamma0) = 0 for l >= 0, as the cubic
+    (sigma2 + l)(s + l)(d + l) - k (sigma2 + gamma + l) = 0,
+    k = c (sigma2 + gamma0) / lam; returns 0 when the derivative at 0 is
     already nonnegative.
     """
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0.0:
         return _warn_degenerate(2)
-
-    def deriv(l: float) -> float:
-        return (
-            -ctx.c / ((sigma2 + l) * (ctx.s + l))
-            - lam * ctx.alpha / (1.0 + l * ctx.alpha)
-            + lam * ctx.beta
-        )
-
-    if deriv(0.0) >= 0.0:
+    if ctx.c <= 0.0:
+        # A zero sensing row has no local information to destroy, and
+        # the detection term pins the optimum at 0.
         return 0.0
-    return _bisect_nonneg(deriv)
+    gamma, gamma0 = ctx.gamma, _gain0(ctx)
+    rho, b2, b1, b0, xyz = _scaled_cubic(
+        (sigma2, ctx.s, gamma - gamma0), ctx.c * (sigma2 + gamma0), lam, sigma2 + gamma
+    )
+    if abs(b0) < _CANCELLED * xyz:
+        s2, g, g0 = Fraction(sigma2), Fraction(gamma), Fraction(gamma0)
+        exact = s2 * Fraction(ctx.s) * (g - g0) - Fraction(ctx.c) * (s2 + g0) * (
+            s2 + g
+        ) / Fraction(lam)
+        b0 = float(exact / Fraction(rho) ** 3)
+    if not b0 < 0.0:
+        return 0.0
+    return rho * _newton_cubic(b2, b1, b0, ctx.v / rho)
 
 
 def br_g3(
@@ -177,26 +260,51 @@ def br_g3(
 
     Solves lam l / ((s + l) s) - gamma / ((sigma2 + l)(sigma2 + l + g))
     = 0 for l >= 0, where g = gamma by default and g = alpha when
-    ``literal`` is set.
+    ``literal`` is set, as the cubic
+    l (sigma2 + l)(sigma2 + g + l) - k (s + l) = 0, k = gamma s / lam.
     """
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0.0:
         return _warn_degenerate(3)
-    shift = ctx.alpha if literal else ctx.gamma
     if ctx.gamma <= 0.0:
         # A zero sensing row contributes nothing: the disruption term is
         # flat and the detection term pins the optimum at 0.
         return 0.0
-
-    def deriv(l: float) -> float:
-        return lam * l / ((ctx.s + l) * ctx.s) - ctx.gamma / (
-            (sigma2 + l) * (sigma2 + l + shift)
-        )
-
-    if deriv(0.0) >= 0.0:
+    shift = ctx.alpha if literal else ctx.gamma
+    rho, b2, b1, b0, _ = _scaled_cubic(
+        (0.0, sigma2, sigma2 + shift), ctx.gamma * ctx.s, lam, ctx.s
+    )
+    if not b0 < 0.0:  # only if k s underflows
         return 0.0
-    return _bisect_nonneg(deriv)
+    return rho * _newton_cubic(b2, b1, b0, ctx.v / rho)
+
+
+def _scaled_cubic(
+    shifts: tuple[float, float, float], numerator: float, lam: float, offset: float
+) -> tuple[float, float, float, float, float]:
+    """(x + l)(y + l)(z + l) - k (offset + l), k = numerator / lam, in l = rho t.
+
+    ``shifts`` = (x, y, z), ``numerator`` and ``offset`` are >= 0 and
+    lam > 0.  Returns rho, the coefficients b2, b1, b0 of the monic cubic
+    in t, and the b0 part xyz / rho^3.  When a small lam makes k large,
+    rho is a power of two >= 2 max(k^(1/2), (k offset)^(1/3)), both formed
+    without k: k / rho^2 = numerator / ((lam rho) rho) then cannot
+    overflow, every other coefficient is an exact rescaling, and the
+    root, which Fujiwara's rule bounds by 2 max(x + y + z,
+    (xy + xz + yz)^(1/2), (xyz)^(1/3), k^(1/2), (k offset)^(1/3)), is at
+    most of the order of the shifts or 1.
+    """
+    k_root = max(
+        math.sqrt(numerator) / math.sqrt(lam),
+        math.cbrt(numerator * offset) / math.cbrt(lam),
+    )
+    rho = math.ldexp(1.0, math.frexp(max(2.0 * k_root, 1.0))[1])
+    kappa = numerator / ((lam * rho) * rho)
+    x, y, z = (shift / rho for shift in shifts)
+    xyz = x * y * z
+    b1 = x * y + z * (x + y) - kappa
+    return rho, x + y + z, b1, xyz - kappa * (offset / rho), xyz
 
 
 def best_response(

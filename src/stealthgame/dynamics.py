@@ -119,7 +119,7 @@ def run_brd(
     for t in range(1, t_max + 1):
         max_delta = 0.0
         for i in range(model.m):
-            ctx = gain_context(model, i, kernel.gain(i))
+            ctx = gain_context(model, i, kernel.gain(i), kernel.v[i])
             new_vi = respond(spec, ctx, model.sigma2, br3_literal=br3_literal)
             if not math.isfinite(new_vi):
                 trajectory.append(_record(spec, kernel, t, i))
@@ -163,7 +163,10 @@ def verify_ne(
     kernel = PosteriorKernel(model, v)
     responses = [
         respond(
-            spec, gain_context(model, i, gamma), model.sigma2, br3_literal=br3_literal
+            spec,
+            gain_context(model, i, gamma, kernel.v[i]),
+            model.sigma2,
+            br3_literal=br3_literal,
         )
         for i, gamma in enumerate(kernel.gains())
     ]

@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PSD_TOL = 1e-12  # absolute eigenvalue slack when validating covariances
+# A rank-one update whose pivot 1 + dq is below this refines M^{-1} b_i
+# first: the update amplifies its error by about 1 / (1 + dq).
+REFINE_PIVOT = 0.25
 
 __all__ = [
     "StatePriorSpec",
@@ -86,8 +89,10 @@ class MeasurementModel:
     log-determinant; ``inv_diag_YY`` the diagonal of ``Sigma_YY^{-1}``;
     ``s`` the diagonal of ``Sigma_YY``; ``c`` the diagonal of
     ``signal_cov`` (so ``s = c + sigma2``); ``B`` is ``H L`` for a factor
-    ``Sigma_XX = L L^T`` (from ``eigh``, so singular priors work); and
-    ``logdet_M0`` is the log-determinant of the kernel matrix ``M(0)``.
+    ``Sigma_XX = L L^T`` (from ``eigh``, so singular priors work);
+    ``logdet_M0`` is the log-determinant of the kernel matrix ``M(0)``;
+    and ``gain0`` holds each player's gain ``gamma_i(0)`` with every other
+    measurement clean, read from the kernel at ``v = 0``.
     """
 
     H: np.ndarray
@@ -102,6 +107,7 @@ class MeasurementModel:
     c: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
     logdet_M0: float = field(repr=False)
+    gain0: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -149,9 +155,16 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
     # Sigma_YY^{-1} = L^{-T} L^{-1}: its diagonal holds the column sums
     # of the squared entries of L^{-1}.
     inv_chol_YY = np.linalg.inv(chol_YY)
-    # The weights, hence the log-determinant, of a kernel at v = 0, so
-    # that kl_global(model, 0) is exactly 0.
-    _, logdet_M0 = chol_logdet(posterior_matrix(B, np.full(m, 1.0 / sigma2)))
+    # The weights, hence the log-determinant and gains, of a kernel at
+    # v = 0, so that kl_global(model, 0) is exactly 0 and the gain
+    # differences gamma_i(v) - gamma_i(0) of the best responses are exactly
+    # 0 while a kernel is at v = 0: each gain is formed as
+    # PosteriorKernel.gain forms it.  (1/beta_i - sigma2 agrees with
+    # gamma_i(0) only to about 1e-12.)
+    w0 = np.full(m, 1.0 / sigma2)
+    chol_M0, logdet_M0 = chol_logdet(posterior_matrix(B, w0))
+    inv_M0 = chol_inverse(chol_M0)
+    q0 = np.array([B[i] @ (inv_M0 @ B[i]) for i in range(m)])
     return MeasurementModel(
         H=H,
         sigma2=sigma2,
@@ -165,6 +178,7 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         c=np.diag(signal_cov).copy(),
         B=B,
         logdet_M0=logdet_M0,
+        gain0=q0 / (1.0 - w0 * q0),
     )
 
 
@@ -235,9 +249,13 @@ class PosteriorKernel:
     Sherman-Morrison gives the gain of the other players' measurements,
     ``gamma_i = q / (1 - w_i q)``; ``alpha_i = 1 / (sigma2 + gamma_i)``.
 
-    :meth:`update` moves one player in O(n^2); :meth:`refactor` rebuilds
-    from the profile in O(m n^2 + n^3).  ``gamma_i`` loses about
+    :meth:`update` moves one player in O(n^2), reusing the ``M^{-1} b_i``
+    of a preceding :meth:`gain` call for the same player; :meth:`refactor`
+    rebuilds from the profile in O(m n^2 + n^3).  ``gamma_i`` loses about
     ``log10(1 + w_i gamma_i)`` digits to the cancellation in ``1 - w_i q``.
+    The sums ``sum_j log1p(v_j / sigma2)`` and ``v . diag(Sigma_YY^{-1})``
+    that :attr:`kl` needs are kept as running totals, so :attr:`mi` and
+    :attr:`kl` are O(1); :meth:`refactor` recomputes them.
 
     Attributes: ``v`` (the kernel's own copy of the profile), ``w``,
     ``inv`` (M^{-1}) and ``logdet`` (log det M).
@@ -249,15 +267,26 @@ class PosteriorKernel:
         self.refactor()
 
     def refactor(self) -> None:
-        """Rebuild the inverse and log-determinant from the profile."""
-        self.w = 1.0 / (self.model.sigma2 + self.v)
-        chol, self.logdet = chol_logdet(posterior_matrix(self.model.B, self.w))
+        """Rebuild the inverse, log-determinant and sums from the profile."""
+        model = self.model
+        self.w = 1.0 / (model.sigma2 + self.v)
+        chol, self.logdet = chol_logdet(posterior_matrix(model.B, self.w))
         self.inv = chol_inverse(chol)
+        self._log_sum = float(np.sum(np.log1p(self.v / model.sigma2)))
+        self._lin_sum = float(self.v @ model.inv_diag_YY)
+        self._column = None
+
+    def _solve_row(self, i: int) -> tuple[np.ndarray, float]:
+        """M^{-1} b_i and b_i^T M^{-1} b_i, formed once per kernel state."""
+        if self._column is None or self._column[0] != i:
+            b = self.model.B[i]
+            u = self.inv @ b
+            self._column = (i, u, float(b @ u))
+        return self._column[1], self._column[2]
 
     def gain(self, i: int) -> float:
         """gamma_i: variance of (H x)_i given the other attacked measurements."""
-        b = self.model.B[i]
-        q = float(b @ (self.inv @ b))
+        _, q = self._solve_row(i)
         return q / (1.0 - self.w[i] * q)
 
     def gains(self) -> np.ndarray:
@@ -267,15 +296,30 @@ class PosteriorKernel:
         return q / (1.0 - self.w * q)
 
     def update(self, i: int, v_i: float) -> None:
-        """Set player i's variance to v_i by a rank-one update."""
-        w_i = 1.0 / (self.model.sigma2 + v_i)
+        """Set player i's variance to v_i by a rank-one update.
+
+        When the update's pivot ``1 + dq`` is below :data:`REFINE_PIVOT`,
+        one step of iterative refinement against ``M`` (applied as
+        ``I + B^T diag(w) B``, O(m n)) first removes the drift of
+        ``M^{-1} b_i``, which the update would amplify.
+        """
+        model = self.model
+        v_old, w_old = self.v[i], self.w[i]
+        w_i = 1.0 / (model.sigma2 + v_i)
+        # log1p(v_i / sigma2) - log1p(v_old / sigma2) in one logarithm.
+        self._log_sum += math.log1p((v_i - v_old) * w_old)
+        self._lin_sum += (v_i - v_old) * float(model.inv_diag_YY[i])
         # The new w_i minus the old one, without cancellation.
-        delta = (self.v[i] - v_i) * w_i * self.w[i]
+        delta = (v_old - v_i) * w_i * w_old
         if delta != 0.0:
-            b = self.model.B[i]
-            u = self.inv @ b
-            dq = delta * float(b @ u)
-            self.inv -= (delta / (1.0 + dq)) * np.outer(u, u)
+            u, q = self._solve_row(i)
+            self._column = None
+            if 1.0 + delta * q < REFINE_PIVOT:
+                B, b = model.B, model.B[i]
+                u = u + self.inv @ (b - u - B.T @ (self.w * (B @ u)))
+                q = float(b @ u)
+            dq = delta * q
+            self.inv -= np.outer((delta / (1.0 + dq)) * u, u)
             self.logdet += math.log1p(dq)
         self.v[i] = v_i
         self.w[i] = w_i
@@ -292,10 +336,6 @@ class PosteriorKernel:
         (1/2)(log det M(0) - log det M(v) - sum_j log1p(v_j / sigma2)
         + v . diag(Sigma_YY^{-1})), exactly 0 at v = 0.
         """
-        model = self.model
         return 0.5 * (
-            model.logdet_M0
-            - self.logdet
-            - float(np.sum(np.log1p(self.v / model.sigma2)))
-            + float(self.v @ model.inv_diag_YY)
+            self.model.logdet_M0 - self.logdet - self._log_sum + self._lin_sum
         )

@@ -9,12 +9,16 @@ closed-form/oracle comparisons check two genuinely different routes.
 The Monte-Carlo estimators ``mc_mi_oracle``/``mc_kl_oracle`` sample the
 generative model and average log-density ratios; the numeric
 best-response minimizer ``br_numeric`` touches only ``games.cost``,
-never the closed-form or bisection solvers.
+never the quadratic or cubic solvers.  The ``mp_*`` references redo
+best responses and best-response dynamics in 50-digit mpmath
+arithmetic from the cost derivatives, not from the solvers' polynomials.
 """
 
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from stealthgame.bestresponse import V_MAX, BRContext
@@ -31,6 +35,7 @@ from stealthgame.model import (
 )
 
 _GOLDEN_WIDTH = 1e-10
+MP_DPS = 50
 _LOG_2PI = math.log(2.0 * math.pi)
 MC_MIN_SAMPLES = 10_000
 
@@ -88,7 +93,8 @@ def oracle_br_context(model, i, v):
 
     alpha from a dense solve with Sigma_YY + diag(v with v_i = 0);
     gamma from a dense solve with A = G D + I, D the inverse noise-plus-
-    attack variances with player i's entry set to 0.
+    attack variances with player i's entry set to 0, and gamma0 the same
+    with every attack variance 0.
     """
     v_others = np.asarray(v, dtype=float).copy()
     v_others[i] = 0.0
@@ -96,17 +102,21 @@ def oracle_br_context(model, i, v):
     e_i[i] = 1.0
     alpha = float(np.linalg.solve(attacked_cov(model, v_others), e_i)[i])
 
-    weights = 1.0 / (model.sigma2 + np.asarray(v, dtype=float))
-    weights[i] = 0.0
-    A = model.signal_cov * weights[np.newaxis, :]
-    A[np.diag_indices_from(A)] += 1.0
-    gamma = float(np.linalg.solve(A, model.signal_cov[:, i])[i])
+    def gain(profile):
+        weights = 1.0 / (model.sigma2 + profile)
+        weights[i] = 0.0
+        A = model.signal_cov * weights[np.newaxis, :]
+        A[np.diag_indices_from(A)] += 1.0
+        return float(np.linalg.solve(A, model.signal_cov[:, i])[i])
+
     return BRContext(
         alpha=alpha,
         beta=float(model.inv_diag_YY[i]),
-        gamma=gamma,
+        gamma=gain(v_others),
+        gamma0=gain(np.zeros(model.m)),
         s=float(model.s[i]),
         c=float(model.c[i]),
+        v=float(v[i]),
     )
 
 
@@ -154,7 +164,7 @@ def br_numeric(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:
     interval of width ~1e-10, then polishes by bisecting the
     finite-difference slope (golden-section alone is limited to about
     sqrt(eps) relative accuracy in the minimizer position).  Touches
-    only ``games.cost``; independent of the closed-form/bisection
+    only ``games.cost``; independent of the quadratic and cubic
     solvers.
     """
     v = as_profile(model, v).copy()
@@ -304,3 +314,146 @@ def mc_kl_oracle(model: MeasurementModel, v, n_samples: int, seed: int) -> McEst
         value=float(np.mean(ratio)),
         std_error=float(np.std(ratio, ddof=1) / math.sqrt(n_samples)),
     )
+
+
+def mp_cost_slope(game: int, ctx, sigma2, lam, literal: bool = False):
+    """Twice the derivative of the player's cost in its own variance l,
+    as a function at mpmath's working precision.
+
+    Assembled from the metrics' derivatives, not from the package's
+    polynomials, each difference of reciprocals taken over a common
+    denominator so that no root, however small, cancels:
+    d mi_global = -gamma / ((sigma2+l)(sigma2+gamma+l)),
+    d kl_global = (gamma-gamma0+l) / ((sigma2+gamma0)(sigma2+gamma+l)),
+    d mi_local = -c / ((sigma2+l)(s+l)) and d kl_local = l / (s(s+l)),
+    each times 1/2.  ``gamma0`` is capped at ``gamma``, as the solvers
+    clamp ``gamma - gamma0`` at 0.  Game 3's shift is ``alpha`` when
+    ``literal``, else ``gamma``.
+    """
+    mpf = mpmath.mpf
+    sigma2, lam = mpf(sigma2), mpf(lam)
+    gamma, s, c = mpf(ctx.gamma), mpf(ctx.s), mpf(ctx.c)
+    gamma0 = min(mpf(ctx.gamma0), gamma)
+    shift = mpf(ctx.alpha) if literal else gamma
+
+    def mi_global(l):
+        return -gamma / ((sigma2 + l) * (sigma2 + gamma + l))
+
+    def kl_global(l):
+        return (gamma - gamma0 + l) / ((sigma2 + gamma0) * (sigma2 + gamma + l))
+
+    if game == 1:
+        return lambda l: mi_global(l) + lam * kl_global(l)
+    if game == 2:
+        return lambda l: -c / ((sigma2 + l) * (s + l)) + lam * kl_global(l)
+    return lambda l: lam * l / (s * (s + l)) - gamma / (
+        (sigma2 + l) * (sigma2 + shift + l)
+    )
+
+
+def mp_root(slope):
+    """Root of a nondecreasing function on [0, inf), or 0 where it starts
+    nonnegative, to mpmath's working precision.
+
+    Brackets the root between consecutive powers of two by a binary
+    search over exponents in [-1100, 1100], so roots from 1e-330 to
+    1e330 are found, then refines with the Anderson-Bjorck method on
+    the bracket and slope scaled to order 1.
+    """
+    zero = mpmath.mpf(0)
+    if slope(zero) >= 0:
+        return zero
+    lo, hi = -1100, 1100
+    if not (slope(mpmath.ldexp(1, lo)) < 0 <= slope(mpmath.ldexp(1, hi))):
+        raise BracketError("root outside [2^-1100, 2^1100]")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if slope(mpmath.ldexp(1, mid)) < 0:
+            lo = mid
+        else:
+            hi = mid
+    # findroot's tolerances are absolute: solve for x = root / 2^lo in
+    # [1, 2], with the slope normalized to -1 at x = 1.
+    scale = mpmath.ldexp(1, lo)
+    norm = -slope(scale)
+    x = mpmath.findroot(
+        lambda x: slope(scale * x) / norm, (1, 2), solver="anderson", verify=False
+    )
+    if not 1 <= x <= 2:
+        raise BracketError(f"root {x} * 2^{lo} left its bracket")
+    return scale * x
+
+
+def mp_best_response(game: int, ctx, sigma2, lam, literal: bool = False) -> float:
+    """Best response on the context's scalars at MP_DPS digits, as a float."""
+    with mpmath.workdps(MP_DPS):
+        return float(mp_root(mp_cost_slope(game, ctx, sigma2, lam, literal)))
+
+
+def mp_gain(B, sigma2, v, i: int):
+    """gamma_i = b_i^T (I + sum_{j != i} b_j b_j^T / (sigma2 + v_j))^{-1} b_i
+    from mpmath matrices, at the working precision."""
+    m, n = B.rows, B.cols
+    M = mpmath.eye(n)
+    for j in range(m):
+        if j == i:
+            continue
+        w = 1 / (sigma2 + v[j])
+        for a in range(n):
+            wb = w * B[j, a]
+            for b in range(n):
+                M[a, b] += wb * B[j, b]
+    b_i = B[i, :].T
+    return (b_i.T * mpmath.lu_solve(M, b_i))[0]
+
+
+def _mp_kernel_data(model):
+    """The kernel's B and sigma2, and every gamma_i(0), as mpmath values."""
+    B = mpmath.matrix(model.B.tolist())
+    sigma2 = mpmath.mpf(model.sigma2)
+    zeros = [mpmath.mpf(0)] * model.m
+    return B, sigma2, [mp_gain(B, sigma2, zeros, i) for i in range(model.m)]
+
+
+def _mp_response(model, spec, data, v, i: int, literal: bool):
+    """Player i's best response to the others in v, at the working precision."""
+    B, sigma2, gains0 = data
+    gamma = mp_gain(B, sigma2, v, i)
+    ctx = SimpleNamespace(
+        alpha=1 / (sigma2 + gamma), gamma=gamma, gamma0=gains0[i],
+        s=model.s[i], c=model.c[i],
+    )
+    return mp_root(mp_cost_slope(spec.game, ctx, sigma2, spec.lam, literal))
+
+
+def mp_kernel_brd(model, spec: GameSpec, tol: float, literal: bool = False):
+    """Best-response dynamics from v = 0 in MP_DPS-digit arithmetic.
+
+    Runs on the model's kernel data (B, s, c, sigma2) with run_brd's
+    player order and stopping rule (a round in which no player moved by
+    ``tol``), solving each best response by :func:`mp_root` on
+    :func:`mp_cost_slope`.  Returns the profile as floats and the number
+    of rounds.
+    """
+    with mpmath.workdps(MP_DPS):
+        data = _mp_kernel_data(model)
+        v = [mpmath.mpf(0)] * model.m
+        for rounds in range(1, 101):
+            max_delta = 0
+            for i in range(model.m):
+                new = _mp_response(model, spec, data, v, i, literal)
+                max_delta = max(max_delta, abs(new - v[i]))
+                v[i] = new
+            if max_delta < tol:
+                return np.array([float(x) for x in v]), rounds
+    raise AssertionError("the 50-digit dynamics did not stop in 100 rounds")
+
+
+def mp_profile_responses(model, spec: GameSpec, v, literal: bool = False):
+    """Every player's MP_DPS-digit best response to the others in v."""
+    with mpmath.workdps(MP_DPS):
+        data = _mp_kernel_data(model)
+        v = [mpmath.mpf(float(x)) for x in v]
+        return np.array(
+            [float(_mp_response(model, spec, data, v, i, literal)) for i in range(model.m)]
+        )

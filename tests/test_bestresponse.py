@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from stealthgame.bestresponse import (
 from stealthgame.games import GameSpec, cost
 from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
 from stealthgame.model import (
+    PosteriorKernel,
     StatePriorSpec,
     build_model,
     calibrate_noise,
@@ -23,12 +26,44 @@ from stealthgame.model import (
 from _helpers import (
     BracketError,
     br_numeric,
+    mp_best_response,
     oracle_br_context,
     random_desk_model,
     random_profile,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def ieee9_at(snr):
+    with open(bundled_case("ieee9"), encoding="utf-8") as fh:
+        H = build_dc_jacobian(parse_network(fh.read())).H
+    Sigma_XX = toeplitz_cov(StatePriorSpec(8, 0.9))
+    return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
+
+
+def reference_contexts(model):
+    """Every player's context at three profiles: all clean (so gamma is
+    gamma0), a few noise variances, and a few measurement variances;
+    each context starts its root-finder at the player's own entry."""
+    m = model.m
+    profiles = (
+        np.zeros(m),
+        model.sigma2 * (1.0 + np.arange(m) % 5),
+        float(np.mean(model.s)) * (1.0 + np.arange(m) % 3),
+    )
+    return [br_context(model, i, v) for v in profiles for i in range(m)]
+
+
+def solve(game, ctx, sigma2, lam, literal=False):
+    if game == 1:
+        return br_g1(ctx, sigma2, lam)
+    if game == 2:
+        return br_g2(ctx, sigma2, lam)
+    return br_g3(ctx, sigma2, lam, literal=literal)
+
+
+SOLVERS = [(1, False), (2, False), (3, False), (3, True)]
 
 
 class TestBRContext:
@@ -82,6 +117,19 @@ class TestBRContext:
                 assert ctx.alpha == pytest.approx(ref.alpha, rel=1e-12, abs=0.0)
                 assert ctx.gamma == pytest.approx(ref.gamma, rel=1e-12, abs=0.0)
                 assert (ctx.beta, ctx.s, ctx.c) == (ref.beta, ref.s, ref.c)
+
+    def test_gain0_matches_mxm_oracle_and_kernel_at_zero(self, rng):
+        # gamma0 is the gain with every other measurement clean; a kernel
+        # at v = 0 must reproduce it bit for bit, so d = 0 there exactly.
+        for _ in range(20):
+            model = random_desk_model(rng)
+            v = random_profile(rng, model)
+            kernel = PosteriorKernel(model, np.zeros(model.m))
+            for i in range(model.m):
+                ref = oracle_br_context(model, i, v)
+                assert br_context(model, i, v).gamma0 == pytest.approx(
+                    ref.gamma0, rel=1e-12, abs=0.0)
+                assert kernel.gain(i) == model.gain0[i]
 
     @pytest.mark.parametrize("snr", [30.0, 50.0, 70.0])
     def test_alpha_matches_high_precision_reference(self, snr):
@@ -245,3 +293,65 @@ class TestClamping:
             i = int(rng.integers(0, model.m))
             spec = GameSpec(3, float(rng.uniform(0.1, 50.0)))
             assert best_response(spec, model, i, v) > 0.0
+
+
+class TestHighPrecisionReference:
+    """Every solver against a 50-digit root of the unmultiplied cost
+    derivative (``mp_best_response``) on the same context scalars."""
+
+    @pytest.mark.parametrize("snr", [10.0, 30.0, 50.0, 70.0])
+    @pytest.mark.parametrize("game,literal", SOLVERS)
+    def test_matches_50_digit_root(self, game, literal, snr):
+        model = ieee9_at(snr)
+        lams = (1.0, 2.0, 10.0, 1e3, 1e6) if game == 1 else (
+            0.01, 1.0, 2.0, 10.0, 1e3, 1e6)
+        interior = 0
+        for ctx in reference_contexts(model):
+            for lam in lams:
+                got = solve(game, ctx, model.sigma2, lam, literal)
+                ref = mp_best_response(game, ctx, model.sigma2, lam, literal)
+                assert abs(got - ref) <= 1e-14 * ref, (ctx, lam, got, ref)
+                interior += ref > 0.0
+        assert interior >= 50
+
+    def test_random_models_match_50_digit_root(self):
+        # Random rows, priors, noise levels, profile scales and log-uniform
+        # weights reach roots near 0, where the constants of games 1 and 2
+        # cancel (before exact rounding, game 2 was 8.5e-14 off here).
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            model = random_desk_model(rng, m_max=8)
+            v = random_profile(rng, model, scale=float(rng.choice([0.01, 0.3, 3.0])))
+            for i in range(model.m):
+                ctx = br_context(model, i, v)
+                for game, literal in SOLVERS:
+                    lam = float(np.exp(rng.uniform(
+                        math.log(1.0 if game == 1 else 0.01), math.log(1e6))))
+                    got = solve(game, ctx, model.sigma2, lam, literal)
+                    ref = mp_best_response(game, ctx, model.sigma2, lam, literal)
+                    assert abs(got - ref) <= 1e-14 * ref, (ctx, lam, got, ref)
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e300])
+    @pytest.mark.parametrize("game,literal", SOLVERS[1:])
+    def test_extreme_weights_give_the_finite_root(self, game, literal, lam):
+        # The root ranges from about 1e-305 to 1e152 here; no step may
+        # overflow, underflow to a wrong 0 or fall back on V_MAX.
+        model = ieee9_at(30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ctx in reference_contexts(model):
+                got = solve(game, ctx, model.sigma2, lam, literal)
+                ref = mp_best_response(game, ctx, model.sigma2, lam, literal)
+                assert math.isfinite(got) and got != V_MAX
+                assert abs(got - ref) <= 1e-14 * ref, (ctx, got, ref)
+
+    @pytest.mark.parametrize("game,literal", SOLVERS[1:])
+    def test_root_does_not_depend_on_the_start(self, game, literal, ring3_model, rng):
+        v = random_profile(rng, ring3_model)
+        for i in range(ring3_model.m):
+            ctx = br_context(ring3_model, i, v)
+            ref = solve(game, ctx, ring3_model.sigma2, 2.0, literal)
+            for start in (0.0, 1e-300, 0.5 * ref, 2.0 * ref, 1e300):
+                moved = dataclasses.replace(ctx, v=start)
+                got = solve(game, moved, ring3_model.sigma2, 2.0, literal)
+                assert got == pytest.approx(ref, rel=4e-16, abs=0.0)

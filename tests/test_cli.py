@@ -1,13 +1,17 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from stealthgame.bestresponse import V_MAX
 from stealthgame.cli import main
 from stealthgame.games import GameSpec, potential
 from stealthgame.grid import bundled_case
 from stealthgame.model import StatePriorSpec, build_model, toeplitz_cov
+
+from _helpers import mp_profile_responses
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -100,6 +104,26 @@ class TestRun:
         assert rc == 3
         ne = json.loads((tmp_path / "short.ne.json").read_text())
         assert ne["converged"] is False
+
+    @pytest.mark.parametrize("game", [2, 3])
+    @pytest.mark.parametrize("lam,tol", [("1e-300", "1e140"), ("1e300", "1e-9")])
+    def test_extreme_weight_reaches_the_finite_equilibrium(
+        self, tmp_path, capsys, ieee9_model, game, lam, tol
+    ):
+        # At lam = 1e-300 the equilibrium variances are about 1e151, where
+        # doubles are 1e135 apart, so the round tolerance is scaled too.
+        out = tmp_path / "extreme"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", *MODEL_FLAGS, "--game", str(game), "--lambda", lam,
+                       "--tol", tol, "--out", str(out)])
+        assert rc == 0
+        ne = json.loads((tmp_path / "extreme.ne.json").read_text())
+        assert ne["converged"] is True
+        v = np.array(ne["v_star"])
+        assert np.all(np.isfinite(v)) and not np.any(v == V_MAX)
+        responses = mp_profile_responses(ieee9_model, GameSpec(game, float(lam)), v)
+        np.testing.assert_allclose(v, responses, rtol=1e-12, atol=0.0)
 
     def test_trajectory_roundtrip_reproduces_potential(self, tmp_path, capsys):
         out = tmp_path / "rt"

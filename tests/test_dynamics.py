@@ -5,17 +5,18 @@ import pytest
 
 import stealthgame.dynamics as dynamics
 from stealthgame.dynamics import (
+    DEFAULT_TOL,
     NonFiniteUpdateError,
     potential_audit,
     run_brd,
     verify_ne,
 )
 from stealthgame.bestresponse import br_context
-from stealthgame.games import GameSpec
+from stealthgame.games import GameSpec, potential
 from stealthgame.metrics import kl_global, mi_global
 from stealthgame.model import attacked_cov, build_model
 
-from _helpers import logdet, oracle_br_context, random_desk_model
+from _helpers import logdet, mp_kernel_brd, oracle_br_context, random_desk_model
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -124,28 +125,30 @@ class TestRunBrd:
         assert len(excinfo.value.trajectory) == 4
 
 
-# v* of the 9-bus case (rho 0.9, 30 dB) at lambda 2, as solved by m-by-m
-# factorizations per update before the n-by-n kernel replaced them.
+# v* of the 9-bus case (rho 0.9, 30 dB) at lambda 2: run_brd's rounds
+# repeated in 50-digit arithmetic on the kernel's data, rounded to double
+# (checked by test_golden_values_are_the_50_digit_dynamics).
 IEEE9_LAM2_NE = {
-    1: (0.057953755179357164, 0.03284867265253803, 0.023283981246716698,
-        0.05722161608527056, 0.03458387755870622, 0.03917621243291408,
-        0.057483428078129395, 0.02708651948873153, 0.03532085182458661,
-        0.057953755180863986, 0.0574834280792076, 0.057221616086801375,
-        0.17449653396539108, 0.12886444188085017, 0.17181652797918529,
-        0.13057127203922864, 0.1715971022230807, 0.12945556575602607),
-    2: (0.14338655073652262, 0.11097758985079054, 0.10090177418214807,
-        0.1429519457274182, 0.11278583817829713, 0.11766905629747271,
-        0.14308813631987505, 0.1044686887039461, 0.11434149198839805,
-        0.14338655074516282, 0.14308813632442252, 0.14295194573560366,
-        0.28023632873691895, 0.22513354140164665, 0.2774764473438154,
-        0.22734489532240332, 0.27682084037860477, 0.22781492788044488),
-    3: (146.0087372660637, 12.044852948281914, 3.7878191643976606,
-        66.81581752002239, 10.754604626912624, 19.928604383021593,
-        101.63499960303307, 4.633351744210813, 49.07624316960573,
-        146.0087372660637, 101.63499960303307, 66.81581752002239,
-        280.41994524002075, 17.00535919610411, 100.44059264659882,
-        32.48108794167638, 156.217143535614, 65.79098871350288),
+    1: (0.057953755179376384, 0.03284867265252573, 0.023283981246716403,
+        0.057221616085245584, 0.03458387755870389, 0.03917621243292511,
+        0.057483428078108766, 0.027086519488738425, 0.03532085182456919,
+        0.057953755180874915, 0.05748342807929732, 0.057221616086797426,
+        0.17449653396523124, 0.12886444188082177, 0.1718165279791483,
+        0.13057127203921917, 0.17159710222312538, 0.12945556575601064),
+    2: (0.14338655073675194, 0.11097758985087208, 0.10090177418206285,
+        0.14295194572718992, 0.11278583817862321, 0.11766905629784126,
+        0.14308813631956854, 0.10446868870396253, 0.11434149198835446,
+        0.14338655074515533, 0.1430881363243857, 0.1429519457357651,
+        0.28023632873646187, 0.22513354140153452, 0.2774764473437032,
+        0.22734489532237231, 0.2768208403787024, 0.2278149278802447),
+    3: (146.00873729406607, 12.044852948302017, 3.7878191643960046,
+        66.81581751850817, 10.754604626959448, 19.9286043831869,
+        101.63499961719893, 4.633351744247303, 49.0762431696361,
+        146.00873729407382, 101.63499961720163, 66.8158175185108,
+        280.41994536687844, 17.005359196069787, 100.44059264831746,
+        32.481087942366955, 156.21714356447418, 65.7909887181632),
 }
+IEEE9_LAM2_ROUNDS = {1: 7, 2: 8, 3: 12}
 
 
 class TestKernelDynamics:
@@ -154,6 +157,14 @@ class TestKernelDynamics:
         v_star, _, report = run_brd(GameSpec(game, 2.0), ieee9_model)
         assert report.converged
         np.testing.assert_allclose(v_star, IEEE9_LAM2_NE[game], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("game", [1, 2, 3])
+    def test_golden_values_are_the_50_digit_dynamics(self, ieee9_model, game):
+        spec = GameSpec(game, 2.0)
+        v_mp, rounds = mp_kernel_brd(ieee9_model, spec, DEFAULT_TOL)
+        assert rounds == IEEE9_LAM2_ROUNDS[game]
+        assert run_brd(spec, ieee9_model)[2].rounds_used == rounds
+        np.testing.assert_allclose(IEEE9_LAM2_NE[game], v_mp, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("game", [1, 2, 3])
     def test_records_match_fresh_metrics(self, ieee9_model, game):
@@ -173,6 +184,17 @@ class TestKernelDynamics:
             assert rec.kl_global == pytest.approx(
                 kl_global(ieee9_model, rec.v_snapshot), rel=1e-11, abs=0.0
             )
+
+    @pytest.mark.parametrize("game", [1, 2, 3])
+    def test_records_match_fresh_potential(self, ieee9_model, game):
+        # Players jumping from v = 0 take rank-one pivots 1 + dq near 1e-2,
+        # which would drift the game-3 records by 4e-13 without refining
+        # M^{-1} b_i first.
+        spec = GameSpec(game, 2.0)
+        _, trajectory, _ = run_brd(spec, ieee9_model)
+        for rec in trajectory:
+            fresh = potential(spec, ieee9_model, rec.v_snapshot)
+            assert abs(rec.potential - fresh) <= 1e-13
 
     @pytest.mark.parametrize("game", [1, 2, 3])
     def test_rank_deficient_prior(self, rng, game):

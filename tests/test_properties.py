@@ -1,0 +1,101 @@
+"""Property tests over random small models (hypothesis).
+
+Examples are derandomized, so every run draws the same ones and writes
+no example database.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from stealthgame.bestresponse import BRContext, br_g1, br_g2, br_g3
+from stealthgame.dynamics import run_brd, verify_ne
+from stealthgame.games import GameSpec, cost, potential
+from stealthgame.model import (
+    StatePriorSpec,
+    build_model,
+    calibrate_noise,
+    toeplitz_cov,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def small_models(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 7))
+    H = draw(arrays(np.float64, (m, n), elements=st.floats(-3.0, 3.0, width=32)))
+    Sigma_XX = toeplitz_cov(StatePriorSpec(n, draw(st.floats(0.0, 0.95))))
+    assume(np.trace(H @ Sigma_XX @ H.T) > 1e-3)
+    return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, draw(st.floats(0.0, 40.0))))
+
+
+@st.composite
+def specs(draw):
+    game = draw(st.sampled_from([1, 2, 3]))
+    lam = draw(st.floats(1.0, 50.0) if game == 1 else st.floats(0.01, 50.0))
+    return GameSpec(game, lam)
+
+
+def profile(model, fractions):
+    return np.array(fractions[: model.m]) * 3.0 * float(np.mean(model.s))
+
+
+@PROPERTY
+@given(small_models(), specs(), st.lists(unit, min_size=7, max_size=7),
+       st.integers(0, 6), unit)
+def test_unilateral_cost_change_equals_potential_change(model, spec, fractions, i, x):
+    i %= model.m
+    v = profile(model, fractions)
+    deviated = v.copy()
+    deviated[i] = 3.0 * float(np.mean(model.s)) * x
+    d_cost = cost(spec, model, i, deviated) - cost(spec, model, i, v)
+    d_pot = potential(spec, model, deviated) - potential(spec, model, v)
+    scale = 1.0 + abs(cost(spec, model, i, v)) + abs(potential(spec, model, v))
+    assert abs(d_cost - d_pot) <= 1e-11 * scale
+
+
+@PROPERTY
+@given(
+    st.floats(1e-3, 1e3),  # sigma2
+    st.floats(1e-3, 1e3),  # c
+    st.lists(unit, min_size=3, max_size=3).map(sorted),
+    st.floats(1.0, 1e3),  # lam
+    st.sampled_from([(1, False), (2, False), (3, False), (3, True)]),
+)
+def test_best_response_is_monotone_in_gain(sigma2, c, fractions, lam, solver):
+    # gamma0 <= gamma <= c: the others' attacks can only raise the gain.
+    # Raising it lowers the best response of games 1 and 2 (their cost
+    # slopes grow with gamma) and raises game 3's.
+    game, literal = solver
+    gamma0, low, high = (c * f for f in fractions)
+
+    def respond(gamma):
+        ctx = BRContext(alpha=1.0 / (sigma2 + gamma), beta=1.0 / (sigma2 + gamma0),
+                        gamma=gamma, gamma0=gamma0, s=sigma2 + c, c=c)
+        if game == 1:
+            return br_g1(ctx, sigma2, lam)
+        if game == 2:
+            return br_g2(ctx, sigma2, lam)
+        return br_g3(ctx, sigma2, lam, literal=literal)
+
+    at_low, at_high = respond(low), respond(high)
+    slack = 1e-14 * max(at_low, at_high)
+    if game == 3:
+        assert at_high >= at_low - slack
+    else:
+        assert at_high <= at_low + slack
+
+
+@PROPERTY
+@given(small_models(), specs())
+def test_run_brd_returns_a_fixed_point(model, spec):
+    # The residual is of the order of the last round's largest move,
+    # which tol bounds: at the default 1e-9 it reaches 1.2e-10.
+    v, _, report = run_brd(spec, model, tol=1e-11)
+    assert report.converged
+    assert verify_ne(spec, model, v) <= 1e-10
