@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .detection import llr_samples, threshold_curve
+from .detection import MIN_CURVE_SAMPLES, llr_samples, threshold_curve
 from .dynamics import NonFiniteUpdateError, run_brd
 from .games import GameSpec
 from .grid import NetworkFormatError, build_dc_jacobian, load_matrix, parse_network
@@ -213,6 +213,14 @@ def cmd_sweep(parser, args) -> int:
 
 
 def cmd_detect(parser, args) -> int:
+    if args.samples < MIN_CURVE_SAMPLES:
+        raise ValueError(
+            f"--samples must be at least {MIN_CURVE_SAMPLES}, got {args.samples}"
+        )
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     model, source = _build_from_args(args)
     with open(args.ne, encoding="utf-8") as fh:
         ne = json.load(fh)

@@ -12,6 +12,8 @@ best-response minimizer ``br_numeric`` touches only ``games.cost``,
 never the quadratic or cubic solvers.  The ``mp_*`` references redo
 best responses and best-response dynamics in 50-digit mpmath
 arithmetic from the cost derivatives, not from the solvers' polynomials.
+``serial_llr_samples`` is the serial, one-buffer draw that the
+package's two-thread ``llr_samples`` must reproduce bit for bit.
 """
 
 import math
@@ -150,6 +152,34 @@ def oracle_threshold_curve(llr_null, llr_attacked, thresholds):
         beta_hat = float(np.mean(llr_attacked < log_tau))
         curve.append((tau, alpha_hat, beta_hat))
     return curve
+
+
+def serial_llr_samples(model, v, n_samples, seed):
+    """Clean and attacked joint LLR samples, drawn one hypothesis after the
+    other on the calling thread, each in 8192-row chunks of one buffer."""
+    chunk_rows = 8192
+    v = as_profile(model, v)
+    F = np.linalg.inv(model.chol_YY) * np.sqrt(v)
+    kappa = np.clip(np.linalg.eigvalsh(F @ F.T), 0.0, None)
+    half_logdet = 0.5 * float(np.sum(np.log1p(kappa)))
+
+    def draw(weights, child):
+        rng = np.random.default_rng(child)
+        out = np.empty(n_samples)
+        chunk = np.empty((min(chunk_rows, n_samples), model.m))
+        for start in range(0, n_samples, chunk_rows):
+            rows = chunk[: min(chunk_rows, n_samples - start)]
+            rng.standard_normal(out=rows)
+            np.square(rows, out=rows)
+            np.matmul(rows, weights, out=out[start : start + rows.shape[0]])
+        out -= half_logdet
+        return out
+
+    seed_null, seed_attacked = np.random.SeedSequence(seed).spawn(2)
+    return (
+        draw(0.5 * kappa / (1.0 + kappa), seed_null),
+        draw(0.5 * kappa, seed_attacked),
+    )
 
 
 class BracketError(RuntimeError):

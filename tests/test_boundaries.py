@@ -93,6 +93,38 @@ class TestDegenerateDetectInput:
         assert not out.exists()
 
 
+class TestDetectArguments:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--samples", "999"), ("--samples", "-5"), ("--grid", "0"),
+         ("--grid", "-3"), ("--seed", "-1")],
+    )
+    def test_rejected_before_model_and_draw(self, tmp_path, capsys, flag, value):
+        # Neither file exists: naming the flag shows that the arguments are
+        # checked before the model is built or any sample drawn.
+        out = tmp_path / "roc.csv"
+        args = {"--samples": "2000", "--grid": "11", "--seed": "4", flag: value}
+        rc = main(["detect", "--case", str(tmp_path / "missing.txt"), "--rho", "0.9",
+                   "--snr-db", "30", "--ne", str(tmp_path / "missing.ne.json"),
+                   *(tok for item in args.items() for tok in item),
+                   "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "missing" not in err
+        assert not out.exists()
+
+    def test_smallest_accepted_values(self, tmp_path):
+        prefix = tmp_path / "eq"
+        assert main(["run", *MODEL_FLAGS, "--game", "1", "--lambda", "2",
+                     "--out", str(prefix)]) == 0
+        out = tmp_path / "roc.csv"
+        assert main(["detect", *MODEL_FLAGS, "--ne", f"{prefix}.ne.json",
+                     "--samples", "1000", "--grid", "1", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 6  # 4 comments, header, 1 row
+
+
 class TestNonFiniteModelInput:
     @pytest.mark.parametrize("sigma2", NON_FINITE)
     def test_build_model_rejects_noise(self, sigma2):

@@ -75,12 +75,14 @@ def test_detect_samples_each_hypothesis_once(tmp_path, capsys, monkeypatch):
     calls = []
     draw = detection._draw_llr
 
-    def counting(weights, offset, n_samples, seed):
+    def counting(weights, offset, seed, out, chunk):
         calls.append(seed.spawn_key)
-        return draw(weights, offset, n_samples, seed)
+        draw(weights, offset, seed, out, chunk)
 
     monkeypatch.setattr(detection, "_draw_llr", counting)
     assert main(["detect", *MODEL_FLAGS, "--ne", f"{prefix}.ne.json",
                  "--samples", "2000", "--seed", "4",
                  "--out", str(tmp_path / "roc.csv")]) == 0
-    assert calls == [(0,), (1,)]  # the clean child seed, then the attacked one
+    # The clean and attacked child seeds, once each, in either order: the
+    # two hypotheses are drawn concurrently.
+    assert sorted(calls) == [(0,), (1,)]
