@@ -19,22 +19,23 @@ gives a cubic,
     game 2: lam (sigma2 + l)(s + l)(d + l) - c (sigma2 + gamma0)(sigma2 + gamma + l)
     game 3: lam l (sigma2 + l)(sigma2 + g + l) - gamma s (s + l)
 
-with g = gamma (or g = alpha with ``literal=True``, see below).  For
-lam > 0 its l^3 and l^2 coefficients are positive, and a root is needed
-only when its constant is negative; Descartes' rule of signs then leaves
-exactly one positive root, and the cubic is convex on [0, inf).  That
-root is found by safeguarded Newton iteration, started from the
-player's current variance (``BRContext.v``) and bracketed by a
+with g = gamma, or g = alpha = 1 / (sigma2 + gamma) for the literal rule
+(below).  For lam > 0 its l^3 and l^2 coefficients are positive, and a
+root is needed only when its constant is negative; Descartes' rule of
+signs then leaves exactly one positive root, and the cubic is convex on
+[0, inf).  That root is found by safeguarded Newton iteration, started
+from the player's current variance (``BRContext.v``) and bracketed by a
 power-of-two Fujiwara bound that also scales the cubic, so no
 coefficient overflows for any finite lam.  With lam = 0 the cost of
 games 2 and 3 strictly decreases and :data:`V_MAX` is returned with a
 RuntimeWarning.
 
 For game 3 the stationarity condition uses the scalar ``gamma_i`` in
-both the numerator and the shifted denominator factor; set
-``literal=True`` to evaluate the variant that pairs ``gamma_i`` with
-``alpha_i`` in the denominator instead (kept for comparison, see
-README).
+both the numerator and the shifted denominator factor.  The literal rule
+pairs ``gamma_i`` with ``alpha_i`` in the denominator instead (kept for
+comparison, see README); a game selects it with
+``GameSpec(3, lam, literal=True)``, which :func:`respond` passes on to
+:func:`br_g3`.
 """
 
 from __future__ import annotations
@@ -74,12 +75,11 @@ __all__ = [
 class BRContext:
     """Scalars a best response depends on, for one player.
 
-    alpha:  e_i^T (Sigma_YY + sum_{j != i} v_j e_j e_j^T)^{-1} e_i
-            = 1 / (sigma2 + gamma)
-    beta:   e_i^T Sigma_YY^{-1} e_i  (about 1 / (sigma2 + gamma0))
     gamma:  e_i^T A^{-1} G e_i with G = H Sigma_XX H^T and
             A = G sum_{j != i} (sigma2 + v_j)^{-1} e_j e_j^T + I,
-            equal to b_i^T M^{-1} b_i for the kernel matrix M with w_i = 0
+            equal to b_i^T M^{-1} b_i for the kernel matrix M with w_i = 0;
+            1 / (sigma2 + gamma) is alpha_i =
+            e_i^T (Sigma_YY + sum_{j != i} v_j e_j e_j^T)^{-1} e_i
     gamma0: gamma with every other v_j = 0
     s:      e_i^T Sigma_YY e_i
     c:      e_i^T G e_i  (= s - sigma2)
@@ -87,8 +87,6 @@ class BRContext:
             it does not change the best response and is not compared
     """
 
-    alpha: float
-    beta: float
     gamma: float
     gamma0: float
     s: float
@@ -104,8 +102,6 @@ def gain_context(
     if not (gamma >= 0.0 and math.isfinite(gamma)):
         raise np.linalg.LinAlgError(f"invalid gain for player {i}: gamma={gamma}")
     return BRContext(
-        alpha=1.0 / (model.sigma2 + gamma),
-        beta=float(model.inv_diag_YY[i]),
         gamma=gamma,
         gamma0=float(model.gain0[i]),
         s=float(model.s[i]),
@@ -259,8 +255,8 @@ def br_g3(
     """Best response in game 3: root of the cost derivative.
 
     Solves lam l / ((s + l) s) - gamma / ((sigma2 + l)(sigma2 + l + g))
-    = 0 for l >= 0, where g = gamma by default and g = alpha when
-    ``literal`` is set, as the cubic
+    = 0 for l >= 0, where g = gamma by default and
+    g = alpha = 1 / (sigma2 + gamma) when ``literal`` is set, as the cubic
     l (sigma2 + l)(sigma2 + g + l) - k (s + l) = 0, k = gamma s / lam.
     """
     if lam < 0.0:
@@ -271,7 +267,7 @@ def br_g3(
         # A zero sensing row contributes nothing: the disruption term is
         # flat and the detection term pins the optimum at 0.
         return 0.0
-    shift = ctx.alpha if literal else ctx.gamma
+    shift = 1.0 / (sigma2 + ctx.gamma) if literal else ctx.gamma
     rho, b2, b1, b0, _ = _scaled_cubic(
         (0.0, sigma2, sigma2 + shift), ctx.gamma * ctx.s, lam, ctx.s
     )
@@ -307,26 +303,15 @@ def _scaled_cubic(
     return rho, x + y + z, b1, xyz - kappa * (offset / rho), xyz
 
 
-def best_response(
-    spec: GameSpec,
-    model: MeasurementModel,
-    i: int,
-    v,
-    *,
-    br3_literal: bool = False,
-) -> float:
+def best_response(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:
     """Best response of player i to the complementary profile in v."""
-    return respond(
-        spec, br_context(model, i, v), model.sigma2, br3_literal=br3_literal
-    )
+    return respond(spec, br_context(model, i, v), model.sigma2)
 
 
-def respond(
-    spec: GameSpec, ctx: BRContext, sigma2: float, *, br3_literal: bool = False
-) -> float:
+def respond(spec: GameSpec, ctx: BRContext, sigma2: float) -> float:
     """Best response of the player described by ``ctx`` in game ``spec``."""
     if spec.game == 1:
         return br_g1(ctx, sigma2, spec.lam)
     if spec.game == 2:
         return br_g2(ctx, sigma2, spec.lam)
-    return br_g3(ctx, sigma2, spec.lam, literal=br3_literal)
+    return br_g3(ctx, sigma2, spec.lam, literal=spec.literal)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .detection import MIN_CURVE_SAMPLES, llr_samples, threshold_curve
-from .dynamics import NonFiniteUpdateError, run_brd
+from .dynamics import DEFAULT_T_MAX, DEFAULT_TOL, NonFiniteUpdateError, run_brd
 from .games import GameSpec
 from .grid import NetworkFormatError, build_dc_jacobian, load_matrix, parse_network
 from .metrics import kl_global, mi_global
@@ -73,11 +73,26 @@ def _build_from_args(args):
     return build_model(H, Sigma_XX, sigma2), source
 
 
-def _game_spec(parser: argparse.ArgumentParser, game: int, lam: float) -> GameSpec:
+def _add_solver_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--game", type=int, choices=(1, 2, 3), required=True)
+    parser.add_argument("--tmax", type=int, default=DEFAULT_T_MAX)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument(
+        "--br3-literal",
+        action="store_true",
+        help="game 3 only: use the literal alpha-paired stationarity condition",
+    )
+
+
+def _game_spec(parser: argparse.ArgumentParser, args, lam: float) -> GameSpec:
     try:
-        return GameSpec(game=game, lam=lam)
+        return GameSpec(game=args.game, lam=lam, literal=args.br3_literal)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _variant(spec: GameSpec) -> str:
+    return "literal" if spec.literal else "gamma"
 
 
 def _model_header_lines(args, model, source: str) -> list[str]:
@@ -123,29 +138,22 @@ def _write_trajectory(path: str, header: list[str], trajectory, m: int) -> None:
 
 
 def cmd_run(parser, args) -> int:
-    spec = _game_spec(parser, args.game, args.lam)
+    spec = _game_spec(parser, args, args.lam)
     model, source = _build_from_args(args)
-    variant = "literal" if args.br3_literal else "gamma"
-    v_star, trajectory, report = run_brd(
-        spec,
-        model,
-        t_max=args.tmax,
-        tol=args.tol,
-        br3_literal=args.br3_literal,
-    )
+    v_star, trajectory, report = run_brd(spec, model, t_max=args.tmax, tol=args.tol)
 
     header = ["# stealthgame trajectory"]
     header += _model_header_lines(args, model, source)
     header.append(
         f"# game={spec.game} lambda={_fmt(spec.lam)} tmax={args.tmax} "
-        f"tol={_fmt(args.tol)} br3={variant}"
+        f"tol={_fmt(args.tol)} br3={_variant(spec)}"
     )
     _write_trajectory(f"{args.out}.trajectory.csv", header, trajectory, model.m)
 
     result = {
         "game": spec.game,
         "lambda": spec.lam,
-        "br3_variant": variant,
+        "br3_variant": _variant(spec),
         "v_star": [float(x) for x in v_star],
         "ne_residual": report.ne_residual,
         "rounds": report.rounds_used,
@@ -173,19 +181,12 @@ def cmd_sweep(parser, args) -> int:
         parser.error(f"bad --lambda-list {args.lambda_list!r}")
     if not lambdas:
         parser.error("--lambda-list must contain at least one value")
-    specs = [_game_spec(parser, args.game, lam) for lam in lambdas]
+    specs = [_game_spec(parser, args, lam) for lam in lambdas]
     model, source = _build_from_args(args)
-    variant = "literal" if args.br3_literal else "gamma"
 
     ordered = sorted(specs, key=lambda sp: sp.lam)
-    results = [
-        run_brd(
-            spec, model, t_max=args.tmax, tol=args.tol, br3_literal=args.br3_literal
-        )
-        for spec in ordered
-    ]
+    results = [run_brd(spec, model, t_max=args.tmax, tol=args.tol) for spec in ordered]
 
-    tag = variant if args.game == 3 else "-"
     all_converged = True
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# stealthgame lambda sweep\n")
@@ -204,12 +205,29 @@ def cmd_sweep(parser, args) -> int:
                         _fmt(np.max(v_star)),
                         _fmt(trajectory[-1].mi_global),
                         _fmt(trajectory[-1].kl_global),
-                        tag,
+                        _variant(spec) if spec.game == 3 else "-",
                     ]
                 )
                 + "\n"
             )
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+
+
+def _read_profile(path: str, ne) -> np.ndarray:
+    """The 'v_star' list of an NE file's JSON value, as floats."""
+    if not isinstance(ne, dict):
+        raise ValueError(f"{path}: expected a JSON object with a 'v_star' field")
+    if "v_star" not in ne:
+        raise ValueError(f"{path}: missing 'v_star' field")
+    raw = ne["v_star"]
+    if not isinstance(raw, list) or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw
+    ):
+        raise ValueError(f"{path}: 'v_star' must be a list of numbers")
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{path}: 'v_star' has a number beyond double range") from None
 
 
 def cmd_detect(parser, args) -> int:
@@ -223,10 +241,7 @@ def cmd_detect(parser, args) -> int:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     model, source = _build_from_args(args)
     with open(args.ne, encoding="utf-8") as fh:
-        ne = json.load(fh)
-    if "v_star" not in ne:
-        raise ValueError(f"{args.ne}: missing 'v_star' field")
-    v = np.asarray(ne["v_star"], dtype=float)
+        v = _read_profile(args.ne, json.load(fh))
     if v.size != model.m:
         raise ValueError(
             f"{args.ne}: profile length {v.size} does not match model m={model.m}"
@@ -277,27 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run best-response dynamics to the NE")
     _add_model_args(p_run)
-    p_run.add_argument("--game", type=int, choices=(1, 2, 3), required=True)
+    _add_solver_args(p_run)
     p_run.add_argument("--lambda", type=float, required=True, dest="lam")
-    p_run.add_argument("--tmax", type=int, default=100)
-    p_run.add_argument("--tol", type=float, default=1e-9)
-    p_run.add_argument(
-        "--br3-literal",
-        action="store_true",
-        help="use the literal alpha-paired stationarity condition in game 3",
-    )
     p_run.add_argument("--out", required=True, help="output file prefix")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="solve the NE for a list of weights")
     _add_model_args(p_sweep)
-    p_sweep.add_argument("--game", type=int, choices=(1, 2, 3), required=True)
+    _add_solver_args(p_sweep)
     p_sweep.add_argument(
         "--lambda-list", required=True, help="comma- or space-separated weights"
     )
-    p_sweep.add_argument("--tmax", type=int, default=100)
-    p_sweep.add_argument("--tol", type=float, default=1e-9)
-    p_sweep.add_argument("--br3-literal", action="store_true")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -255,13 +255,14 @@ def rank_auc(llr_null: np.ndarray, llr_attacked: np.ndarray) -> float:
     """Mann-Whitney AUC of two samples, tied values sharing their midrank.
 
     The midranks are integers or halves, so the rank sum is exact below
-    2**53 values.
+    2**53 values.  Raises ValueError when either sample is empty.
     """
+    n0, n1 = llr_null.size, llr_attacked.size
+    if n0 == 0 or n1 == 0:
+        raise ValueError(f"rank_auc needs nonempty samples, got sizes {n0} and {n1}")
     combined = np.concatenate([llr_null, llr_attacked])
     _, group, counts = np.unique(combined, return_inverse=True, return_counts=True)
     last = np.cumsum(counts)
     ranks = ((2 * last - counts + 1) / 2.0)[group]
-    n0 = llr_null.size
-    n1 = llr_attacked.size
     rank_sum = float(np.sum(ranks[n0:]))
     return (rank_sum - n1 * (n1 + 1) / 2.0) / (n0 * n1)

@@ -95,8 +95,6 @@ def run_brd(
     v0=None,
     t_max: int = DEFAULT_T_MAX,
     tol: float = DEFAULT_TOL,
-    *,
-    br3_literal: bool = False,
 ) -> tuple[np.ndarray, list[TrajectoryRecord], ConvergenceReport]:
     """Run round-robin best-response dynamics to the Nash equilibrium.
 
@@ -120,7 +118,7 @@ def run_brd(
         max_delta = 0.0
         for i in range(model.m):
             ctx = gain_context(model, i, kernel.gain(i), kernel.v[i])
-            new_vi = respond(spec, ctx, model.sigma2, br3_literal=br3_literal)
+            new_vi = respond(spec, ctx, model.sigma2)
             if not math.isfinite(new_vi):
                 trajectory.append(_record(spec, kernel, t, i))
                 raise NonFiniteUpdateError(
@@ -144,30 +142,19 @@ def run_brd(
         converged=converged,
         rounds_used=rounds_used,
         max_delta_last_round=max_delta,
-        ne_residual=verify_ne(spec, model, v, br3_literal=br3_literal),
+        ne_residual=verify_ne(spec, model, v),
     )
     return v, trajectory, report
 
 
-def verify_ne(
-    spec: GameSpec,
-    model: MeasurementModel,
-    v,
-    *,
-    br3_literal: bool = False,
-) -> float:
+def verify_ne(spec: GameSpec, model: MeasurementModel, v) -> float:
     """Fixed-point residual: max_i |v_i - BR_i(complementary profile)|.
 
     Evaluates every player's context from one fresh kernel at v.
     """
     kernel = PosteriorKernel(model, v)
     responses = [
-        respond(
-            spec,
-            gain_context(model, i, gamma, kernel.v[i]),
-            model.sigma2,
-            br3_literal=br3_literal,
-        )
+        respond(spec, gain_context(model, i, gamma, kernel.v[i]), model.sigma2)
         for i, gamma in enumerate(kernel.gains())
     ]
     return float(np.max(np.abs(kernel.v - responses)))

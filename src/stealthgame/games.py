@@ -26,10 +26,14 @@ __all__ = ["GameSpec", "cost", "potential", "kernel_potential"]
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Game index (1, 2 or 3) and trade-off weight lam."""
+    """Game index (1, 2 or 3), trade-off weight lam, and for game 3 the
+    best-response rule: ``literal=True`` pairs ``gamma_i`` with ``alpha_i``
+    in the stationarity condition (see :func:`~stealthgame.bestresponse.br_g3`).
+    """
 
     game: int
     lam: float
+    literal: bool = False
 
     def __post_init__(self):
         if self.game not in (1, 2, 3):
@@ -42,6 +46,10 @@ class GameSpec:
             )
         if self.game in (2, 3) and self.lam < 0.0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if self.literal and self.game != 3:
+            raise ValueError(
+                f"the literal best response exists in game 3 only, got game {self.game}"
+            )
 
 
 def cost(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:

@@ -90,19 +90,25 @@ def single_row_submodel(model, i):
     return build_model(model.H[i : i + 1], model.Sigma_XX, model.sigma2)
 
 
+def oracle_alpha(model, i, v):
+    """alpha_i = e_i^T (Sigma_YY + diag(v with v_i = 0))^{-1} e_i from a
+    dense m-by-m solve; it equals 1 / (sigma2 + gamma_i)."""
+    v_others = np.asarray(v, dtype=float).copy()
+    v_others[i] = 0.0
+    e_i = np.zeros(model.m)
+    e_i[i] = 1.0
+    return float(np.linalg.solve(attacked_cov(model, v_others), e_i)[i])
+
+
 def oracle_br_context(model, i, v):
     """Best-response context from m-by-m factorizations.
 
-    alpha from a dense solve with Sigma_YY + diag(v with v_i = 0);
     gamma from a dense solve with A = G D + I, D the inverse noise-plus-
     attack variances with player i's entry set to 0, and gamma0 the same
     with every attack variance 0.
     """
     v_others = np.asarray(v, dtype=float).copy()
     v_others[i] = 0.0
-    e_i = np.zeros(model.m)
-    e_i[i] = 1.0
-    alpha = float(np.linalg.solve(attacked_cov(model, v_others), e_i)[i])
 
     def gain(profile):
         weights = 1.0 / (model.sigma2 + profile)
@@ -112,8 +118,6 @@ def oracle_br_context(model, i, v):
         return float(np.linalg.solve(A, model.signal_cov[:, i])[i])
 
     return BRContext(
-        alpha=alpha,
-        beta=float(model.inv_diag_YY[i]),
         gamma=gain(v_others),
         gamma0=gain(np.zeros(model.m)),
         s=float(model.s[i]),
@@ -357,14 +361,14 @@ def mp_cost_slope(game: int, ctx, sigma2, lam, literal: bool = False):
     d kl_global = (gamma-gamma0+l) / ((sigma2+gamma0)(sigma2+gamma+l)),
     d mi_local = -c / ((sigma2+l)(s+l)) and d kl_local = l / (s(s+l)),
     each times 1/2.  ``gamma0`` is capped at ``gamma``, as the solvers
-    clamp ``gamma - gamma0`` at 0.  Game 3's shift is ``alpha`` when
-    ``literal``, else ``gamma``.
+    clamp ``gamma - gamma0`` at 0.  Game 3's shift is
+    ``alpha = 1 / (sigma2 + gamma)`` when ``literal``, else ``gamma``.
     """
     mpf = mpmath.mpf
     sigma2, lam = mpf(sigma2), mpf(lam)
     gamma, s, c = mpf(ctx.gamma), mpf(ctx.s), mpf(ctx.c)
     gamma0 = min(mpf(ctx.gamma0), gamma)
-    shift = mpf(ctx.alpha) if literal else gamma
+    shift = 1 / (sigma2 + gamma) if literal else gamma
 
     def mi_global(l):
         return -gamma / ((sigma2 + l) * (sigma2 + gamma + l))
@@ -445,18 +449,16 @@ def _mp_kernel_data(model):
     return B, sigma2, [mp_gain(B, sigma2, zeros, i) for i in range(model.m)]
 
 
-def _mp_response(model, spec, data, v, i: int, literal: bool):
+def _mp_response(model, spec, data, v, i: int):
     """Player i's best response to the others in v, at the working precision."""
     B, sigma2, gains0 = data
-    gamma = mp_gain(B, sigma2, v, i)
     ctx = SimpleNamespace(
-        alpha=1 / (sigma2 + gamma), gamma=gamma, gamma0=gains0[i],
-        s=model.s[i], c=model.c[i],
+        gamma=mp_gain(B, sigma2, v, i), gamma0=gains0[i], s=model.s[i], c=model.c[i]
     )
-    return mp_root(mp_cost_slope(spec.game, ctx, sigma2, spec.lam, literal))
+    return mp_root(mp_cost_slope(spec.game, ctx, sigma2, spec.lam, spec.literal))
 
 
-def mp_kernel_brd(model, spec: GameSpec, tol: float, literal: bool = False):
+def mp_kernel_brd(model, spec: GameSpec, tol: float):
     """Best-response dynamics from v = 0 in MP_DPS-digit arithmetic.
 
     Runs on the model's kernel data (B, s, c, sigma2) with run_brd's
@@ -471,7 +473,7 @@ def mp_kernel_brd(model, spec: GameSpec, tol: float, literal: bool = False):
         for rounds in range(1, 101):
             max_delta = 0
             for i in range(model.m):
-                new = _mp_response(model, spec, data, v, i, literal)
+                new = _mp_response(model, spec, data, v, i)
                 max_delta = max(max_delta, abs(new - v[i]))
                 v[i] = new
             if max_delta < tol:
@@ -479,11 +481,11 @@ def mp_kernel_brd(model, spec: GameSpec, tol: float, literal: bool = False):
     raise AssertionError("the 50-digit dynamics did not stop in 100 rounds")
 
 
-def mp_profile_responses(model, spec: GameSpec, v, literal: bool = False):
+def mp_profile_responses(model, spec: GameSpec, v):
     """Every player's MP_DPS-digit best response to the others in v."""
     with mpmath.workdps(MP_DPS):
         data = _mp_kernel_data(model)
         v = [mpmath.mpf(float(x)) for x in v]
         return np.array(
-            [float(_mp_response(model, spec, data, v, i, literal)) for i in range(model.m)]
+            [float(_mp_response(model, spec, data, v, i)) for i in range(model.m)]
         )

@@ -27,6 +27,7 @@ from _helpers import (
     BracketError,
     br_numeric,
     mp_best_response,
+    oracle_alpha,
     oracle_br_context,
     random_desk_model,
     random_profile,
@@ -69,20 +70,21 @@ SOLVERS = [(1, False), (2, False), (3, False), (3, True)]
 class TestBRContext:
     def test_scalar_model(self, scalar_model):
         ctx = br_context(scalar_model, 0, [0.0])
-        assert ctx.alpha == pytest.approx(0.5, abs=1e-12)
-        assert ctx.beta == pytest.approx(0.5, abs=1e-12)
         assert ctx.gamma == pytest.approx(1.0, abs=1e-12)  # A = I, gamma = c
+        assert ctx.gamma0 == pytest.approx(1.0, abs=1e-12)
         assert ctx.s == pytest.approx(2.0)
         assert ctx.c == pytest.approx(1.0)
 
     def test_diagonal_model_alpha_equals_beta(self):
         # Orthogonal sensing rows make Sigma_YY diagonal, so with no
-        # other attackers alpha_i = 1/s_i = beta_i.
+        # other attackers alpha_i = 1/(sigma2 + gamma_i) = 1/s_i = beta_i,
+        # the i-th diagonal entry of Sigma_YY^{-1}.
         model = build_model(np.eye(2), np.eye(2), 0.5)
         for i in range(2):
             ctx = br_context(model, i, np.zeros(2))
-            assert ctx.alpha == pytest.approx(1.0 / ctx.s, abs=1e-12)
-            assert ctx.beta == pytest.approx(1.0 / ctx.s, abs=1e-12)
+            alpha = 1.0 / (model.sigma2 + ctx.gamma)
+            assert alpha == pytest.approx(1.0 / ctx.s, abs=1e-12)
+            assert model.inv_diag_YY[i] == pytest.approx(1.0 / ctx.s, abs=1e-12)
 
     def test_invariants_on_random_instances(self, rng):
         for _ in range(30):
@@ -90,9 +92,8 @@ class TestBRContext:
             v = random_profile(rng, model)
             i = int(rng.integers(0, model.m))
             ctx = br_context(model, i, v)
-            assert ctx.alpha > 0
-            assert ctx.beta > 0
-            assert ctx.alpha <= ctx.beta + 1e-12
+            # The others' attacks can only raise the gain.
+            assert ctx.gamma >= ctx.gamma0 * (1.0 - 1e-12)
             assert ctx.s >= model.sigma2
             assert ctx.c == pytest.approx(ctx.s - model.sigma2, rel=1e-12)
             assert ctx.gamma > 0
@@ -114,9 +115,11 @@ class TestBRContext:
             for i in range(model.m):
                 ctx = br_context(model, i, v)
                 ref = oracle_br_context(model, i, v)
-                assert ctx.alpha == pytest.approx(ref.alpha, rel=1e-12, abs=0.0)
+                alpha = 1.0 / (model.sigma2 + ctx.gamma)
+                assert alpha == pytest.approx(
+                    oracle_alpha(model, i, v), rel=1e-12, abs=0.0)
                 assert ctx.gamma == pytest.approx(ref.gamma, rel=1e-12, abs=0.0)
-                assert (ctx.beta, ctx.s, ctx.c) == (ref.beta, ref.s, ref.c)
+                assert (ctx.s, ctx.c) == (ref.s, ref.c)
 
     def test_gain0_matches_mxm_oracle_and_kernel_at_zero(self, rng):
         # gamma0 is the gain with every other measurement clean; a kernel
@@ -151,7 +154,7 @@ class TestBRContext:
                 e_i = mpmath.matrix(model.m, 1)
                 e_i[i] = 1
                 ref = mpmath.lu_solve(S, e_i)[i]
-                alpha = br_context(model, i, v).alpha
+                alpha = 1.0 / (model.sigma2 + br_context(model, i, v).gamma)
                 assert abs(alpha - ref) <= 1e-13 * abs(ref)
 
 
@@ -195,7 +198,7 @@ class TestClosedForms:
         default = br_g3(ctx, ring3_model.sigma2, 2.0)
         literal = br_g3(ctx, ring3_model.sigma2, 2.0, literal=True)
         assert default >= 0 and literal >= 0
-        if abs(ctx.alpha - ctx.gamma) > 1e-9:
+        if abs(1.0 / (ring3_model.sigma2 + ctx.gamma) - ctx.gamma) > 1e-9:
             assert default != literal
 
 

@@ -92,6 +92,23 @@ class TestDegenerateDetectInput:
         assert "kl_global" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        ['"v_star"', "[1, 2]", "null", '{"v_star": {"0": 1}}', '{"v_star": "123"}',
+         '{"v_star": [1, "a"]}', '{"v_star": [true]}', '{"v_star": [[1, 2]]}',
+         '{"v_star": [' + "9" * 400 + "]}"],
+    )
+    def test_malformed_ne_file_exits_4(self, tmp_path, capsys, content):
+        ne = tmp_path / "bad.ne.json"
+        ne.write_text(content)
+        out = tmp_path / "roc.csv"
+        rc = main(["detect", *MODEL_FLAGS, "--ne", str(ne), "--samples", "2000",
+                   "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert str(ne) in err and "v_star" in err
+        assert not out.exists()
+
 
 class TestDetectArguments:
     @pytest.mark.parametrize(

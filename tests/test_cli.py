@@ -155,6 +155,33 @@ class TestRun:
             assert abs(potential(spec, model, v) - recorded) <= 1e-12
 
 
+class TestLiteralRule:
+    """``--br3-literal`` selects game 3's alpha-paired best response; it
+    has no meaning in games 1 and 2, so the command refuses it there."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("game", ["1", "2"])
+    def test_rejected_outside_game_3(self, tmp_path, capsys, command, game):
+        weight = ["--lambda", "2"] if command == "run" else ["--lambda-list", "2"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *MODEL_FLAGS, "--game", game, *weight, "--br3-literal",
+                  "--out", str(tmp_path / "lit")])
+        assert excinfo.value.code == 2
+        assert "game 3 only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_game_3_certifies_the_literal_equilibrium(self, tmp_path, capsys):
+        out = tmp_path / "lit"
+        assert main(["run", *MODEL_FLAGS, "--game", "3", "--lambda", "2",
+                     "--br3-literal", "--out", str(out)]) == 0
+        ne = json.loads((tmp_path / "lit.ne.json").read_text())
+        assert ne["br3_variant"] == "literal"
+        assert ne["converged"] is True
+        assert ne["ne_residual"] <= 1e-8
+        header = (tmp_path / "lit.trajectory.csv").read_text().splitlines()[3]
+        assert header.endswith(" br3=literal")
+
+
 class TestSweep:
     def test_tradeoff_monotone_on_small_case(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -330,6 +330,11 @@ class TestRankAuc:
             np.zeros(7), np.zeros(5)
         )
 
+    @pytest.mark.parametrize("n_null,n_attacked", [(0, 5), (7, 0), (0, 0)])
+    def test_empty_sample_rejected(self, n_null, n_attacked):
+        with pytest.raises(ValueError, match="nonempty samples"):
+            rank_auc(np.zeros(n_null), np.ones(n_attacked))
+
     def test_roc_auc_matches_midrank_loop(self, ring3_model, rng):
         v = random_profile(rng, ring3_model, scale=0.5)
         null, attacked = llr_samples(ring3_model, v, 10_000, 17)

@@ -16,7 +16,14 @@ from stealthgame.games import GameSpec, potential
 from stealthgame.metrics import kl_global, mi_global
 from stealthgame.model import attacked_cov, build_model
 
-from _helpers import logdet, mp_kernel_brd, oracle_br_context, random_desk_model
+from _helpers import (
+    logdet,
+    mp_kernel_brd,
+    mp_profile_responses,
+    oracle_alpha,
+    oracle_br_context,
+    random_desk_model,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -35,9 +42,7 @@ class TestRunBrd:
     ):
         # When every best response is 0 the all-zeros start is a fixed
         # point and the first round already certifies convergence.
-        monkeypatch.setattr(
-            dynamics, "respond", lambda spec, ctx, sigma2, br3_literal=False: 0.0
-        )
+        monkeypatch.setattr(dynamics, "respond", lambda spec, ctx, sigma2: 0.0)
         v_star, _, report = run_brd(GameSpec(1, 2.0), ring3_model)
         assert report.converged
         assert report.rounds_used == 1
@@ -114,7 +119,7 @@ class TestRunBrd:
     ):
         calls = {"n": 0}
 
-        def broken(spec, ctx, sigma2, br3_literal=False):
+        def broken(spec, ctx, sigma2):
             calls["n"] += 1
             return math.nan if calls["n"] == 3 else 0.1
 
@@ -209,13 +214,35 @@ class TestKernelDynamics:
         assert potential_audit(trajectory) == []
         for i in range(m):
             ctx, ref = br_context(model, i, v_star), oracle_br_context(model, i, v_star)
-            assert ctx.alpha == pytest.approx(ref.alpha, rel=1e-12, abs=0.0)
+            alpha = 1.0 / (model.sigma2 + ctx.gamma)
+            assert alpha == pytest.approx(
+                oracle_alpha(model, i, v_star), rel=1e-12, abs=0.0)
             assert ctx.gamma == pytest.approx(ref.gamma, rel=1e-11, abs=0.0)
         mi_mxm = 0.5 * (
             logdet(attacked_cov(model, v_star))
             - np.sum(np.log(model.sigma2 + v_star))
         )
         assert mi_global(model, v_star) == pytest.approx(mi_mxm, rel=1e-12)
+
+
+class TestLiteralRule:
+    """GameSpec(3, lam, literal=True) carries game 3's alpha-paired rule to
+    every best response, so the solve and its certificate agree."""
+
+    def test_certified_by_the_same_spec(self, ieee9_model):
+        spec = GameSpec(3, 2.0, literal=True)
+        v_star, _, report = run_brd(spec, ieee9_model)
+        assert report.converged
+        assert report.ne_residual <= 1e-8
+        assert verify_ne(spec, ieee9_model, v_star) == report.ne_residual
+        # The gamma-paired rule moves the players far from this profile.
+        assert verify_ne(GameSpec(3, 2.0), ieee9_model, v_star) > 1.0
+
+    def test_matches_50_digit_responses(self, ieee9_model):
+        spec = GameSpec(3, 2.0, literal=True)
+        v_star, _, _ = run_brd(spec, ieee9_model, tol=1e-12)
+        responses = mp_profile_responses(ieee9_model, spec, v_star)
+        np.testing.assert_allclose(v_star, responses, rtol=1e-12, atol=0.0)
 
 
 class TestVerifyNe:

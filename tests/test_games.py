@@ -29,6 +29,13 @@ class TestGameSpec:
         with pytest.raises(ValueError, match="game"):
             GameSpec(4, 2.0)
 
+    @pytest.mark.parametrize("game", [1, 2])
+    def test_literal_rule_is_game_3_only(self, game):
+        with pytest.raises(ValueError, match="game 3 only"):
+            GameSpec(game, 2.0, literal=True)
+        assert GameSpec(3, 2.0, literal=True).literal
+        assert not GameSpec(game, 2.0).literal
+
 
 class TestCost:
     def test_game1_scalar_composition(self, scalar_model):

@@ -75,8 +75,7 @@ def test_best_response_is_monotone_in_gain(sigma2, c, fractions, lam, solver):
     gamma0, low, high = (c * f for f in fractions)
 
     def respond(gamma):
-        ctx = BRContext(alpha=1.0 / (sigma2 + gamma), beta=1.0 / (sigma2 + gamma0),
-                        gamma=gamma, gamma0=gamma0, s=sigma2 + c, c=c)
+        ctx = BRContext(gamma=gamma, gamma0=gamma0, s=sigma2 + c, c=c)
         if game == 1:
             return br_g1(ctx, sigma2, lam)
         if game == 2:
