@@ -53,7 +53,6 @@ from .dynamics import (
 from .detection import (
     error_curve,
     llr_joint,
-    llr_local,
     llr_samples,
     roc_auc,
     sample_observations,

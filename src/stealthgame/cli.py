@@ -25,7 +25,13 @@ from .dynamics import DEFAULT_T_MAX, DEFAULT_TOL, NonFiniteUpdateError, run_brd
 from .games import GameSpec
 from .grid import NetworkFormatError, build_dc_jacobian, load_matrix, parse_network
 from .metrics import kl_global, mi_global
-from .model import StatePriorSpec, build_model, calibrate_noise, toeplitz_cov
+from .model import (
+    StatePriorSpec,
+    as_profile,
+    build_model,
+    calibrate_noise,
+    toeplitz_cov,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -242,10 +248,10 @@ def cmd_detect(parser, args) -> int:
     model, source = _build_from_args(args)
     with open(args.ne, encoding="utf-8") as fh:
         v = _read_profile(args.ne, json.load(fh))
-    if v.size != model.m:
-        raise ValueError(
-            f"{args.ne}: profile length {v.size} does not match model m={model.m}"
-        )
+    try:
+        v = as_profile(model, v)
+    except ValueError as exc:
+        raise ValueError(f"{args.ne}: 'v_star': {exc}") from None
 
     # A profile whose divergence overflows would overflow the sampler
     # too; reject it before drawing.

@@ -1,10 +1,10 @@
 """Monte-Carlo likelihood-ratio detection of random attacks.
 
-Samples clean and attacked measurement vectors, evaluates joint and
-per-measurement log-likelihood ratios, and estimates Type-I/Type-II
-error trade-offs for threshold tests.  Thresholds are applied on the
-log scale to avoid overflow.  Every draw comes from an explicitly
-seeded generator, so every result is reproducible byte for byte.
+Samples clean and attacked measurement vectors, evaluates their joint
+log-likelihood ratios, and estimates Type-I/Type-II error trade-offs
+for threshold tests.  Thresholds are applied on the log scale to avoid
+overflow.  Every draw comes from an explicitly seeded generator, so
+every result is reproducible byte for byte.
 
 :func:`sample_observations` multiplies standard normals by the lower
 Cholesky factor of the covariance (the clean one is cached as
@@ -25,18 +25,20 @@ and that of an attacked one as
 ``(1/2) sum_k kappa_k z_k^2 - (1/2) sum_k log1p(kappa_k)``, z standard
 normal.  That is the distribution of :func:`llr_joint` of
 :func:`sample_observations` draws, with other realizations, and there
-is no cancellation: at ``v = 0`` every value is exactly 0.  The two
-hypotheses are drawn concurrently, the clean one on a helper thread
-(numpy's generators release the GIL while they fill), from independent
-child seeds; the values are identical to drawing them one after the
-other.
+is no cancellation: at ``v = 0`` every value is exactly 0.  One draw of
+z serves both hypotheses, as in :func:`sample_observations`: each array
+has the distribution above, and since the weight gap
+``(1/2) kappa_k^2 / (1 + kappa_k)`` is nonnegative, every attacked value
+is at least the clean value of its draw.  An empirical ROC therefore
+never dips below chance (Type-I plus Type-II error is at most 1 at every
+threshold), as the true LRT's does not.  The same-draw pairs also enter
+the rank AUC of :func:`roc_auc`: its expectation exceeds that of
+independent samples by ``(1 - AUC) / n <= 1 / (2 n)`` for n samples.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
 
 import numpy as np
 
@@ -44,21 +46,18 @@ from .model import (
     MeasurementModel,
     as_profile,
     attacked_cov,
-    check_index,
-    check_scalar_variance,
     chol_inverse,
     chol_logdet,
 )
 
 MIN_CURVE_SAMPLES = 1000
-# Rows of standard normals drawn at a time per hypothesis by llr_samples:
-# two buffers of 0.6 MB each at m = 74.
+# Rows of standard normals drawn at a time by llr_samples: a 0.6 MB
+# buffer at m = 74.
 SAMPLE_CHUNK_ROWS = 1024
 
 __all__ = [
     "sample_observations",
     "llr_joint",
-    "llr_local",
     "llr_samples",
     "threshold_curve",
     "error_curve",
@@ -109,64 +108,41 @@ def llr_joint(model: MeasurementModel, v, y) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def llr_local(model: MeasurementModel, i: int, v_i: float, y_i) -> float | np.ndarray:
-    """Scalar log-likelihood ratio for measurement i alone."""
-    i = check_index(model, i)
-    v_i = check_scalar_variance(v_i)
-    s_i = model.s[i]
-    y = np.asarray(y_i, dtype=float)
-    out = 0.5 * y * y * (1.0 / s_i - 1.0 / (s_i + v_i)) + 0.5 * (
-        math.log(s_i) - math.log(s_i + v_i)
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def llr_samples(
     model: MeasurementModel, v, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint LLR values of ``n_samples`` clean and attacked observations.
 
     Draws the weighted sums of squared standard normals of the module
-    docstring, ``SAMPLE_CHUNK_ROWS`` rows at a time, so no observation
-    matrix is formed; a chunked draw is the same stream as one draw, and
-    the first k values do not depend on ``n_samples``.  Child seeds
-    derived from ``seed`` keep the two hypothesis draws independent yet
-    reproducible from the one user-facing seed.  The clean values are
-    drawn on a helper thread while the calling thread draws the attacked
-    ones; each stream has its own generator and buffers, so the values
-    do not depend on scheduling.  At ``v = 0`` every value is exactly 0.
+    docstring from one generator seeded with ``seed``,
+    ``SAMPLE_CHUNK_ROWS`` rows at a time, so no observation matrix is
+    formed; a chunked draw is the same stream as one draw, and the first
+    k values do not depend on ``n_samples``.  Value k of both arrays
+    comes from the same row z_k, weighted by ``kappa / (1 + kappa)``
+    (clean) and ``kappa`` (attacked), so ``llr_attacked >= llr_null``
+    elementwise while each array keeps its own distribution; a rank AUC
+    of the two arrays is biased up by at most ``1 / (2 n_samples)``.  At
+    ``v = 0`` every value is exactly 0.
     """
     v = as_profile(model, v)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     kappa = _whitened_spectrum(model, v)
-    half_logdet = 0.5 * float(np.sum(np.log1p(kappa)))
-    seed_null, seed_attacked = np.random.SeedSequence(seed).spawn(2)
-    # All four arrays are allocated on the calling thread: a helper that
-    # allocated its own arrays was measured to raise peak memory.
+    weights_null, weights_attacked = 0.5 * kappa / (1.0 + kappa), 0.5 * kappa
+    rng = np.random.default_rng(seed)
     llr_null, llr_attacked = np.empty(n_samples), np.empty(n_samples)
-    rows = min(SAMPLE_CHUNK_ROWS, n_samples)
-    chunk_null, chunk_attacked = np.empty((rows, model.m)), np.empty((rows, model.m))
-    failures = []
-
-    def draw_null():
-        try:
-            _draw_llr(0.5 * kappa / (1.0 + kappa), half_logdet, seed_null,
-                      llr_null, chunk_null)
-        except BaseException as exc:  # re-raised by the caller after join
-            failures.append(exc)
-
-    # A new thread starts from an empty context; copying this one carries
-    # numpy's errstate, a context variable, over to the helper.
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(draw_null,))
-    helper.start()
-    try:
-        _draw_llr(0.5 * kappa, half_logdet, seed_attacked, llr_attacked, chunk_attacked)
-    finally:
-        helper.join()
-    if failures:
-        raise failures[0]
+    chunk = np.empty((min(SAMPLE_CHUNK_ROWS, n_samples), model.m))
+    for start in range(0, n_samples, SAMPLE_CHUNK_ROWS):
+        stop = min(start + SAMPLE_CHUNK_ROWS, n_samples)
+        rows = chunk[: stop - start]
+        rng.standard_normal(out=rows)
+        np.square(rows, out=rows)
+        np.matmul(rows, weights_null, out=llr_null[start:stop])
+        np.matmul(rows, weights_attacked, out=llr_attacked[start:stop])
+    half_logdet = 0.5 * float(np.sum(np.log1p(kappa)))
+    llr_null -= half_logdet
+    llr_attacked -= half_logdet
     return llr_null, llr_attacked
 
 
@@ -174,21 +150,6 @@ def _whitened_spectrum(model: MeasurementModel, v: np.ndarray) -> np.ndarray:
     """kappa: the eigenvalues of F F^T, F = L^{-1} diag(sqrt(v)), clipped at 0."""
     F = np.linalg.inv(model.chol_YY) * np.sqrt(v)
     return np.clip(np.linalg.eigvalsh(F @ F.T), 0.0, None)
-
-
-def _draw_llr(weights, offset, seed, out, chunk) -> None:
-    """Fill ``out`` with ``sum_k weights_k z_k^2 - offset``, z standard normal.
-
-    Draws ``chunk.shape[0]`` rows at a time into ``chunk``.
-    """
-    rng = np.random.default_rng(seed)
-    step = chunk.shape[0]
-    for start in range(0, out.size, step):
-        rows = chunk[: min(step, out.size - start)]
-        rng.standard_normal(out=rows)
-        np.square(rows, out=rows)
-        np.matmul(rows, weights, out=out[start : start + rows.shape[0]])
-    out -= offset
 
 
 def threshold_curve(
@@ -245,7 +206,11 @@ def roc_auc(model: MeasurementModel, v, n_samples: int, seed: int) -> float:
     """Empirical detection AUC of the joint LRT (rank statistic).
 
     Probability that an attacked sample's LLR exceeds a clean sample's,
-    ties counted half.
+    ties counted half, over all n^2 pairs of :func:`llr_samples` values.
+    The n pairs from the same draw each count 1 (the attacked value is
+    never below its clean one), so the estimate's expectation exceeds the
+    AUC of independent samples by ``(1 - AUC) / n <= 1 / (2 n)``; the
+    other n^2 - n pairs are independent.
     """
     llr_null, llr_attacked = llr_samples(model, v, int(n_samples), seed)
     return rank_auc(llr_null, llr_attacked)

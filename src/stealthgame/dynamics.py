@@ -166,8 +166,12 @@ def potential_audit(
     """Consecutive potential increases exceeding ``threshold``.
 
     Returns (record index, increase) pairs; expected empty for any
-    best-response trajectory since the potential is exact.
+    best-response trajectory since the potential is exact.  Raises
+    ValueError for a non-finite or negative ``threshold``: a NaN one
+    would flag nothing.
     """
+    if not (threshold >= 0 and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     violations = []
     for k in range(1, len(trajectory)):
         rise = trajectory[k].potential - trajectory[k - 1].potential

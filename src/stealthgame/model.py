@@ -84,22 +84,21 @@ class MeasurementModel:
     Build through :func:`build_model`; every consumer in the package
     reads the cached ``Sigma_YY`` factorization rather than refactoring.
 
-    Cached fields: ``signal_cov`` is ``H Sigma_XX H^T``; ``chol_YY`` the
-    lower Cholesky factor of ``Sigma_YY``; ``logdet_YY`` its
-    log-determinant; ``inv_diag_YY`` the diagonal of ``Sigma_YY^{-1}``;
-    ``s`` the diagonal of ``Sigma_YY``; ``c`` the diagonal of
-    ``signal_cov`` (so ``s = c + sigma2``); ``B`` is ``H L`` for a factor
-    ``Sigma_XX = L L^T`` (from ``eigh``, so singular priors work);
-    ``logdet_M0`` is the log-determinant of the kernel matrix ``M(0)``;
-    and ``gain0`` holds each player's gain ``gamma_i(0)`` with every other
-    measurement clean, read from the kernel at ``v = 0``.
+    Cached fields: ``chol_YY`` is the lower Cholesky factor of
+    ``Sigma_YY``; ``logdet_YY`` its log-determinant; ``inv_diag_YY`` the
+    diagonal of ``Sigma_YY^{-1}``; ``s`` the diagonal of ``Sigma_YY``;
+    ``c`` the diagonal of ``H Sigma_XX H^T`` (so ``s = c + sigma2``);
+    ``B`` is ``H L`` for a factor ``Sigma_XX = L L^T`` (from ``eigh``, so
+    singular priors work); ``logdet_M0`` is the log-determinant of the
+    kernel matrix ``M(0)``; and ``gain0`` holds each player's gain
+    ``gamma_i(0)`` with every other measurement clean, read from the
+    kernel at ``v = 0``.
     """
 
     H: np.ndarray
     sigma2: float
     Sigma_XX: np.ndarray
     Sigma_YY: np.ndarray
-    signal_cov: np.ndarray = field(repr=False)
     chol_YY: np.ndarray = field(repr=False)
     logdet_YY: float = field(repr=False)
     inv_diag_YY: np.ndarray = field(repr=False)
@@ -170,7 +169,6 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         sigma2=sigma2,
         Sigma_XX=Sigma_XX,
         Sigma_YY=Sigma_YY,
-        signal_cov=signal_cov,
         chol_YY=chol_YY,
         logdet_YY=logdet_YY,
         inv_diag_YY=np.sum(inv_chol_YY**2, axis=0),

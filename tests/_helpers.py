@@ -12,8 +12,8 @@ best-response minimizer ``br_numeric`` touches only ``games.cost``,
 never the quadratic or cubic solvers.  The ``mp_*`` references redo
 best responses and best-response dynamics in 50-digit mpmath
 arithmetic from the cost derivatives, not from the solvers' polynomials.
-``serial_llr_samples`` is the serial, one-buffer draw that the
-package's two-thread ``llr_samples`` must reproduce bit for bit.
+``llr_local``, the scalar LLR of one measurement, is the Monte-Carlo
+oracle for the package's ``kl_local``.
 """
 
 import math
@@ -32,6 +32,8 @@ from stealthgame.model import (
     attacked_cov,
     build_model,
     calibrate_noise,
+    check_index,
+    check_scalar_variance,
     chol_logdet,
     toeplitz_cov,
 )
@@ -109,13 +111,14 @@ def oracle_br_context(model, i, v):
     """
     v_others = np.asarray(v, dtype=float).copy()
     v_others[i] = 0.0
+    G = model.Sigma_YY - model.sigma2 * np.eye(model.m)
 
     def gain(profile):
         weights = 1.0 / (model.sigma2 + profile)
         weights[i] = 0.0
-        A = model.signal_cov * weights[np.newaxis, :]
+        A = G * weights[np.newaxis, :]
         A[np.diag_indices_from(A)] += 1.0
-        return float(np.linalg.solve(A, model.signal_cov[:, i])[i])
+        return float(np.linalg.solve(A, G[:, i])[i])
 
     return BRContext(
         gamma=gain(v_others),
@@ -158,32 +161,16 @@ def oracle_threshold_curve(llr_null, llr_attacked, thresholds):
     return curve
 
 
-def serial_llr_samples(model, v, n_samples, seed):
-    """Clean and attacked joint LLR samples, drawn one hypothesis after the
-    other on the calling thread, each in 8192-row chunks of one buffer."""
-    chunk_rows = 8192
-    v = as_profile(model, v)
-    F = np.linalg.inv(model.chol_YY) * np.sqrt(v)
-    kappa = np.clip(np.linalg.eigvalsh(F @ F.T), 0.0, None)
-    half_logdet = 0.5 * float(np.sum(np.log1p(kappa)))
-
-    def draw(weights, child):
-        rng = np.random.default_rng(child)
-        out = np.empty(n_samples)
-        chunk = np.empty((min(chunk_rows, n_samples), model.m))
-        for start in range(0, n_samples, chunk_rows):
-            rows = chunk[: min(chunk_rows, n_samples - start)]
-            rng.standard_normal(out=rows)
-            np.square(rows, out=rows)
-            np.matmul(rows, weights, out=out[start : start + rows.shape[0]])
-        out -= half_logdet
-        return out
-
-    seed_null, seed_attacked = np.random.SeedSequence(seed).spawn(2)
-    return (
-        draw(0.5 * kappa / (1.0 + kappa), seed_null),
-        draw(0.5 * kappa, seed_attacked),
+def llr_local(model, i, v_i, y_i):
+    """Scalar log-likelihood ratio for measurement i alone."""
+    i = check_index(model, i)
+    v_i = check_scalar_variance(v_i)
+    s_i = model.s[i]
+    y = np.asarray(y_i, dtype=float)
+    out = 0.5 * y * y * (1.0 / s_i - 1.0 / (s_i + v_i)) + 0.5 * (
+        math.log(s_i) - math.log(s_i + v_i)
     )
+    return float(out) if out.ndim == 0 else out
 
 
 class BracketError(RuntimeError):

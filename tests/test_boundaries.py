@@ -9,7 +9,6 @@ import pytest
 
 from stealthgame.bestresponse import br_context
 from stealthgame.cli import main
-from stealthgame.detection import llr_local
 from stealthgame.games import GameSpec
 from stealthgame.grid import (
     Branch,
@@ -21,6 +20,8 @@ from stealthgame.grid import (
 )
 from stealthgame.metrics import kl_local, mi_local
 from stealthgame.model import build_model
+
+from _helpers import llr_local
 
 MODEL_FLAGS = ["--case", bundled_case("ieee9"), "--rho", "0.9", "--snr-db", "30"]
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -96,7 +97,11 @@ class TestDegenerateDetectInput:
         "content",
         ['"v_star"', "[1, 2]", "null", '{"v_star": {"0": 1}}', '{"v_star": "123"}',
          '{"v_star": [1, "a"]}', '{"v_star": [true]}', '{"v_star": [[1, 2]]}',
-         '{"v_star": [' + "9" * 400 + "]}"],
+         '{"v_star": [' + "9" * 400 + "]}",
+         # The right length (m = 18), but not a profile.
+         '{"v_star": [NaN' + ", 0" * 17 + "]}",
+         '{"v_star": [Infinity' + ", 0" * 17 + "]}",
+         '{"v_star": [-1' + ", 0" * 17 + "]}"],
     )
     def test_malformed_ne_file_exits_4(self, tmp_path, capsys, content):
         ne = tmp_path / "bad.ne.json"

@@ -1,6 +1,4 @@
 import math
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from stealthgame.detection import (
     SAMPLE_CHUNK_ROWS,
     error_curve,
     llr_joint,
-    llr_local,
     llr_samples,
     rank_auc,
     roc_auc,
@@ -19,7 +16,7 @@ from stealthgame.detection import (
 from stealthgame.metrics import kl_global, kl_local
 from stealthgame.model import attacked_cov
 
-from _helpers import oracle_rank_auc, random_profile, serial_llr_samples
+from _helpers import llr_local, oracle_rank_auc, random_profile
 
 
 class TestSampleObservations:
@@ -131,18 +128,26 @@ class TestWhitenedLlrSamples:
         assert err <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
-    def test_samples_are_weighted_squares_of_child_draws(self, request, rng, name):
+    def test_samples_are_weighted_squares_of_one_draw(self, request, rng, name):
         model = request.getfixturevalue(name)
         v = random_profile(rng, model)
         kappa, _ = self.spectrum(model, v)
-        children = np.random.SeedSequence(3).spawn(2)
-        for values, child, attacked in zip(
-            llr_samples(model, v, 500, 3), children, (False, True)
-        ):
-            Z = np.random.default_rng(child).standard_normal((500, model.m))
+        Z = np.random.default_rng(3).standard_normal((500, model.m))
+        for values, attacked in zip(llr_samples(model, v, 500, 3), (False, True)):
             expected = self.weighted_squares(kappa, Z, attacked)
             err = np.max(np.abs(values - expected))
             assert err <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [1, 2 * SAMPLE_CHUNK_ROWS + 5])
+    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
+    def test_attacked_never_below_clean(self, request, rng, name, n):
+        # Same z_k, weights kappa_k >= kappa_k / (1 + kappa_k): the attacked
+        # value of every draw is at least its clean value, exactly.
+        model = request.getfixturevalue(name)
+        for scale in (1e-6, 1.0, 1e6):
+            v = random_profile(rng, model, scale=scale)
+            llr_null, llr_attacked = llr_samples(model, v, n, 6)
+            assert np.all(llr_attacked >= llr_null)
 
     @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
     def test_closed_form_mean_is_kl_global(self, request, rng, name):
@@ -168,67 +173,6 @@ class TestWhitenedLlrSamples:
     def test_sample_count_validated(self, ring3_model):
         with pytest.raises(ValueError, match="n_samples"):
             llr_samples(ring3_model, np.zeros(6), 0, 1)
-
-
-class TestConcurrentDraw:
-    """llr_samples draws the clean stream on a helper thread."""
-
-    @pytest.mark.parametrize(
-        "n", [1, SAMPLE_CHUNK_ROWS - 1, SAMPLE_CHUNK_ROWS, 2 * SAMPLE_CHUNK_ROWS + 5]
-    )
-    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
-    def test_bit_identical_to_serial_draw(self, request, rng, name, n):
-        model = request.getfixturevalue(name)
-        v = random_profile(rng, model)
-        expected = serial_llr_samples(model, v, n, 5)
-        for _ in range(5):  # scheduling must not change a value
-            for got, want in zip(llr_samples(model, v, n, 5), expected):
-                np.testing.assert_array_equal(got, want)
-
-    def test_helper_failure_is_raised_and_thread_ends(self, ring3_model, monkeypatch):
-        draw = detection._draw_llr
-        failure = RuntimeError("clean draw failed")
-
-        def failing(weights, offset, seed, out, chunk):
-            if seed.spawn_key == (0,):
-                raise failure
-            draw(weights, offset, seed, out, chunk)
-
-        monkeypatch.setattr(detection, "_draw_llr", failing)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            llr_samples(ring3_model, np.ones(6), 3_000, 1)
-        assert info.value is failure
-        assert threading.active_count() == threads
-
-    def test_caller_waits_for_a_slow_helper(self, ring3_model, monkeypatch):
-        draw = detection._draw_llr
-
-        def slow(weights, offset, seed, out, chunk):
-            if seed.spawn_key == (0,):
-                time.sleep(0.05)
-            draw(weights, offset, seed, out, chunk)
-
-        monkeypatch.setattr(detection, "_draw_llr", slow)
-        threads = threading.active_count()
-        got = llr_samples(ring3_model, np.ones(6), 3_000, 1)
-        assert threading.active_count() == threads
-        expected = serial_llr_samples(ring3_model, np.ones(6), 3_000, 1)
-        for values, want in zip(got, expected):
-            np.testing.assert_array_equal(values, want)
-
-    def test_both_draws_see_the_callers_errstate(self, ring3_model, monkeypatch):
-        draw = detection._draw_llr
-        seen = {}
-
-        def recording(weights, offset, seed, out, chunk):
-            seen[seed.spawn_key] = np.geterr()["over"]
-            draw(weights, offset, seed, out, chunk)
-
-        monkeypatch.setattr(detection, "_draw_llr", recording)
-        with np.errstate(over="raise"):
-            llr_samples(ring3_model, np.ones(6), 100, 1)
-        assert seen == {(0,): "raise", (1,): "raise"}
 
 
 class TestLlrLocal:

@@ -295,3 +295,10 @@ class TestPotentialAudit:
         )
         flagged = potential_audit(doctored)
         assert flagged and flagged[0][0] == 3
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1e-9])
+    def test_threshold_validated(self, ring3_model, threshold):
+        # A NaN threshold would otherwise flag nothing: rise > nan is false.
+        _, trajectory, _ = run_brd(GameSpec(1, 2.0), ring3_model)
+        with pytest.raises(ValueError, match="threshold"):
+            potential_audit(trajectory, threshold=threshold)

@@ -137,7 +137,7 @@ class TestConvexityAndDerivative:
             model = random_desk_model(rng, m_max=7)
             v = random_profile(rng, model)
             i = int(rng.integers(0, model.m))
-            G = model.signal_cov
+            G = model.Sigma_YY - model.sigma2 * np.eye(model.m)
 
             def logdet_term(v_i):
                 w = v.copy()

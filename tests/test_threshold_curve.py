@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import stealthgame.detection as detection
 from stealthgame.cli import main
 from stealthgame.detection import error_curve, llr_samples, threshold_curve
 from stealthgame.grid import bundled_case
@@ -68,21 +67,48 @@ def test_validation():
         threshold_curve(llr, llr[:999], [1.0])
 
 
-def test_detect_samples_each_hypothesis_once(tmp_path, capsys, monkeypatch):
+def _run_game1(tmp_path, lam="2"):
     prefix = tmp_path / "eq"
-    assert main(["run", *MODEL_FLAGS, "--game", "1", "--lambda", "2",
+    assert main(["run", *MODEL_FLAGS, "--game", "1", "--lambda", lam,
                  "--out", str(prefix)]) == 0
-    calls = []
-    draw = detection._draw_llr
+    return f"{prefix}.ne.json"
 
-    def counting(weights, offset, seed, out, chunk):
-        calls.append(seed.spawn_key)
-        draw(weights, offset, seed, out, chunk)
 
-    monkeypatch.setattr(detection, "_draw_llr", counting)
-    assert main(["detect", *MODEL_FLAGS, "--ne", f"{prefix}.ne.json",
+def test_detect_draws_the_normals_once(tmp_path, capsys, monkeypatch):
+    ne = _run_game1(tmp_path)
+    seeds, drawn = [], []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            seeds.append(seed)
+            self._rng = default_rng(seed)
+
+        def standard_normal(self, *args, out, **kwargs):
+            drawn.append(out.size)
+            return self._rng.standard_normal(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    assert main(["detect", *MODEL_FLAGS, "--ne", ne,
                  "--samples", "2000", "--seed", "4",
                  "--out", str(tmp_path / "roc.csv")]) == 0
-    # The clean and attacked child seeds, once each, in either order: the
-    # two hypotheses are drawn concurrently.
-    assert sorted(calls) == [(0,), (1,)]
+    # One generator, and one n-by-m block of normals for both hypotheses.
+    assert seeds == [4]
+    assert sum(drawn) == 2000 * 18
+
+
+def test_detect_errors_never_sum_above_one(tmp_path, capsys):
+    # A weak attack (AUC about 0.55) keeps the curve near chance, where
+    # independent clean and attacked draws would cross it.
+    ne = _run_game1(tmp_path, lam="10")
+    out = tmp_path / "roc.csv"
+    n = 10_000
+    assert main(["detect", *MODEL_FLAGS, "--ne", ne, "--samples", str(n),
+                 "--seed", "2", "--out", str(out)]) == 0
+    rows = [line for line in out.read_text().splitlines()
+            if line and not line.startswith(("#", "tau"))]
+    assert len(rows) == 101
+    for row in rows:
+        _, alpha_hat, beta_hat = map(float, row.split(","))
+        # Compare counts: alpha_hat and beta_hat are multiples of 1/n.
+        assert round(alpha_hat * n) + round(beta_hat * n) <= n
