@@ -221,33 +221,19 @@ def build_dc_jacobian(net: BusNetwork) -> JacobianMatrix:
     the column of the to-bus angle (slack column dropped); injection
     rows are the signed sums of their incident flow rows.
     """
-    n = net.n_bus - 1
-    col_of_bus = {}
-    col = 0
-    for bus in range(1, net.n_bus + 1):
-        if bus != net.slack:
-            col_of_bus[bus] = col
-            col += 1
-
     n_branch = len(net.branches)
-    m = n_branch + net.n_bus
-    H = np.zeros((m, n))
-    labels = []
+    # One column per bus angle until the slack column is dropped at the end.
+    H = np.zeros((n_branch + net.n_bus, net.n_bus))
     for k, br in enumerate(net.branches):
-        if br.from_bus in col_of_bus:
-            H[k, col_of_bus[br.from_bus]] += br.susceptance
-        if br.to_bus in col_of_bus:
-            H[k, col_of_bus[br.to_bus]] -= br.susceptance
-        labels.append(f"flow({br.from_bus},{br.to_bus})")
-    for bus in range(1, net.n_bus + 1):
-        row = n_branch + bus - 1
-        for k, br in enumerate(net.branches):
-            if br.from_bus == bus:
-                H[row] += H[k]
-            elif br.to_bus == bus:
-                H[row] -= H[k]
-        labels.append(f"injection({bus})")
-    return JacobianMatrix(H=H, row_labels=tuple(labels))
+        H[k, br.from_bus - 1] = br.susceptance
+        H[k, br.to_bus - 1] = -br.susceptance
+        H[n_branch + br.from_bus - 1] += H[k]
+        H[n_branch + br.to_bus - 1] -= H[k]
+    labels = [f"flow({br.from_bus},{br.to_bus})" for br in net.branches]
+    labels += [f"injection({bus})" for bus in range(1, net.n_bus + 1)]
+    return JacobianMatrix(
+        H=np.delete(H, net.slack - 1, axis=1), row_labels=tuple(labels)
+    )
 
 
 def load_matrix(text: str) -> JacobianMatrix:

@@ -23,6 +23,9 @@ PSD_TOL = 1e-12  # absolute eigenvalue slack when validating covariances
 # A rank-one update whose pivot 1 + dq is below this refines M^{-1} b_i
 # first: the update amplifies its error by about 1 / (1 + dq).
 REFINE_PIVOT = 0.25
+# build_model rejects a model whose kernel gain gamma_i(0) has kept fewer
+# than 4 bits, i.e. is off its cancellation-free value by more than this.
+GAIN0_RTOL = 2.0**-4
 
 __all__ = [
     "StatePriorSpec",
@@ -74,7 +77,16 @@ def calibrate_noise(H: np.ndarray, Sigma_XX: np.ndarray, snr_db_target: float) -
     signal = float(np.trace(H @ Sigma_XX @ H.T))
     if signal <= 0:
         raise ValueError("tr(H Sigma_XX H^T) must be positive to set an SNR")
-    return signal / (m * 10.0 ** (snr_db_target / 10.0))
+    try:
+        sigma2 = signal / (m * 10.0 ** (snr_db_target / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = 0.0
+    if not 0.0 < sigma2 < math.inf:  # also a NaN or infinite SNR
+        raise ValueError(
+            f"SNR must be finite and give a noise variance within double "
+            f"range, got {snr_db_target} dB"
+        )
+    return sigma2
 
 
 @dataclass(frozen=True)
@@ -85,14 +97,18 @@ class MeasurementModel:
     reads the cached ``Sigma_YY`` factorization rather than refactoring.
 
     Cached fields: ``chol_YY`` is the lower Cholesky factor of
-    ``Sigma_YY``; ``logdet_YY`` its log-determinant; ``inv_diag_YY`` the
-    diagonal of ``Sigma_YY^{-1}``; ``s`` the diagonal of ``Sigma_YY``;
-    ``c`` the diagonal of ``H Sigma_XX H^T`` (so ``s = c + sigma2``);
-    ``B`` is ``H L`` for a factor ``Sigma_XX = L L^T`` (from ``eigh``, so
-    singular priors work); ``logdet_M0`` is the log-determinant of the
-    kernel matrix ``M(0)``; and ``gain0`` holds each player's gain
-    ``gamma_i(0)`` with every other measurement clean, read from the
-    kernel at ``v = 0``.
+    ``Sigma_YY``, the factor detection draws and whitens with, and its
+    only positive-definiteness check; ``logdet_YY`` its log-determinant;
+    ``s`` the diagonal of ``Sigma_YY``; ``c`` the diagonal of
+    ``H Sigma_XX H^T`` (so ``s = c + sigma2``); ``B`` is ``H L`` for a
+    factor ``Sigma_XX = L L^T`` (from ``eigh``, so singular priors work);
+    ``logdet_M0`` is the log-determinant of the kernel matrix ``M(0)``;
+    ``gain0`` holds each player's gain ``gamma_i(0)`` with every other
+    measurement clean, read from the kernel at ``v = 0``; and
+    ``inv_diag_YY``, the diagonal of ``Sigma_YY^{-1}``, is
+    ``1 / (sigma2 + gamma_i(0))`` (Sherman-Morrison on that kernel), with
+    ``gamma_i(0)`` formed from the factor of ``M(0)`` without the
+    cancellation that ``gain0`` carries.
     """
 
     H: np.ndarray
@@ -150,20 +166,42 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
     if not np.all(np.isfinite(signal_cov)):
         raise ValueError("H Sigma_XX H^T overflows: H or Sigma_XX entries too large")
     Sigma_YY = signal_cov + sigma2 * np.eye(m)
-    chol_YY, logdet_YY = chol_logdet(Sigma_YY)
-    # Sigma_YY^{-1} = L^{-T} L^{-1}: its diagonal holds the column sums
-    # of the squared entries of L^{-1}.
-    inv_chol_YY = np.linalg.inv(chol_YY)
     # The weights, hence the log-determinant and gains, of a kernel at
     # v = 0, so that kl_global(model, 0) is exactly 0 and the gain
     # differences gamma_i(v) - gamma_i(0) of the best responses are exactly
     # 0 while a kernel is at v = 0: each gain is formed as
-    # PosteriorKernel.gain forms it.  (1/beta_i - sigma2 agrees with
-    # gamma_i(0) only to about 1e-12.)
+    # PosteriorKernel.gain forms it.
     w0 = np.full(m, 1.0 / sigma2)
-    chol_M0, logdet_M0 = chol_logdet(posterior_matrix(B, w0))
+    try:
+        chol_YY, logdet_YY = chol_logdet(Sigma_YY)
+        chol_M0, logdet_M0 = chol_logdet(posterior_matrix(B, w0))
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"Sigma_YY or the kernel matrix M(0) is not numerically positive "
+            f"definite: sigma2 {sigma2} is too small for this H and Sigma_XX"
+        ) from None
     inv_M0 = chol_inverse(chol_M0)
     q0 = np.array([B[i] @ (inv_M0 @ B[i]) for i in range(m)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain0 = q0 / (1.0 - w0 * q0)
+    # gamma_i(0) again, for diag(Sigma_YY^{-1}), without the cancellation
+    # in 1 - w_i q_i that costs gain0 about log10(1 + gamma_i / sigma2)
+    # digits: with x_i = M(0)^{-1} b_i, M(0) x_i = b_i gives
+    # q_i (1 - q_i / sigma2) = |x_i|^2 + sum_{j != i} (b_j . x_i)^2 / sigma2.
+    X = np.linalg.solve(chol_M0.T, np.linalg.solve(chol_M0, B.T))
+    P = B @ X
+    q = np.diag(P).copy()
+    np.fill_diagonal(P, 0.0)
+    den = np.sum(X * X, axis=0) + np.sum(P * P, axis=0) / sigma2
+    gain0_exact = np.divide(q * q, den, out=np.zeros(m), where=den > 0)
+    ok = np.abs(gain0 - gain0_exact) <= GAIN0_RTOL * gain0_exact
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"sigma2 {sigma2} is too small: measurement {i} gets the gain "
+            f"gamma_i(0) = {gain0[i]:.3e}, more than 2^-4 off its "
+            f"cancellation-free value {gain0_exact[i]:.3e}"
+        )
     return MeasurementModel(
         H=H,
         sigma2=sigma2,
@@ -171,12 +209,12 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         Sigma_YY=Sigma_YY,
         chol_YY=chol_YY,
         logdet_YY=logdet_YY,
-        inv_diag_YY=np.sum(inv_chol_YY**2, axis=0),
+        inv_diag_YY=1.0 / (sigma2 + gain0_exact),
         s=np.diag(Sigma_YY).copy(),
         c=np.diag(signal_cov).copy(),
         B=B,
         logdet_M0=logdet_M0,
-        gain0=q0 / (1.0 - w0 * q0),
+        gain0=gain0,
     )
 
 

@@ -11,7 +11,8 @@ generative model and average log-density ratios; the numeric
 best-response minimizer ``br_numeric`` touches only ``games.cost``,
 never the quadratic or cubic solvers.  The ``mp_*`` references redo
 best responses and best-response dynamics in 50-digit mpmath
-arithmetic from the cost derivatives, not from the solvers' polynomials.
+arithmetic from the cost derivatives, not from the solvers' polynomials,
+and ``kl_global`` from the m-by-m matrix ``sigma2 I + B B^T``.
 ``llr_local``, the scalar LLR of one measurement, is the Monte-Carlo
 oracle for the package's ``kl_local``.
 """
@@ -25,6 +26,7 @@ import numpy as np
 
 from stealthgame.bestresponse import V_MAX, BRContext
 from stealthgame.games import GameSpec, cost
+from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
 from stealthgame.model import (
     MeasurementModel,
     StatePriorSpec,
@@ -51,6 +53,32 @@ def random_desk_model(rng, m_max=10, n_max=6):
     rho = float(rng.uniform(0.0, 0.95))
     Sigma_XX = toeplitz_cov(StatePriorSpec(n, rho))
     snr = float(rng.uniform(5.0, 25.0))
+    return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
+
+
+def ieee9_model_at(snr: float) -> MeasurementModel:
+    """Bundled 9-bus case with rho = 0.9 and the noise of an SNR in dB."""
+    with open(bundled_case("ieee9"), encoding="utf-8") as fh:
+        H = build_dc_jacobian(parse_network(fh.read())).H
+    Sigma_XX = toeplitz_cov(StatePriorSpec(H.shape[1], 0.9))
+    return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
+
+
+def low_redundancy_model(shape: str, snr: float) -> MeasurementModel:
+    """A model whose measurements share little or no information: H = I
+    (2-by-2), a random square or wide H, or a tall H with a critical row
+    (the only measurement of the last state)."""
+    rng = np.random.default_rng(0)
+    if shape == "identity":
+        H, Sigma_XX = np.eye(2), np.eye(2)
+    elif shape == "square":
+        H, Sigma_XX = rng.standard_normal((5, 5)), toeplitz_cov(StatePriorSpec(5, 0.5))
+    elif shape == "wide":
+        H, Sigma_XX = rng.standard_normal((3, 6)), toeplitz_cov(StatePriorSpec(6, 0.9))
+    else:
+        H = np.vstack([np.eye(6, 4) + rng.standard_normal((6, 4)), np.eye(1, 4, 3)])
+        H[:6, 3] = 0.0
+        Sigma_XX = np.eye(4)
     return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
 
 
@@ -476,3 +504,28 @@ def mp_profile_responses(model, spec: GameSpec, v):
         return np.array(
             [float(_mp_response(model, spec, data, v, i)) for i in range(model.m)]
         )
+
+
+def mp_clean_cov(model):
+    """sigma2 I + B B^T, the clean covariance the kernel is built from, as
+    an mpmath matrix at the working precision."""
+    B = mpmath.matrix(model.B.tolist())
+    return B * B.T + mpmath.mpf(model.sigma2) * mpmath.eye(model.m)
+
+
+def mp_inv_diag(model) -> np.ndarray:
+    """diag((sigma2 I + B B^T)^{-1}) at MP_DPS digits, as floats."""
+    with mpmath.workdps(MP_DPS):
+        inv = mpmath.inverse(mp_clean_cov(model))
+        return np.array([float(inv[i, i]) for i in range(model.m)])
+
+
+def mp_kl_global(model, v) -> float:
+    """(1/2)(log det S - log det(S + V) + tr(S^{-1} V)) at MP_DPS digits,
+    with S = :func:`mp_clean_cov` and V = diag(v)."""
+    with mpmath.workdps(MP_DPS):
+        S = mp_clean_cov(model)
+        V = mpmath.diag([mpmath.mpf(float(x)) for x in v])
+        inv = mpmath.inverse(S)
+        trace = sum(inv[i, i] * V[i, i] for i in range(model.m))
+        return float((mpmath.log(mpmath.det(S) / mpmath.det(S + V)) + trace) / 2)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
+from stealthgame.grid import build_dc_jacobian, parse_network
 from stealthgame.model import (
     StatePriorSpec,
     build_model,
     calibrate_noise,
     toeplitz_cov,
 )
+
+from _helpers import ieee9_model_at
 
 RING3_TEXT = "bus 3\nslack 1\nbranch 1 2 1.0\nbranch 2 3 1.0\nbranch 1 3 1.0\n"
 
@@ -29,11 +31,7 @@ def ring3_model():
 @pytest.fixture(scope="session")
 def ieee9_model():
     """Bundled 9-bus case (m=18, n=8), rho=0.9, SNR 30 dB."""
-    with open(bundled_case("ieee9"), encoding="utf-8") as fh:
-        net = parse_network(fh.read())
-    H = build_dc_jacobian(net).H
-    Sigma_XX = toeplitz_cov(StatePriorSpec(8, 0.9))
-    return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, 30.0))
+    return ieee9_model_at(30.0)
 
 
 @pytest.fixture

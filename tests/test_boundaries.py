@@ -19,9 +19,9 @@ from stealthgame.grid import (
     parse_network,
 )
 from stealthgame.metrics import kl_local, mi_local
-from stealthgame.model import build_model
+from stealthgame.model import build_model, calibrate_noise
 
-from _helpers import llr_local
+from _helpers import ieee9_model_at, llr_local
 
 MODEL_FLAGS = ["--case", bundled_case("ieee9"), "--rho", "0.9", "--snr-db", "30"]
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -220,6 +220,52 @@ class TestNonFiniteModelInput:
         assert rc == 4
         assert out == ""
         assert "sigma2" in err and "reciprocal overflows" in err
+
+    def test_build_model_names_sigma_yy_when_noise_is_too_small(self):
+        model = ieee9_model_at(30.0)
+        with pytest.raises(ValueError, match="Sigma_YY .*sigma2 1e-20"):
+            build_model(model.H, model.Sigma_XX, 1e-20)
+
+    def test_build_model_names_the_kernel_matrix_when_noise_is_too_small(self):
+        # One measurement of five states: Sigma_YY is 1-by-1 and factors,
+        # but rounding leaves I + B^T B / sigma2 a nonpositive pivot.
+        with pytest.raises(ValueError, match=r"M\(0\) .*sigma2 1e-14"):
+            build_model([[10.0, 20.0, 30.0, 40.0, 50.0]], np.eye(5), 1e-14)
+
+    @pytest.mark.parametrize("noise", [["--sigma2", "1e-20"], ["--snr-db", "400"]])
+    def test_build_exits_4_when_noise_is_too_small(self, capfd, noise):
+        rc = main(["build", *MODEL_FLAGS[:4], *noise])
+        out, err = capfd.readouterr()
+        assert rc == 4
+        assert out == ""
+        assert "Sigma_YY" in err and "sigma2" in err
+
+    def test_build_exits_4_when_a_gain_keeps_too_few_bits(self, tmp_path, capfd):
+        # The square H of test_model's guard test, whose gain0 is 22% off
+        # at sigma2 = 1e-14.
+        H = np.random.default_rng(0).standard_normal((5, 5))
+        path = tmp_path / "h.txt"
+        rows = (" ".join(repr(float(x)) for x in row) for row in H)
+        path.write_text("\n".join(rows))
+        rc = main(["build", "--h-matrix", str(path), "--rho", "0.5",
+                   "--sigma2", "1e-14"])
+        out, err = capfd.readouterr()
+        assert rc == 4
+        assert out == ""
+        assert "sigma2 1e-14" in err and "gamma_i(0)" in err
+
+    @pytest.mark.parametrize("snr", [*NON_FINITE, 4000.0, -4000.0])
+    def test_calibrate_noise_rejects_snr(self, snr):
+        with pytest.raises(ValueError, match="SNR"):
+            calibrate_noise(np.eye(2), np.eye(2), snr)
+
+    @pytest.mark.parametrize("snr", ["inf", "nan", "-inf", "4000"])
+    def test_build_exits_4_on_snr(self, capfd, snr):
+        rc = main(["build", *MODEL_FLAGS[:4], f"--snr-db={snr}"])
+        out, err = capfd.readouterr()
+        assert rc == 4
+        assert out == ""
+        assert "SNR" in err
 
     @pytest.mark.parametrize("value", ["x:inf", "x:nan", "x:-inf"])
     def test_nonfinite_reactance_names_the_line(self, value):

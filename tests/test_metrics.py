@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from stealthgame.dynamics import run_brd
+from stealthgame.games import GameSpec
 from stealthgame.metrics import kl_global, kl_local, mi_global, mi_local
 from stealthgame.model import build_model
 
 from _helpers import (
+    ieee9_model_at,
+    low_redundancy_model,
     mc_kl_oracle,
     mc_mi_oracle,
+    mp_kl_global,
     oracle_mi_joint,
     oracle_mi_local_joint,
     random_desk_model,
@@ -114,6 +119,26 @@ class TestKlGlobal:
         estimate = mc_kl_oracle(ring3_model, v, 100_000, seed=7)
         closed = kl_global(ring3_model, v)
         assert abs(closed - estimate.value) <= 3.0 * estimate.std_error
+
+    @pytest.mark.parametrize("game", [1, 2, 3])
+    def test_ne_matches_50_digit_reference(self, game):
+        # The 9-bus lambda = 2 equilibria at 30 and 50 dB.
+        for snr in (30.0, 50.0):
+            model = ieee9_model_at(snr)
+            v_star, _, _ = run_brd(GameSpec(game, 2.0), model)
+            assert kl_global(model, v_star) == pytest.approx(
+                mp_kl_global(model, v_star), rel=5e-14, abs=0
+            )
+
+    @pytest.mark.parametrize("shape", ["identity", "square", "critical"])
+    def test_matches_50_digit_reference_without_redundancy(self, shape):
+        # Attacks as large as the clean variances, at 60 to 80 dB.  (A wide
+        # H is left out: there log det M(0) - log det M(v) loses digits.)
+        for snr in (60.0, 70.0, 80.0):
+            model = low_redundancy_model(shape, snr)
+            assert kl_global(model, model.s) == pytest.approx(
+                mp_kl_global(model, model.s), rel=5e-14, abs=0
+            )
 
 
 class TestKlLocal:

@@ -13,7 +13,13 @@ from stealthgame.model import (
     toeplitz_cov,
 )
 
-from _helpers import random_desk_model, random_profile
+from _helpers import (
+    ieee9_model_at,
+    low_redundancy_model,
+    mp_inv_diag,
+    random_desk_model,
+    random_profile,
+)
 
 
 class TestToeplitzCov:
@@ -116,6 +122,46 @@ class TestBuildModel:
         )
         inv = np.linalg.inv(ring3_model.Sigma_YY)
         np.testing.assert_allclose(ring3_model.inv_diag_YY, np.diag(inv), rtol=1e-10)
+
+    def test_inv_diag_matches_50_digit_inverse(self):
+        # diag((sigma2 I + B B^T)^{-1}) at 50 digits, from 10 to 70 dB.
+        for snr in (10.0, 30.0, 50.0, 70.0):
+            model = ieee9_model_at(snr)
+            np.testing.assert_allclose(
+                model.inv_diag_YY, mp_inv_diag(model), rtol=1e-14, atol=0
+            )
+
+    @pytest.mark.parametrize("shape", ["identity", "square", "wide", "critical"])
+    def test_inv_diag_matches_50_digit_inverse_without_redundancy(self, shape):
+        # Here gamma_i(0) is of signal size, so 1 - w_i q_i is about
+        # 1 / SNR and gain0 keeps only some of its digits.
+        for snr in (60.0, 70.0, 80.0):
+            model = low_redundancy_model(shape, snr)
+            np.testing.assert_allclose(
+                model.inv_diag_YY, mp_inv_diag(model), rtol=1e-14, atol=0
+            )
+
+    def test_inv_diag_keeps_its_digits_when_gain0_loses_them(self):
+        # A square H at sigma2 = 1e-13, just above the rejection threshold:
+        # gain0 is about 5e-3 off, within GAIN0_RTOL.
+        H = np.random.default_rng(0).standard_normal((5, 5))
+        model = build_model(H, toeplitz_cov(StatePriorSpec(5, 0.5)), 1e-13)
+        np.testing.assert_allclose(
+            model.inv_diag_YY, mp_inv_diag(model), rtol=1e-14, atol=0
+        )
+
+    @pytest.mark.parametrize(
+        "seed, sigma2", [(0, 1e-16), (1, 1e-15), (0, 1e-14)]
+    )
+    def test_rejects_gain_that_kept_too_few_bits(self, seed, sigma2):
+        # A square H at tiny sigma2: Sigma_YY still factors, but the
+        # rounding in 1 - w_i q_i leaves gamma_i(0) negative (1e-16),
+        # infinite (1e-15) or positive and 22% off (1e-14).
+        H = np.random.default_rng(seed).standard_normal((5, 5))
+        with pytest.raises(
+            ValueError, match=rf"sigma2 {sigma2} .*measurement \d+ .*gamma_i\(0\)"
+        ):
+            build_model(H, toeplitz_cov(StatePriorSpec(5, 0.5)), sigma2)
 
 
 class TestAttackedCov:
