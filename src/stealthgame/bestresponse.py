@@ -48,15 +48,11 @@ from fractions import Fraction
 import numpy as np
 
 from .games import GameSpec
-from .model import MeasurementModel, as_profile, check_index, posterior_matrix
+from .model import CANCELLED, MeasurementModel, as_profile, check_index, posterior_matrix
 
 V_MAX = 1e12  # the best response of games 2 and 3 at lam = 0
 _NEWTON_RTOL = 2.0**-50  # relative size of the step that ends the iteration
 _NEWTON_MAX_ITER = 100
-# The constants of games 1 and 2 are recomputed in exact rational
-# arithmetic, and rounded once, when they have lost more than 4 bits to
-# cancellation; near-zero best responses then keep full precision.
-_CANCELLED = 2.0**-4
 
 __all__ = [
     "BRContext",
@@ -147,7 +143,7 @@ def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     B = sigma2 + d
     gain_term = sigma2 * d
     C = gain_term - gamma * (sigma2 + gamma0) / lam
-    if abs(C) < _CANCELLED * gain_term:
+    if abs(C) < CANCELLED * gain_term:  # recompute exactly, rounded once
         s2, g, g0 = Fraction(sigma2), Fraction(gamma), Fraction(gamma0)
         C = float(s2 * (g - g0) - g * (s2 + g0) / Fraction(lam))
     if C >= 0.0:
@@ -238,7 +234,7 @@ def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
     rho, b2, b1, b0, xyz = _scaled_cubic(
         (sigma2, ctx.s, gamma - gamma0), ctx.c * (sigma2 + gamma0), lam, sigma2 + gamma
     )
-    if abs(b0) < _CANCELLED * xyz:
+    if abs(b0) < CANCELLED * xyz:  # recompute exactly, rounded once
         s2, g, g0 = Fraction(sigma2), Fraction(gamma), Fraction(gamma0)
         exact = s2 * Fraction(ctx.s) * (g - g0) - Fraction(ctx.c) * (s2 + g0) * (
             s2 + g

@@ -23,9 +23,9 @@ PSD_TOL = 1e-12  # absolute eigenvalue slack when validating covariances
 # A rank-one update whose pivot 1 + dq is below this refines M^{-1} b_i
 # first: the update amplifies its error by about 1 / (1 + dq).
 REFINE_PIVOT = 0.25
-# build_model rejects a model whose kernel gain gamma_i(0) has kept fewer
-# than 4 bits, i.e. is off its cancellation-free value by more than this.
-GAIN0_RTOL = 2.0**-4
+# A difference smaller than this share of its terms has lost more than
+# 4 bits to cancellation.
+CANCELLED = 2.0**-4
 
 __all__ = [
     "StatePriorSpec",
@@ -38,6 +38,7 @@ __all__ = [
     "chol_logdet",
     "chol_inverse",
     "posterior_matrix",
+    "kernel_gain",
     "PosteriorKernel",
 ]
 
@@ -103,12 +104,11 @@ class MeasurementModel:
     ``H Sigma_XX H^T`` (so ``s = c + sigma2``); ``B`` is ``H L`` for a
     factor ``Sigma_XX = L L^T`` (from ``eigh``, so singular priors work);
     ``logdet_M0`` is the log-determinant of the kernel matrix ``M(0)``;
-    ``gain0`` holds each player's gain ``gamma_i(0)`` with every other
-    measurement clean, read from the kernel at ``v = 0``; and
-    ``inv_diag_YY``, the diagonal of ``Sigma_YY^{-1}``, is
-    ``1 / (sigma2 + gamma_i(0))`` (Sherman-Morrison on that kernel), with
-    ``gamma_i(0)`` formed from the factor of ``M(0)`` without the
-    cancellation that ``gain0`` carries.
+    and ``gain0`` holds each player's gain ``gamma_i(0)`` with every other
+    measurement clean, formed by :func:`kernel_gain` from ``M(0)^{-1}``
+    exactly as a kernel at ``v = 0`` forms it.  By Sherman-Morrison on
+    that kernel, ``1 / (sigma2 + gamma_i(0))`` is the i-th diagonal entry
+    of ``Sigma_YY^{-1}``.
     """
 
     H: np.ndarray
@@ -117,7 +117,6 @@ class MeasurementModel:
     Sigma_YY: np.ndarray
     chol_YY: np.ndarray = field(repr=False)
     logdet_YY: float = field(repr=False)
-    inv_diag_YY: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
@@ -181,27 +180,8 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
             f"definite: sigma2 {sigma2} is too small for this H and Sigma_XX"
         ) from None
     inv_M0 = chol_inverse(chol_M0)
-    q0 = np.array([B[i] @ (inv_M0 @ B[i]) for i in range(m)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain0 = q0 / (1.0 - w0 * q0)
-    # gamma_i(0) again, for diag(Sigma_YY^{-1}), without the cancellation
-    # in 1 - w_i q_i that costs gain0 about log10(1 + gamma_i / sigma2)
-    # digits: with x_i = M(0)^{-1} b_i, M(0) x_i = b_i gives
-    # q_i (1 - q_i / sigma2) = |x_i|^2 + sum_{j != i} (b_j . x_i)^2 / sigma2.
-    X = np.linalg.solve(chol_M0.T, np.linalg.solve(chol_M0, B.T))
-    P = B @ X
-    q = np.diag(P).copy()
-    np.fill_diagonal(P, 0.0)
-    den = np.sum(X * X, axis=0) + np.sum(P * P, axis=0) / sigma2
-    gain0_exact = np.divide(q * q, den, out=np.zeros(m), where=den > 0)
-    ok = np.abs(gain0 - gain0_exact) <= GAIN0_RTOL * gain0_exact
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ValueError(
-            f"sigma2 {sigma2} is too small: measurement {i} gets the gain "
-            f"gamma_i(0) = {gain0[i]:.3e}, more than 2^-4 off its "
-            f"cancellation-free value {gain0_exact[i]:.3e}"
-        )
+    us = [inv_M0 @ b for b in B]
+    gain0 = [kernel_gain(B, w0, inv_M0, i, u, float(B[i] @ u)) for i, u in enumerate(us)]
     return MeasurementModel(
         H=H,
         sigma2=sigma2,
@@ -209,12 +189,11 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         Sigma_YY=Sigma_YY,
         chol_YY=chol_YY,
         logdet_YY=logdet_YY,
-        inv_diag_YY=1.0 / (sigma2 + gain0_exact),
         s=np.diag(Sigma_YY).copy(),
         c=np.diag(signal_cov).copy(),
         B=B,
         logdet_M0=logdet_M0,
-        gain0=gain0,
+        gain0=np.array(gain0),
     )
 
 
@@ -275,22 +254,46 @@ def posterior_matrix(B: np.ndarray, w: np.ndarray) -> np.ndarray:
     return M
 
 
+def _refine(B: np.ndarray, w: np.ndarray, inv: np.ndarray, i: int, u: np.ndarray):
+    """u = M^{-1} b_i after one step of iterative refinement against M, in O(m n)."""
+    return u + inv @ (B[i] - u - B.T @ (w * (B @ u)))
+
+
+def kernel_gain(B, w, inv, i: int, u: np.ndarray, q: float) -> float:
+    """gamma_i from u = M^{-1} b_i and q = b_i . u, for M = I + B^T diag(w) B.
+
+    Sherman-Morrison gives ``gamma_i = q / (1 - w_i q)``.  When that
+    difference would lose more than 4 bits (``w_i q > 1 - CANCELLED``), u
+    is refined once against M, and ``M u = b_i`` gives the same gain as
+    ``q^2 / (|u|^2 + sum_{j != i} w_j (b_j . u)^2)``, a ratio of sums of
+    squares, in O(m n).
+    """
+    wq = w[i] * q
+    if wq <= 1.0 - CANCELLED:
+        return q / (1.0 - wq)
+    u = _refine(B, w, inv, i, u)
+    q = float(B[i] @ u)
+    Bu = B @ u
+    Bu[i] = 0.0
+    return q * q / (u @ u + w @ (Bu * Bu))
+
+
 class PosteriorKernel:
     """Inverse and log-determinant of M(v) = I + B^T diag(w) B.
 
     Here ``w_j = 1 / (sigma2 + v_j)`` and ``B = H L``.  By the matrix
     determinant lemma ``log det M`` is ``log det(Sigma_YY + diag(v)) -
     sum_j log(sigma2 + v_j)``, so it gives both global metrics.  For
-    player i with ``q = b_i^T M^{-1} b_i`` (b_i the i-th row of B),
-    Sherman-Morrison gives the gain of the other players' measurements,
-    ``gamma_i = q / (1 - w_i q)``; ``alpha_i = 1 / (sigma2 + gamma_i)``.
+    player i, :func:`kernel_gain` forms the gain of the other players'
+    measurements, ``gamma_i``, from ``M^{-1} b_i`` (b_i the i-th row of B);
+    ``alpha_i = 1 / (sigma2 + gamma_i)``.
 
     :meth:`update` moves one player in O(n^2), reusing the ``M^{-1} b_i``
     of a preceding :meth:`gain` call for the same player; :meth:`refactor`
-    rebuilds from the profile in O(m n^2 + n^3).  ``gamma_i`` loses about
-    ``log10(1 + w_i gamma_i)`` digits to the cancellation in ``1 - w_i q``.
-    The sums ``sum_j log1p(v_j / sigma2)`` and ``v . diag(Sigma_YY^{-1})``
-    that :attr:`kl` needs are kept as running totals, so :attr:`mi` and
+    rebuilds from the profile in O(m n^2 + n^3).  The sums
+    ``sum_j log1p(v_j / sigma2)`` and ``v . diag(Sigma_YY^{-1})`` that
+    :attr:`kl` needs are kept as running totals, with
+    ``diag(Sigma_YY^{-1}) = 1 / (sigma2 + gain0)``, so :attr:`mi` and
     :attr:`kl` are O(1); :meth:`refactor` recomputes them.
 
     Attributes: ``v`` (the kernel's own copy of the profile), ``w``,
@@ -309,7 +312,7 @@ class PosteriorKernel:
         chol, self.logdet = chol_logdet(posterior_matrix(model.B, self.w))
         self.inv = chol_inverse(chol)
         self._log_sum = float(np.sum(np.log1p(self.v / model.sigma2)))
-        self._lin_sum = float(self.v @ model.inv_diag_YY)
+        self._lin_sum = float(self.v @ (1.0 / (model.sigma2 + model.gain0)))
         self._column = None
 
     def _solve_row(self, i: int) -> tuple[np.ndarray, float]:
@@ -322,14 +325,15 @@ class PosteriorKernel:
 
     def gain(self, i: int) -> float:
         """gamma_i: variance of (H x)_i given the other attacked measurements."""
-        _, q = self._solve_row(i)
-        return q / (1.0 - self.w[i] * q)
+        u, q = self._solve_row(i)
+        return kernel_gain(self.model.B, self.w, self.inv, i, u, q)
 
     def gains(self) -> np.ndarray:
         """gamma_i for every player at once."""
         B = self.model.B
-        q = np.einsum("ij,ij->i", B @ self.inv, B)
-        return q / (1.0 - self.w * q)
+        w, inv, U = self.w, self.inv, B @ self.inv
+        q = np.einsum("ij,ij->i", U, B)
+        return np.array([kernel_gain(B, w, inv, i, U[i], q[i]) for i in range(len(q))])
 
     def update(self, i: int, v_i: float) -> None:
         """Set player i's variance to v_i by a rank-one update.
@@ -337,26 +341,33 @@ class PosteriorKernel:
         When the update's pivot ``1 + dq`` is below :data:`REFINE_PIVOT`,
         one step of iterative refinement against ``M`` (applied as
         ``I + B^T diag(w) B``, O(m n)) first removes the drift of
-        ``M^{-1} b_i``, which the update would amplify.
+        ``M^{-1} b_i``, which the update would amplify.  Raises
+        ``numpy.linalg.LinAlgError``, and leaves the kernel as it was,
+        when rounding leaves that pivot nonpositive.
         """
         model = self.model
         v_old, w_old = self.v[i], self.w[i]
         w_i = 1.0 / (model.sigma2 + v_i)
-        # log1p(v_i / sigma2) - log1p(v_old / sigma2) in one logarithm.
-        self._log_sum += math.log1p((v_i - v_old) * w_old)
-        self._lin_sum += (v_i - v_old) * float(model.inv_diag_YY[i])
         # The new w_i minus the old one, without cancellation.
         delta = (v_old - v_i) * w_i * w_old
         if delta != 0.0:
             u, q = self._solve_row(i)
-            self._column = None
             if 1.0 + delta * q < REFINE_PIVOT:
-                B, b = model.B, model.B[i]
-                u = u + self.inv @ (b - u - B.T @ (self.w * (B @ u)))
-                q = float(b @ u)
+                u = _refine(model.B, self.w, self.inv, i, u)
+                q = float(model.B[i] @ u)
             dq = delta * q
+            if not 1.0 + dq > 0.0:
+                raise np.linalg.LinAlgError(
+                    f"the kernel update of player {i} is singular at sigma2 "
+                    f"{model.sigma2}: its pivot 1 + dq = {1.0 + dq:.3e} is not "
+                    f"positive"
+                )
+            self._column = None
             self.inv -= np.outer((delta / (1.0 + dq)) * u, u)
             self.logdet += math.log1p(dq)
+        # log1p(v_i / sigma2) - log1p(v_old / sigma2) in one logarithm.
+        self._log_sum += math.log1p((v_i - v_old) * w_old)
+        self._lin_sum += (v_i - v_old) * (1.0 / (model.sigma2 + model.gain0[i]))
         self.v[i] = v_i
         self.w[i] = w_i
 

@@ -456,6 +456,15 @@ def mp_gain(B, sigma2, v, i: int):
     return (b_i.T * mpmath.lu_solve(M, b_i))[0]
 
 
+def mp_gains(model, v) -> np.ndarray:
+    """Every player's gain gamma_i at v, at MP_DPS digits, as floats."""
+    with mpmath.workdps(MP_DPS):
+        B = mpmath.matrix(model.B.tolist())
+        sigma2 = mpmath.mpf(model.sigma2)
+        v = [mpmath.mpf(float(x)) for x in v]
+        return np.array([float(mp_gain(B, sigma2, v, i)) for i in range(model.m)])
+
+
 def _mp_kernel_data(model):
     """The kernel's B and sigma2, and every gamma_i(0), as mpmath values."""
     B = mpmath.matrix(model.B.tolist())

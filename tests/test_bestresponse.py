@@ -16,6 +16,7 @@ from stealthgame.bestresponse import (
 from stealthgame.games import GameSpec, cost
 from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
 from stealthgame.model import (
+    CANCELLED,
     PosteriorKernel,
     StatePriorSpec,
     build_model,
@@ -26,6 +27,7 @@ from stealthgame.model import (
 from _helpers import (
     BracketError,
     br_numeric,
+    low_redundancy_model,
     mp_best_response,
     oracle_alpha,
     oracle_br_context,
@@ -84,7 +86,8 @@ class TestBRContext:
             ctx = br_context(model, i, np.zeros(2))
             alpha = 1.0 / (model.sigma2 + ctx.gamma)
             assert alpha == pytest.approx(1.0 / ctx.s, abs=1e-12)
-            assert model.inv_diag_YY[i] == pytest.approx(1.0 / ctx.s, abs=1e-12)
+            beta = 1.0 / (model.sigma2 + model.gain0[i])
+            assert beta == pytest.approx(1.0 / ctx.s, abs=1e-12)
 
     def test_invariants_on_random_instances(self, rng):
         for _ in range(30):
@@ -132,6 +135,19 @@ class TestBRContext:
                 ref = oracle_br_context(model, i, v)
                 assert br_context(model, i, v).gamma0 == pytest.approx(
                     ref.gamma0, rel=1e-12, abs=0.0)
+                assert kernel.gain(i) == model.gain0[i]
+
+    @pytest.mark.parametrize("shape", ["identity", "square", "wide", "critical"])
+    def test_kernel_at_zero_reproduces_gain0_without_redundancy(self, shape):
+        # Here w_i q_i is near 1 at v = 0, so the gains take the
+        # cancellation-free branch of kernel_gain.
+        for snr in (60.0, 70.0, 80.0):
+            model = low_redundancy_model(shape, snr)
+            kernel = PosteriorKernel(model, np.zeros(model.m))
+            w, inv = kernel.w, kernel.inv
+            q = np.einsum("ij,jk,ik->i", model.B, inv, model.B)
+            assert np.any(w * q > 1.0 - CANCELLED)
+            for i in range(model.m):
                 assert kernel.gain(i) == model.gain0[i]
 
     @pytest.mark.parametrize("snr", [30.0, 50.0, 70.0])

@@ -240,19 +240,22 @@ class TestNonFiniteModelInput:
         assert out == ""
         assert "Sigma_YY" in err and "sigma2" in err
 
-    def test_build_exits_4_when_a_gain_keeps_too_few_bits(self, tmp_path, capfd):
-        # The square H of test_model's guard test, whose gain0 is 22% off
-        # at sigma2 = 1e-14.
+    def test_run_exits_4_on_a_singular_kernel_update(self, tmp_path, capfd):
+        # The square H of test_model at sigma2 = 1e-14 builds, but in game 2
+        # rounding leaves the pivot of a kernel update negative.
         H = np.random.default_rng(0).standard_normal((5, 5))
         path = tmp_path / "h.txt"
         rows = (" ".join(repr(float(x)) for x in row) for row in H)
         path.write_text("\n".join(rows))
-        rc = main(["build", "--h-matrix", str(path), "--rho", "0.5",
-                   "--sigma2", "1e-14"])
+        model_flags = ["--h-matrix", str(path), "--rho", "0.5", "--sigma2", "1e-14"]
+        assert main(["build", *model_flags]) == 0
+        capfd.readouterr()
+        rc = main(["run", *model_flags, "--game", "2", "--lambda", "2",
+                   "--out", str(tmp_path / "g2")])
         out, err = capfd.readouterr()
         assert rc == 4
         assert out == ""
-        assert "sigma2 1e-14" in err and "gamma_i(0)" in err
+        assert "is singular at sigma2 1e-14" in err and "player" in err
 
     @pytest.mark.parametrize("snr", [*NON_FINITE, 4000.0, -4000.0])
     def test_calibrate_noise_rejects_snr(self, snr):

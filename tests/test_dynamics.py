@@ -14,10 +14,20 @@ from stealthgame.dynamics import (
 from stealthgame.bestresponse import br_context
 from stealthgame.games import GameSpec, potential
 from stealthgame.metrics import kl_global, mi_global
-from stealthgame.model import attacked_cov, build_model
+from stealthgame.model import (
+    CANCELLED,
+    PosteriorKernel,
+    StatePriorSpec,
+    attacked_cov,
+    build_model,
+    toeplitz_cov,
+)
 
 from _helpers import (
+    ieee9_model_at,
     logdet,
+    low_redundancy_model,
+    mp_gains,
     mp_kernel_brd,
     mp_profile_responses,
     oracle_alpha,
@@ -223,6 +233,74 @@ class TestKernelDynamics:
             - np.sum(np.log(model.sigma2 + v_star))
         )
         assert mi_global(model, v_star) == pytest.approx(mi_mxm, rel=1e-12)
+
+
+def tiny_noise_square_model(sigma2: float):
+    """The random square H of test_model at a tiny sigma2, where
+    1 - w_i q_i keeps few or no bits of a gain."""
+    H = np.random.default_rng(0).standard_normal((5, 5))
+    return build_model(H, toeplitz_cov(StatePriorSpec(5, 0.5)), sigma2)
+
+
+class TestSingleGainRule:
+    """Games 1 and 2 read gamma_i(0) through d = gamma - gamma0 and
+    sigma2 + gamma0, so their equilibria are only as good as the gains;
+    verify_ne reads the same gains and cannot tell."""
+
+    @pytest.mark.parametrize("shape", ["identity", "square", "wide", "critical"])
+    def test_games_1_and_2_reach_the_50_digit_equilibrium(self, shape):
+        # run_brd's tol is absolute, so the bound is relative to the
+        # largest variance: entries far below it stop only tol apart.
+        for snr in (60.0, 70.0, 80.0):
+            model = low_redundancy_model(shape, snr)
+            for spec in (GameSpec(g, lam) for g in (1, 2) for lam in (2.0, 1e3)):
+                v, _, report = run_brd(spec, model, tol=1e-15)
+                assert report.converged
+                ref = mp_profile_responses(model, spec, v)
+                assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(ref)
+                kernel, gains = PosteriorKernel(model, v), mp_gains(model, v)
+                each = [kernel.gain(i) for i in range(model.m)]
+                np.testing.assert_allclose(kernel.gains(), gains, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(each, gains, rtol=1e-14, atol=0)
+
+    def test_switched_gains_along_a_game_3_trajectory(self, monkeypatch):
+        # On the 9-bus case at 70 dB, q / (1 - w_i q) would be up to
+        # 1.6e-7 off at the gains where the switch fires.
+        switched = []
+        gain = PosteriorKernel.gain
+
+        def recording_gain(kernel, i):
+            gamma = gain(kernel, i)
+            if kernel.w[i] * kernel._solve_row(i)[1] > 1.0 - CANCELLED:
+                switched.append((kernel.v.copy(), i, gamma))
+            return gamma
+
+        monkeypatch.setattr(PosteriorKernel, "gain", recording_gain)
+        model = ieee9_model_at(70.0)
+        run_brd(GameSpec(3, 2.0), model)
+        assert switched
+        for v, i, gamma in switched:
+            assert gamma == pytest.approx(mp_gains(model, v)[i], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("game", [1, 3])
+    def test_square_h_at_tiny_noise(self, game):
+        # At sigma2 = 1e-16, q / (1 - w_i q) leaves a gain0 negative.
+        model = tiny_noise_square_model(1e-16)
+        spec = GameSpec(game, 2.0)
+        v, _, report = run_brd(spec, model, tol=1e-15)
+        assert report.converged
+        ref = mp_profile_responses(model, spec, v)
+        np.testing.assert_allclose(v, ref, rtol=1e-14, atol=0)
+
+    def test_singular_kernel_update_is_named(self):
+        # Rounding in the pivot 1 + dq of a game-2 update leaves it
+        # negative; the update used to take log1p of it and fail with
+        # "math domain error", or go on from a profile 0.31% off.
+        model = tiny_noise_square_model(1e-13)
+        with pytest.raises(
+            np.linalg.LinAlgError, match=r"player \d+ is singular at sigma2 1e-13"
+        ):
+            run_brd(GameSpec(2, 2.0), model)
 
 
 class TestLiteralRule:

@@ -16,6 +16,7 @@ from stealthgame.model import (
 from _helpers import (
     ieee9_model_at,
     low_redundancy_model,
+    mp_gains,
     mp_inv_diag,
     random_desk_model,
     random_profile,
@@ -121,47 +122,45 @@ class TestBuildModel:
             ring3_model.c, ring3_model.s - ring3_model.sigma2
         )
         inv = np.linalg.inv(ring3_model.Sigma_YY)
-        np.testing.assert_allclose(ring3_model.inv_diag_YY, np.diag(inv), rtol=1e-10)
+        beta = 1.0 / (ring3_model.sigma2 + ring3_model.gain0)
+        np.testing.assert_allclose(beta, np.diag(inv), rtol=1e-10)
 
     def test_inv_diag_matches_50_digit_inverse(self):
         # diag((sigma2 I + B B^T)^{-1}) at 50 digits, from 10 to 70 dB.
         for snr in (10.0, 30.0, 50.0, 70.0):
             model = ieee9_model_at(snr)
-            np.testing.assert_allclose(
-                model.inv_diag_YY, mp_inv_diag(model), rtol=1e-14, atol=0
-            )
+            beta = 1.0 / (model.sigma2 + model.gain0)
+            np.testing.assert_allclose(beta, mp_inv_diag(model), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("shape", ["identity", "square", "wide", "critical"])
     def test_inv_diag_matches_50_digit_inverse_without_redundancy(self, shape):
         # Here gamma_i(0) is of signal size, so 1 - w_i q_i is about
-        # 1 / SNR and gain0 keeps only some of its digits.
+        # 1 / SNR and gain0 comes from the cancellation-free form.
         for snr in (60.0, 70.0, 80.0):
             model = low_redundancy_model(shape, snr)
-            np.testing.assert_allclose(
-                model.inv_diag_YY, mp_inv_diag(model), rtol=1e-14, atol=0
-            )
+            beta = 1.0 / (model.sigma2 + model.gain0)
+            np.testing.assert_allclose(beta, mp_inv_diag(model), rtol=1e-14, atol=0)
 
     def test_inv_diag_keeps_its_digits_when_gain0_loses_them(self):
-        # A square H at sigma2 = 1e-13, just above the rejection threshold:
-        # gain0 is about 5e-3 off, within GAIN0_RTOL.
+        # A square H at sigma2 = 1e-13, where q / (1 - w_i q) would be
+        # about 5e-3 off gamma_i(0).
         H = np.random.default_rng(0).standard_normal((5, 5))
         model = build_model(H, toeplitz_cov(StatePriorSpec(5, 0.5)), 1e-13)
-        np.testing.assert_allclose(
-            model.inv_diag_YY, mp_inv_diag(model), rtol=1e-14, atol=0
-        )
+        beta = 1.0 / (model.sigma2 + model.gain0)
+        np.testing.assert_allclose(beta, mp_inv_diag(model), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize(
         "seed, sigma2", [(0, 1e-16), (1, 1e-15), (0, 1e-14)]
     )
-    def test_rejects_gain_that_kept_too_few_bits(self, seed, sigma2):
-        # A square H at tiny sigma2: Sigma_YY still factors, but the
-        # rounding in 1 - w_i q_i leaves gamma_i(0) negative (1e-16),
-        # infinite (1e-15) or positive and 22% off (1e-14).
+    def test_gain0_keeps_its_digits_at_tiny_noise(self, seed, sigma2):
+        # A square H at tiny sigma2: Sigma_YY still factors, and rounding
+        # in 1 - w_i q_i would leave q / (1 - w_i q) negative (1e-16),
+        # infinite (1e-15) or 22% off (1e-14).
         H = np.random.default_rng(seed).standard_normal((5, 5))
-        with pytest.raises(
-            ValueError, match=rf"sigma2 {sigma2} .*measurement \d+ .*gamma_i\(0\)"
-        ):
-            build_model(H, toeplitz_cov(StatePriorSpec(5, 0.5)), sigma2)
+        model = build_model(H, toeplitz_cov(StatePriorSpec(5, 0.5)), sigma2)
+        np.testing.assert_allclose(
+            model.gain0, mp_gains(model, np.zeros(5)), rtol=1e-14, atol=0
+        )
 
 
 class TestAttackedCov:

