@@ -20,9 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PSD_TOL = 1e-12  # absolute eigenvalue slack when validating covariances
-# A rank-one update whose pivot 1 + dq is below this refines M^{-1} b_i
-# first: the update amplifies its error by about 1 / (1 + dq).
-REFINE_PIVOT = 0.25
 # A difference smaller than this share of its terms has lost more than
 # 4 bits to cancellation.
 CANCELLED = 2.0**-4
@@ -180,8 +177,7 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
             f"definite: sigma2 {sigma2} is too small for this H and Sigma_XX"
         ) from None
     inv_M0 = chol_inverse(chol_M0)
-    us = [inv_M0 @ b for b in B]
-    gain0 = [kernel_gain(B, w0, inv_M0, i, u, float(B[i] @ u)) for i, u in enumerate(us)]
+    gain0 = [kernel_gain(B, w0, inv_M0, i)[1] for i in range(m)]
     return MeasurementModel(
         H=H,
         sigma2=sigma2,
@@ -254,28 +250,26 @@ def posterior_matrix(B: np.ndarray, w: np.ndarray) -> np.ndarray:
     return M
 
 
-def _refine(B: np.ndarray, w: np.ndarray, inv: np.ndarray, i: int, u: np.ndarray):
-    """u = M^{-1} b_i after one step of iterative refinement against M, in O(m n)."""
-    return u + inv @ (B[i] - u - B.T @ (w * (B @ u)))
+def kernel_gain(B, w, inv, i: int) -> tuple[np.ndarray, float]:
+    """u = M^{-1} b_i and gamma_i, for M = I + B^T diag(w) B with inverse inv.
 
-
-def kernel_gain(B, w, inv, i: int, u: np.ndarray, q: float) -> float:
-    """gamma_i from u = M^{-1} b_i and q = b_i . u, for M = I + B^T diag(w) B.
-
-    Sherman-Morrison gives ``gamma_i = q / (1 - w_i q)``.  When that
-    difference would lose more than 4 bits (``w_i q > 1 - CANCELLED``), u
-    is refined once against M, and ``M u = b_i`` gives the same gain as
+    With ``q = b_i . u``, Sherman-Morrison gives ``gamma_i = q / (1 - w_i q)``.
+    When that difference would lose more than 4 bits
+    (``w_i q > 1 - CANCELLED``), u is refined once against M (applied as
+    ``I + B^T diag(w) B``), and ``M u = b_i`` gives the same gain as
     ``q^2 / (|u|^2 + sum_{j != i} w_j (b_j . u)^2)``, a ratio of sums of
-    squares, in O(m n).
+    squares, in O(m n).  The returned u is the refined one.
     """
+    u = inv @ B[i]
+    q = float(B[i] @ u)
     wq = w[i] * q
     if wq <= 1.0 - CANCELLED:
-        return q / (1.0 - wq)
-    u = _refine(B, w, inv, i, u)
+        return u, q / (1.0 - wq)
+    u = u + inv @ (B[i] - u - B.T @ (w * (B @ u)))
     q = float(B[i] @ u)
     Bu = B @ u
     Bu[i] = 0.0
-    return q * q / (u @ u + w @ (Bu * Bu))
+    return u, q * q / (u @ u + w @ (Bu * Bu))
 
 
 class PosteriorKernel:
@@ -283,14 +277,15 @@ class PosteriorKernel:
 
     Here ``w_j = 1 / (sigma2 + v_j)`` and ``B = H L``.  By the matrix
     determinant lemma ``log det M`` is ``log det(Sigma_YY + diag(v)) -
-    sum_j log(sigma2 + v_j)``, so it gives both global metrics.  For
-    player i, :func:`kernel_gain` forms the gain of the other players'
-    measurements, ``gamma_i``, from ``M^{-1} b_i`` (b_i the i-th row of B);
-    ``alpha_i = 1 / (sigma2 + gamma_i)``.
+    sum_j log(sigma2 + v_j)``, so it gives both global metrics.
 
-    :meth:`update` moves one player in O(n^2), reusing the ``M^{-1} b_i``
-    of a preceding :meth:`gain` call for the same player; :meth:`refactor`
-    rebuilds from the profile in O(m n^2 + n^3).  The sums
+    Player i's row is ``M^{-1} b_i`` (b_i the i-th row of B) and the gain
+    of the other players' measurements, ``gamma_i``, both from
+    :func:`kernel_gain`; ``alpha_i = 1 / (sigma2 + gamma_i)``.  The kernel
+    caches the last row it formed, and :meth:`gain` and :meth:`update`
+    read only that row, so a gain followed by a move of the same player
+    forms it once.  :meth:`update` is O(n^2); :meth:`refactor` rebuilds
+    from the profile in O(m n^2 + n^3).  The sums
     ``sum_j log1p(v_j / sigma2)`` and ``v . diag(Sigma_YY^{-1})`` that
     :attr:`kl` needs are kept as running totals, with
     ``diag(Sigma_YY^{-1}) = 1 / (sigma2 + gain0)``, so :attr:`mi` and
@@ -313,37 +308,30 @@ class PosteriorKernel:
         self.inv = chol_inverse(chol)
         self._log_sum = float(np.sum(np.log1p(self.v / model.sigma2)))
         self._lin_sum = float(self.v @ (1.0 / (model.sigma2 + model.gain0)))
-        self._column = None
+        self._row = None
 
     def _solve_row(self, i: int) -> tuple[np.ndarray, float]:
-        """M^{-1} b_i and b_i^T M^{-1} b_i, formed once per kernel state."""
-        if self._column is None or self._column[0] != i:
-            b = self.model.B[i]
-            u = self.inv @ b
-            self._column = (i, u, float(b @ u))
-        return self._column[1], self._column[2]
+        """Player i's row, M^{-1} b_i and gamma_i, formed once per kernel state."""
+        if self._row is None or self._row[0] != i:
+            self._row = (i, *kernel_gain(self.model.B, self.w, self.inv, i))
+        return self._row[1], self._row[2]
 
     def gain(self, i: int) -> float:
         """gamma_i: variance of (H x)_i given the other attacked measurements."""
-        u, q = self._solve_row(i)
-        return kernel_gain(self.model.B, self.w, self.inv, i, u, q)
+        return self._solve_row(i)[1]
 
     def gains(self) -> np.ndarray:
-        """gamma_i for every player at once."""
-        B = self.model.B
-        w, inv, U = self.w, self.inv, B @ self.inv
-        q = np.einsum("ij,ij->i", U, B)
-        return np.array([kernel_gain(B, w, inv, i, U[i], q[i]) for i in range(len(q))])
+        """gamma_i for every player."""
+        return np.array([self.gain(i) for i in range(self.model.m)])
 
     def update(self, i: int, v_i: float) -> None:
-        """Set player i's variance to v_i by a rank-one update.
+        """Set player i's variance to v_i by a rank-one update from its row.
 
-        When the update's pivot ``1 + dq`` is below :data:`REFINE_PIVOT`,
-        one step of iterative refinement against ``M`` (applied as
-        ``I + B^T diag(w) B``, O(m n)) first removes the drift of
-        ``M^{-1} b_i``, which the update would amplify.  Raises
-        ``numpy.linalg.LinAlgError``, and leaves the kernel as it was,
-        when rounding leaves that pivot nonpositive.
+        With ``u = M^{-1} b_i`` and ``q = b_i . u``, the Sherman-Morrison
+        pivot ``1 + (w_new - w_old) q`` equals
+        ``(1 + w_new gamma_i) / (1 + w_old gamma_i)``, a ratio of two
+        numbers >= 1 that cannot cancel; it scales the rank-one term in
+        ``u u^T`` and its logarithm moves ``log det M``.
         """
         model = self.model
         v_old, w_old = self.v[i], self.w[i]
@@ -351,20 +339,11 @@ class PosteriorKernel:
         # The new w_i minus the old one, without cancellation.
         delta = (v_old - v_i) * w_i * w_old
         if delta != 0.0:
-            u, q = self._solve_row(i)
-            if 1.0 + delta * q < REFINE_PIVOT:
-                u = _refine(model.B, self.w, self.inv, i, u)
-                q = float(model.B[i] @ u)
-            dq = delta * q
-            if not 1.0 + dq > 0.0:
-                raise np.linalg.LinAlgError(
-                    f"the kernel update of player {i} is singular at sigma2 "
-                    f"{model.sigma2}: its pivot 1 + dq = {1.0 + dq:.3e} is not "
-                    f"positive"
-                )
-            self._column = None
-            self.inv -= np.outer((delta / (1.0 + dq)) * u, u)
-            self.logdet += math.log1p(dq)
+            u, gamma = self._solve_row(i)
+            before, after = 1.0 + w_old * gamma, 1.0 + w_i * gamma
+            self._row = None
+            self.inv -= np.outer((delta * before / after) * u, u)
+            self.logdet += math.log(after / before)
         # log1p(v_i / sigma2) - log1p(v_old / sigma2) in one logarithm.
         self._log_sum += math.log1p((v_i - v_old) * w_old)
         self._lin_sum += (v_i - v_old) * (1.0 / (model.sigma2 + model.gain0[i]))

@@ -240,22 +240,21 @@ class TestNonFiniteModelInput:
         assert out == ""
         assert "Sigma_YY" in err and "sigma2" in err
 
-    def test_run_exits_4_on_a_singular_kernel_update(self, tmp_path, capfd):
-        # The square H of test_model at sigma2 = 1e-14 builds, but in game 2
-        # rounding leaves the pivot of a kernel update negative.
+    def test_run_converges_at_tiny_noise(self, tmp_path, capfd):
+        # The square H of test_model at sigma2 = 1e-14, where a game-2
+        # kernel update's pivot 1 + (w_new - w_old) q, formed from q,
+        # rounds to a negative number; update forms it from gamma_i.
         H = np.random.default_rng(0).standard_normal((5, 5))
         path = tmp_path / "h.txt"
         rows = (" ".join(repr(float(x)) for x in row) for row in H)
         path.write_text("\n".join(rows))
         model_flags = ["--h-matrix", str(path), "--rho", "0.5", "--sigma2", "1e-14"]
-        assert main(["build", *model_flags]) == 0
-        capfd.readouterr()
         rc = main(["run", *model_flags, "--game", "2", "--lambda", "2",
                    "--out", str(tmp_path / "g2")])
         out, err = capfd.readouterr()
-        assert rc == 4
-        assert out == ""
-        assert "is singular at sigma2 1e-14" in err and "player" in err
+        assert rc == 0
+        assert err == ""
+        assert "converged" in out and "NOT" not in out
 
     @pytest.mark.parametrize("snr", [*NON_FINITE, 4000.0, -4000.0])
     def test_calibrate_noise_rejects_snr(self, snr):
@@ -286,3 +285,19 @@ class TestNonFiniteTolerance:
         assert rc == 4
         assert "tol" in capsys.readouterr().err
         assert not (tmp_path / "g1.ne.json").exists()
+
+
+class TestRoundCapBelowOne:
+    def test_run_exits_4(self, tmp_path, capsys):
+        rc = main(["run", *MODEL_FLAGS, "--game", "1", "--lambda", "2",
+                   "--tmax", "0", "--out", str(tmp_path / "g1")])
+        assert rc == 4
+        assert "t_max must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_exits_4(self, tmp_path, capsys):
+        rc = main(["sweep", *MODEL_FLAGS, "--game", "1", "--lambda-list", "1,2",
+                   "--tmax", "0", "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 4
+        assert "t_max must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

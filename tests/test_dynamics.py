@@ -20,6 +20,7 @@ from stealthgame.model import (
     StatePriorSpec,
     attacked_cov,
     build_model,
+    kernel_gain,
     toeplitz_cov,
 )
 
@@ -202,9 +203,10 @@ class TestKernelDynamics:
 
     @pytest.mark.parametrize("game", [1, 2, 3])
     def test_records_match_fresh_potential(self, ieee9_model, game):
-        # Players jumping from v = 0 take rank-one pivots 1 + dq near 1e-2,
-        # which would drift the game-3 records by 4e-13 without refining
-        # M^{-1} b_i first.
+        # Players jumping from v = 0 take rank-one pivots down to 1.3e-2 in
+        # game 3, which amplify any error in the pivot; update forms each
+        # from gamma_i as (1 + w_new gamma_i) / (1 + w_old gamma_i), and
+        # the records stay within 4e-14.
         spec = GameSpec(game, 2.0)
         _, trajectory, _ = run_brd(spec, ieee9_model)
         for rec in trajectory:
@@ -266,41 +268,38 @@ class TestSingleGainRule:
     def test_switched_gains_along_a_game_3_trajectory(self, monkeypatch):
         # On the 9-bus case at 70 dB, q / (1 - w_i q) would be up to
         # 1.6e-7 off at the gains where the switch fires.
-        switched = []
-        gain = PosteriorKernel.gain
-
-        def recording_gain(kernel, i):
-            gamma = gain(kernel, i)
-            if kernel.w[i] * kernel._solve_row(i)[1] > 1.0 - CANCELLED:
-                switched.append((kernel.v.copy(), i, gamma))
-            return gamma
-
-        monkeypatch.setattr(PosteriorKernel, "gain", recording_gain)
         model = ieee9_model_at(70.0)
-        run_brd(GameSpec(3, 2.0), model)
+        calls = []
+
+        def recording_kernel_gain(B, w, inv, i):
+            u, gamma = kernel_gain(B, w, inv, i)
+            q = float(B[i] @ (inv @ B[i]))
+            calls.append((i, gamma, w[i] * q > 1.0 - CANCELLED))
+            return u, gamma
+
+        monkeypatch.setattr("stealthgame.model.kernel_gain", recording_kernel_gain)
+        v_star, trajectory, _ = run_brd(GameSpec(3, 2.0), model)
+        # One row per move, each at the profile of the record before it,
+        # then verify_ne's m rows at the equilibrium.
+        profiles = [rec.v_snapshot for rec in trajectory[:-1]] + [v_star] * model.m
+        assert len(calls) == len(profiles)
+        switched = [(v, i, gamma) for v, (i, gamma, fired) in zip(profiles, calls) if fired]
         assert switched
         for v, i, gamma in switched:
             assert gamma == pytest.approx(mp_gains(model, v)[i], rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("game", [1, 3])
+    @pytest.mark.parametrize("game", [1, 2, 3])
     def test_square_h_at_tiny_noise(self, game):
-        # At sigma2 = 1e-16, q / (1 - w_i q) leaves a gain0 negative.
-        model = tiny_noise_square_model(1e-16)
+        # Here 1 - w_i q keeps few or no bits of a gain, and a kernel
+        # update's pivot 1 + (w_new - w_old) q, formed from q, rounds to a
+        # negative number; update forms it from gamma_i.
         spec = GameSpec(game, 2.0)
-        v, _, report = run_brd(spec, model, tol=1e-15)
-        assert report.converged
-        ref = mp_profile_responses(model, spec, v)
-        np.testing.assert_allclose(v, ref, rtol=1e-14, atol=0)
-
-    def test_singular_kernel_update_is_named(self):
-        # Rounding in the pivot 1 + dq of a game-2 update leaves it
-        # negative; the update used to take log1p of it and fail with
-        # "math domain error", or go on from a profile 0.31% off.
-        model = tiny_noise_square_model(1e-13)
-        with pytest.raises(
-            np.linalg.LinAlgError, match=r"player \d+ is singular at sigma2 1e-13"
-        ):
-            run_brd(GameSpec(2, 2.0), model)
+        for sigma2 in (1e-13, 1e-14, 1e-15, 1e-16):
+            model = tiny_noise_square_model(sigma2)
+            v, _, report = run_brd(spec, model, tol=1e-15)
+            assert report.converged
+            ref = mp_profile_responses(model, spec, v)
+            np.testing.assert_allclose(v, ref, rtol=1e-14, atol=0)
 
 
 class TestLiteralRule:

@@ -4,7 +4,10 @@ Examples are derandomized, so every run draws the same ones and writes
 no example database.
 """
 
+import copy
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,11 +16,14 @@ from stealthgame.bestresponse import BRContext, br_g1, br_g2, br_g3
 from stealthgame.dynamics import run_brd, verify_ne
 from stealthgame.games import GameSpec, cost, potential
 from stealthgame.model import (
+    PosteriorKernel,
     StatePriorSpec,
     build_model,
     calibrate_noise,
     toeplitz_cov,
 )
+
+from _helpers import random_desk_model, random_profile
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -98,3 +104,41 @@ def test_run_brd_returns_a_fixed_point(model, spec):
     v, _, report = run_brd(spec, model, tol=1e-11)
     assert report.converged
     assert verify_ne(spec, model, v) <= 1e-10
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**32 - 1),  # desk model and starting profile
+    st.lists(
+        # Players 0-3 only, so that moves of one player often follow
+        # each other.
+        st.tuples(st.sampled_from(["gain", "update", "refactor"]), st.integers(0, 3), unit),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_kernel_row_follows_every_move(seed, steps):
+    # Every move reads the row that gain caches, so after any interleaving
+    # of gain(j), update(i, .) and refactor() the kernel matches a fresh
+    # one.  The refactor steps first write a variance straight into the
+    # profile, from which refactor rebuilds.
+    rng = np.random.default_rng(seed)
+    model = random_desk_model(rng)
+    kernel = PosteriorKernel(model, random_profile(rng, model))
+    scale = 3.0 * float(np.mean(model.s))
+    for kind, i, x in steps:
+        i %= model.m
+        if kind == "gain":
+            kernel.gain(i)
+        elif kind == "update":
+            kernel.update(i, scale * x)
+        else:
+            kernel.v[i] = scale * x
+            kernel.refactor()
+        fresh = PosteriorKernel(model, kernel.v)
+        # Each gain is read from a shallow copy, so the check leaves the
+        # kernel's cached row as the step left it.
+        gains = [copy.copy(kernel).gain(j) for j in range(model.m)]
+        np.testing.assert_allclose(gains, fresh.gains(), rtol=1e-10)
+        np.testing.assert_allclose(kernel.inv, fresh.inv, rtol=1e-10, atol=1e-13)
+        assert kernel.logdet == pytest.approx(fresh.logdet, rel=1e-12)
