@@ -7,7 +7,8 @@ only through the scalars of the player's :class:`BRContext`, and on the
 other players only through the gain difference
 ``d = gamma - gamma0 >= 0`` (the others' attacks can only make their
 measurements less informative about ``(H x)_i``; clamped at 0 against
-rounding).
+rounding).  :func:`br_context` reads the gain from a ``PosteriorKernel``
+by the rule :func:`~stealthgame.dynamics.run_brd` reads it by.
 
 Game 1: the stationarity condition is the quadratic l^2 + B l + C = 0
 with B = sigma2 + d and C = sigma2 d - gamma (sigma2 + gamma0) / lam,
@@ -23,11 +24,12 @@ with g = gamma, or g = alpha = 1 / (sigma2 + gamma) for the literal rule
 (below).  For lam > 0 its l^3 and l^2 coefficients are positive, and a
 root is needed only when its constant is negative; Descartes' rule of
 signs then leaves exactly one positive root, and the cubic is convex on
-[0, inf).  That root is found by safeguarded Newton iteration, started
-from the player's current variance (``BRContext.v``) and bracketed by a
-power-of-two Fujiwara bound that also scales the cubic, so no
-coefficient overflows for any finite lam.  With lam = 0 the cost of
-games 2 and 3 strictly decreases and :data:`V_MAX` is returned with a
+[0, inf).  Newton iteration finds that root, started from the player's
+current variance (``BRContext.v``) when that lies near the root; by
+convexity every step after the first stays at or right of the root, so
+no bracket is needed.  A power-of-two Fujiwara bound scales the cubic,
+so no coefficient overflows for any finite lam.  With lam = 0 the cost
+of games 2 and 3 strictly decreases and :data:`V_MAX` is returned with a
 RuntimeWarning.
 
 For game 3 the stationarity condition uses the scalar ``gamma_i`` in
@@ -47,8 +49,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .games import GameSpec
-from .model import CANCELLED, MeasurementModel, as_profile, check_index, posterior_matrix
+from .games import GameSpec, check_weight
+from .model import CANCELLED, MeasurementModel, PosteriorKernel
+from .model import as_profile, check_index, check_noise_variance
 
 V_MAX = 1e12  # the best response of games 2 and 3 at lam = 0
 _NEWTON_RTOL = 2.0**-50  # relative size of the step that ends the iteration
@@ -110,22 +113,14 @@ def br_context(model: MeasurementModel, i: int, v) -> BRContext:
     """Assemble the best-response scalars for player i at profile v.
 
     Only the complementary entries v_j, j != i, enter the scalars; v_i
-    is only the root-finder's starting point.  Factors the kernel matrix
-    with player i's weight set to 0, so gamma is a sum of squares
-    without cancellation.
+    is only the root-finder's starting point.  gamma is the gain of a
+    :class:`~stealthgame.model.PosteriorKernel` at v with v_i set to 0.
     """
     v = as_profile(model, v)
     i = check_index(model, i)
-    w = 1.0 / (model.sigma2 + v)
-    w[i] = 0.0
-    chol = np.linalg.cholesky(posterior_matrix(model.B, w))
-    z = np.linalg.solve(chol, model.B[i])
-    return gain_context(model, i, float(z @ z), v[i])
-
-
-def _gain0(ctx: BRContext) -> float:
-    """gamma0, capped at gamma so that d = gamma - gamma0 >= 0 despite rounding."""
-    return min(ctx.gamma0, ctx.gamma)
+    others = v.copy()
+    others[i] = 0.0
+    return gain_context(model, i, PosteriorKernel(model, others).gain(i), v[i])
 
 
 def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
@@ -136,9 +131,9 @@ def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     0 when C >= 0, since B > 0 then leaves no positive root and the cost
     is nondecreasing on [0, inf).
     """
-    if lam < 1.0:
-        raise ValueError(f"game 1 requires lam >= 1, got {lam}")
-    gamma, gamma0 = ctx.gamma, _gain0(ctx)
+    check_weight(1, lam)
+    sigma2 = check_noise_variance(sigma2)
+    gamma, gamma0 = ctx.gamma, min(ctx.gamma0, ctx.gamma)
     d = gamma - gamma0
     B = sigma2 + d
     gain_term = sigma2 * d
@@ -155,15 +150,15 @@ def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
 def _newton_cubic(b2: float, b1: float, b0: float, t: float) -> float:
     """Positive root of p(t) = t^3 + b2 t^2 + b1 t + b0, b2 >= 0 > b0.
 
-    p is convex on [0, inf) with p(0) < 0, so the root is unique, and a
-    Newton step from any point with p' > 0 lands at or right of it.  The
-    step is taken as t - p/p' = (2t^3 + b2 t^2 - b0) / p', whose
-    numerator cannot cancel however far t lies right of the root.  The
-    iteration starts at ``t`` when that lies in the window
-    [s + u/3, s + u] that the bounds below give for the root, and at
-    s + u otherwise; steps leaving the bracket [lo, hi], initially
-    [0, 2(s + u)], bisect it instead.  It stops once a step moves t by at
-    most 2^-50 of its size.
+    p is convex on [0, inf) with p(0) < 0, so the root is unique.  Newton
+    steps start at ``t`` when that lies in the window [s + u/3, s + u]
+    that the bounds below give for the root, and at s + u otherwise.
+    There p' > 0 and a tangent of the convex p lies below it, so the
+    first step lands at or right of the root and the later ones stay
+    there, moving left: no bracket is needed.  A step is taken as
+    t - p/p' = (2t^3 + b2 t^2 - b0) / p', whose numerator cannot cancel
+    however far t lies right of the root.  It stops once it moves t by
+    at most 2^-50 of t.
     """
     # With s >= 0 the positive root of t^2 + b2 t + b1 (s = 0 if b1 >= 0),
     # p(s + u) = u^3 + c2 u^2 + c1 u + b0 with c2, c1 >= 0: each single
@@ -182,24 +177,13 @@ def _newton_cubic(b2: float, b1: float, b0: float, t: float) -> float:
         u = min(u, -b0 / c1)
     if not shift + u / 3.0 <= t <= shift + u:
         t = shift + u
-    lo, hi = 0.0, 2.0 * (shift + u)
     for _ in range(_NEWTON_MAX_ITER):
-        p = ((t + b2) * t + b1) * t + b0
-        if p > 0.0:
-            hi = t
-        elif p < 0.0:
-            lo = t
-        else:
+        if ((t + b2) * t + b1) * t + b0 == 0.0:
             return t
-        dp = (3.0 * t + 2.0 * b2) * t + b1
-        if dp > 0.0:
-            nxt = ((2.0 * t + b2) * t * t - b0) / dp
-            if abs(nxt - t) <= _NEWTON_RTOL * nxt:
-                return nxt
-            if lo < nxt < hi:
-                t = nxt
-                continue
-        t = 0.5 * (lo + hi)
+        nxt = ((2.0 * t + b2) * t * t - b0) / ((3.0 * t + 2.0 * b2) * t + b1)
+        if abs(nxt - t) <= _NEWTON_RTOL * nxt:
+            return nxt
+        t = nxt
     return t
 
 
@@ -222,15 +206,15 @@ def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
     k = c (sigma2 + gamma0) / lam; returns 0 when the derivative at 0 is
     already nonnegative.
     """
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    check_weight(2, lam)
+    sigma2 = check_noise_variance(sigma2)
     if lam == 0.0:
         return _warn_degenerate(2)
     if ctx.c <= 0.0:
         # A zero sensing row has no local information to destroy, and
         # the detection term pins the optimum at 0.
         return 0.0
-    gamma, gamma0 = ctx.gamma, _gain0(ctx)
+    gamma, gamma0 = ctx.gamma, min(ctx.gamma0, ctx.gamma)
     rho, b2, b1, b0, xyz = _scaled_cubic(
         (sigma2, ctx.s, gamma - gamma0), ctx.c * (sigma2 + gamma0), lam, sigma2 + gamma
     )
@@ -255,8 +239,8 @@ def br_g3(
     g = alpha = 1 / (sigma2 + gamma) when ``literal`` is set, as the cubic
     l (sigma2 + l)(sigma2 + g + l) - k (s + l) = 0, k = gamma s / lam.
     """
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    check_weight(3, lam)
+    sigma2 = check_noise_variance(sigma2)
     if lam == 0.0:
         return _warn_degenerate(3)
     if ctx.gamma <= 0.0:

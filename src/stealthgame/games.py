@@ -38,18 +38,22 @@ class GameSpec:
     def __post_init__(self):
         if self.game not in (1, 2, 3):
             raise ValueError(f"game must be 1, 2 or 3, got {self.game}")
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if self.game == 1 and self.lam < 1.0:
-            raise ValueError(
-                f"game 1 requires lam >= 1 (cost convexity), got {self.lam}"
-            )
-        if self.game in (2, 3) and self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        check_weight(self.game, self.lam)
         if self.literal and self.game != 3:
             raise ValueError(
                 f"the literal best response exists in game 3 only, got game {self.game}"
             )
+
+
+def check_weight(game: int, lam: float) -> None:
+    """Validate the weight of game 1, 2 or 3: finite, and >= 1 in game 1
+    (cost convexity) or >= 0 in games 2 and 3."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    if game == 1 and lam < 1.0:
+        raise ValueError(f"game 1 requires lam >= 1 (cost convexity), got {lam}")
+    if lam < 0.0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
 
 
 def cost(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:

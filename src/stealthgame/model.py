@@ -34,7 +34,6 @@ __all__ = [
     "attacked_cov",
     "chol_logdet",
     "chol_inverse",
-    "posterior_matrix",
     "kernel_gain",
     "PosteriorKernel",
 ]
@@ -136,14 +135,12 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
     """Assemble and validate a :class:`MeasurementModel`."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     Sigma_XX = np.atleast_2d(np.asarray(Sigma_XX, dtype=float))
-    sigma2 = float(sigma2)
     m, n = H.shape
     if Sigma_XX.shape != (n, n):
         raise ValueError(
             f"Sigma_XX shape {Sigma_XX.shape} does not match H columns ({n})"
         )
-    if not (sigma2 > 0 and math.isfinite(sigma2)):
-        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
+    sigma2 = check_noise_variance(sigma2)
     if not math.isfinite(1.0 / sigma2):
         raise ValueError(f"sigma2 {sigma2} is too small: its reciprocal overflows")
     if not np.all(np.isfinite(H)):
@@ -211,6 +208,14 @@ def check_index(model: MeasurementModel, i: int) -> int:
     if not 0 <= i < model.m:
         raise IndexError(f"measurement index {i} outside [0, {model.m})")
     return i
+
+
+def check_noise_variance(sigma2: float) -> float:
+    """Validate a noise variance: finite and positive."""
+    sigma2 = float(sigma2)
+    if not (sigma2 > 0 and math.isfinite(sigma2)):
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
+    return sigma2
 
 
 def check_scalar_variance(v_i: float) -> float:
@@ -334,6 +339,8 @@ class PosteriorKernel:
         ``u u^T`` and its logarithm moves ``log det M``.
         """
         model = self.model
+        i = check_index(model, i)
+        v_i = check_scalar_variance(v_i)
         v_old, w_old = self.v[i], self.w[i]
         w_i = 1.0 / (model.sigma2 + v_i)
         # The new w_i minus the old one, without cancellation.

@@ -407,7 +407,10 @@ def mp_root(slope):
     Brackets the root between consecutive powers of two by a binary
     search over exponents in [-1100, 1100], so roots from 1e-330 to
     1e330 are found, then refines with the Anderson-Bjorck method on
-    the bracket and slope scaled to order 1.
+    the bracket and slope scaled to order 1.  That method stalls when
+    the root lies within an ulp of the bracket's end, and findroot then
+    returns a midpoint; unless the slope changes sign within 2^-100 of
+    the result, the bracket is bisected instead.
     """
     zero = mpmath.mpf(0)
     if slope(zero) >= 0:
@@ -428,9 +431,17 @@ def mp_root(slope):
     x = mpmath.findroot(
         lambda x: slope(scale * x) / norm, (1, 2), solver="anderson", verify=False
     )
-    if not 1 <= x <= 2:
-        raise BracketError(f"root {x} * 2^{lo} left its bracket")
-    return scale * x
+    near = mpmath.ldexp(1, -100)
+    if 1 <= x <= 2 and slope(scale * (x - near)) < 0 <= slope(scale * (x + near)):
+        return scale * x
+    below, above = mpmath.mpf(1), mpmath.mpf(2)
+    while above - below > near:
+        mid = (below + above) / 2
+        if slope(scale * mid) < 0:
+            below = mid
+        else:
+            above = mid
+    return scale * above
 
 
 def mp_best_response(game: int, ctx, sigma2, lam, literal: bool = False) -> float:

@@ -136,6 +136,13 @@ class TestBRContext:
                 assert br_context(model, i, v).gamma0 == pytest.approx(
                     ref.gamma0, rel=1e-12, abs=0.0)
                 assert kernel.gain(i) == model.gain0[i]
+                assert br_context(model, i, np.zeros(model.m)).gamma == model.gain0[i]
+
+    def test_context_at_zero_is_gain0_on_the_9_bus_case(self):
+        model = ieee9_at(30.0)
+        zero = np.zeros(model.m)
+        assert [br_context(model, i, zero).gamma for i in range(model.m)] == list(
+            model.gain0)
 
     @pytest.mark.parametrize("shape", ["identity", "square", "wide", "critical"])
     def test_kernel_at_zero_reproduces_gain0_without_redundancy(self, shape):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stealthgame.bestresponse import br_context
+from stealthgame.bestresponse import br_context, br_g1, br_g2, br_g3
 from stealthgame.cli import main
 from stealthgame.games import GameSpec
 from stealthgame.grid import (
@@ -19,7 +19,7 @@ from stealthgame.grid import (
     parse_network,
 )
 from stealthgame.metrics import kl_local, mi_local
-from stealthgame.model import build_model, calibrate_noise
+from stealthgame.model import PosteriorKernel, build_model, calibrate_noise
 
 from _helpers import ieee9_model_at, llr_local
 
@@ -30,9 +30,18 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 class TestNonFiniteWeight:
     @pytest.mark.parametrize("game", [1, 2, 3])
     @pytest.mark.parametrize("lam", NON_FINITE)
-    def test_game_spec_rejects(self, game, lam):
+    def test_game_spec_rejects(self, scalar_model, game, lam):
+        # The game's solver runs the same weight check, and rejects a noise
+        # variance that is not finite and positive.
+        solver = (br_g1, br_g2, br_g3)[game - 1]
+        ctx = br_context(scalar_model, 0, [0.0])
         with pytest.raises(ValueError, match="finite"):
             GameSpec(game, lam)
+        with pytest.raises(ValueError, match="finite"):
+            solver(ctx, scalar_model.sigma2, lam)
+        for sigma2 in (lam, 0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma2 must be finite and positive"):
+                solver(ctx, sigma2, 2.0)
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
     def test_run_exits_2(self, tmp_path, capsys, lam):
@@ -145,6 +154,23 @@ class TestDetectArguments:
                      "--samples", "1000", "--grid", "1", "--seed", "0",
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 6  # 4 comments, header, 1 row
+
+
+class TestKernelUpdate:
+    @pytest.mark.parametrize("i,v_i,error", [
+        (0, math.nan, ValueError),
+        (0, -0.5, ValueError),
+        (-1, 0.1, IndexError),
+        (6, 0.1, IndexError),
+    ], ids=["nan", "negative", "index-1", "index-m"])
+    def test_rejects_before_any_change(self, ring3_model, i, v_i, error):
+        kernel = PosteriorKernel(ring3_model, np.full(6, 0.3 * ring3_model.sigma2))
+        v, inv, logdet, kl = kernel.v.copy(), kernel.inv.copy(), kernel.logdet, kernel.kl
+        with pytest.raises(error):
+            kernel.update(i, v_i * ring3_model.sigma2)
+        np.testing.assert_array_equal(kernel.v, v)
+        np.testing.assert_array_equal(kernel.inv, inv)
+        assert (kernel.logdet, kernel.kl) == (logdet, kl)
 
 
 class TestNonFiniteModelInput:

@@ -253,8 +253,16 @@ class TestSingleGainRule:
     def test_games_1_and_2_reach_the_50_digit_equilibrium(self, shape):
         # run_brd's tol is absolute, so the bound is relative to the
         # largest variance: entries far below it stop only tol apart.
+        # br_context reads the same kernel gains, and gain0 bit for bit at 0.
+        def context_gains(model, v):
+            return [br_context(model, i, v).gamma for i in range(model.m)]
+
         for snr in (60.0, 70.0, 80.0):
             model = low_redundancy_model(shape, snr)
+            zero = np.zeros(model.m)
+            assert context_gains(model, zero) == list(model.gain0)
+            np.testing.assert_allclose(
+                context_gains(model, zero), mp_gains(model, zero), rtol=1e-14, atol=0)
             for spec in (GameSpec(g, lam) for g in (1, 2) for lam in (2.0, 1e3)):
                 v, _, report = run_brd(spec, model, tol=1e-15)
                 assert report.converged
@@ -264,6 +272,8 @@ class TestSingleGainRule:
                 each = [kernel.gain(i) for i in range(model.m)]
                 np.testing.assert_allclose(kernel.gains(), gains, rtol=1e-14, atol=0)
                 np.testing.assert_allclose(each, gains, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(
+                    context_gains(model, v), gains, rtol=1e-14, atol=0)
 
     def test_switched_gains_along_a_game_3_trajectory(self, monkeypatch):
         # On the 9-bus case at 70 dB, q / (1 - w_i q) would be up to

@@ -6,12 +6,14 @@ no example database.
 
 import copy
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import stealthgame.bestresponse as bestresponse
 from stealthgame.bestresponse import BRContext, br_g1, br_g2, br_g3
 from stealthgame.dynamics import run_brd, verify_ne
 from stealthgame.games import GameSpec, cost, potential
@@ -23,7 +25,7 @@ from stealthgame.model import (
     toeplitz_cov,
 )
 
-from _helpers import random_desk_model, random_profile
+from _helpers import MP_DPS, mp_root, random_desk_model, random_profile
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -45,6 +47,10 @@ def specs(draw):
     game = draw(st.sampled_from([1, 2, 3]))
     lam = draw(st.floats(1.0, 50.0) if game == 1 else st.floats(0.01, 50.0))
     return GameSpec(game, lam)
+
+
+def decades(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
 
 
 def profile(model, fractions):
@@ -94,6 +100,31 @@ def test_best_response_is_monotone_in_gain(sigma2, c, fractions, lam, solver):
         assert at_high >= at_low - slack
     else:
         assert at_high <= at_low + slack
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.just(0.0) | decades(-100.0, 100.0),  # b2
+    st.just(0.0) | decades(-100.0, 100.0) | decades(-100.0, 100.0).map(lambda x: -x),
+    decades(-100.0, 100.0).map(lambda x: -x),  # b0
+    st.just(0.0) | decades(-300.0, 300.0),  # a start anywhere
+    st.floats(0.25, 1.5),  # a start near the root, as a share of it
+)
+def test_newton_cubic_needs_no_bracket(b2, b1, b0, start, share):
+    # By convexity every Newton step after the first stays at or right of
+    # the root, so the loop needs neither a bracket nor its cap: capped at
+    # 16 steps, it returns the same root.  These examples take at most 10
+    # steps (a cap of 9 fails here), the most from starts near a third of
+    # the root; so did 800,000 random draws.
+    with mpmath.workdps(MP_DPS):
+        c2, c1, c0 = (mpmath.mpf(b) for b in (b2, b1, b0))
+        ref = float(mp_root(lambda t: ((t + c2) * t + c1) * t + c0))
+    for t in (start, share * ref):
+        got = bestresponse._newton_cubic(b2, b1, b0, t)
+        assert abs(got - ref) <= 1e-14 * ref, (b2, b1, b0, t, got, ref)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bestresponse, "_NEWTON_MAX_ITER", 16)
+            assert bestresponse._newton_cubic(b2, b1, b0, t) == got
 
 
 @PROPERTY
