@@ -8,9 +8,11 @@ updates; :func:`potential_audit` surfaces any numerical violation
 rather than hiding it.
 
 One :class:`~stealthgame.model.PosteriorKernel` per run supplies every
-best-response context and trajectory record: each update is a rank-one
-change, O(n^2), and the kernel is refactored once per round, so a round
-costs O(m n^2).
+best-response context and the O(1) ``mi`` and ``kl`` of every record:
+each update is a rank-one change, O(n^2), and the kernel is refactored
+once per round.  A round's records are built at its end, its m profiles
+as one m-by-m block and their potentials as one row-wise evaluation, so
+a round costs O(m n^2) plus O(m^2) numpy work.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 # best_response, potential, mi_global and kl_global are not called here
 # but stay bound: the benchmark's tracer wraps them in this module.
 from .bestresponse import best_response, gain_context, respond  # noqa: F401
-from .games import GameSpec, kernel_potential, potential  # noqa: F401
+from .games import GameSpec, potential, row_potentials  # noqa: F401
 from .metrics import kl_global, mi_global  # noqa: F401
 from .model import MeasurementModel, PosteriorKernel
 
@@ -76,17 +78,16 @@ class ConvergenceReport:
     ne_residual: float
 
 
-def _record(
-    spec: GameSpec, kernel: PosteriorKernel, t: int, player: int
-) -> TrajectoryRecord:
-    return TrajectoryRecord(
-        round=t,
-        player=player,
-        v_snapshot=kernel.v.copy(),
-        potential=kernel_potential(spec, kernel),
-        mi_global=kernel.mi,
-        kl_global=kernel.kl,
-    )
+def _records(spec: GameSpec, model: MeasurementModel, t: int, start, v, metrics):
+    """Records of round t's first len(metrics) moves; row k of the profile
+    block is v up to player k and ``start`` after it.  ``metrics`` holds
+    the kernel's (mi, kl) after each move.  Round 0 is the start, player -1."""
+    V = np.where(np.tri(len(metrics), model.m, dtype=bool), v, start)
+    mi, kl = np.array(metrics).T
+    potentials = row_potentials(spec, model, V, mi, kl).tolist()
+    players = range(len(V)) if t else [-1]
+    rows = zip(players, V, potentials, mi.tolist(), kl.tolist())
+    return [TrajectoryRecord(t, *fields) for fields in rows]
 
 
 def run_brd(
@@ -102,7 +103,8 @@ def run_brd(
     record per player update, and stops early once no coordinate moved
     by ``tol`` or more over a full round.  Returns the final profile,
     the trajectory, and a report whose ``ne_residual`` certifies the
-    fixed point.
+    fixed point.  Each move keeps only the kernel's ``mi`` and ``kl``;
+    a round's records are assembled at its end, or at an abort.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
@@ -110,34 +112,38 @@ def run_brd(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     kernel = PosteriorKernel(model, np.zeros(model.m) if v0 is None else v0)
 
-    trajectory = [_record(spec, kernel, 0, -1)]
+    v = kernel.v  # kernel.update writes each move into it in place
+    trajectory = _records(spec, model, 0, v, v, [(kernel.mi, kernel.kl)])
     converged = False
     rounds_used = 0
     max_delta = math.inf
     for t in range(1, t_max + 1):
+        start, metrics = v.copy(), []
         max_delta = 0.0
         for i in range(model.m):
-            ctx = gain_context(model, i, kernel.gain(i), kernel.v[i])
+            ctx = gain_context(model, i, kernel.gain(i), v[i])
             new_vi = respond(spec, ctx, model.sigma2)
             if not math.isfinite(new_vi):
-                trajectory.append(_record(spec, kernel, t, i))
+                # The diagnostic record: the profile before the failing move.
+                metrics.append((kernel.mi, kernel.kl))
+                trajectory += _records(spec, model, t, start, v, metrics)
                 raise NonFiniteUpdateError(
                     f"non-finite best response for player {i} in round {t}",
                     trajectory,
                 )
-            max_delta = max(max_delta, abs(new_vi - kernel.v[i]))
+            max_delta = max(max_delta, abs(new_vi - v[i]))
             kernel.update(i, new_vi)
-            if i == model.m - 1:
-                # Once per round: drops the drift of the rank-one updates,
-                # so each round's last record is a fresh evaluation.
-                kernel.refactor()
-            trajectory.append(_record(spec, kernel, t, i))
+            metrics.append((kernel.mi, kernel.kl))
+        # Once per round: drops the drift of the rank-one updates, so
+        # each round's last record is a fresh evaluation.
+        kernel.refactor()
+        metrics[-1] = (kernel.mi, kernel.kl)
+        trajectory += _records(spec, model, t, start, v, metrics)
         rounds_used = t
         if max_delta < tol:
             converged = True
             break
 
-    v = kernel.v
     report = ConvergenceReport(
         converged=converged,
         rounds_used=rounds_used,

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import kl_global, kl_local, mi_global, mi_local
-from .model import MeasurementModel, PosteriorKernel, as_profile
+from .model import MeasurementModel, PosteriorKernel, as_profile, check_integer
 
-__all__ = ["GameSpec", "cost", "potential", "kernel_potential"]
+__all__ = ["GameSpec", "cost", "potential", "row_potentials"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class GameSpec:
     literal: bool = False
 
     def __post_init__(self):
+        check_integer("game", self.game)
         if self.game not in (1, 2, 3):
             raise ValueError(f"game must be 1, 2 or 3, got {self.game}")
         check_weight(self.game, self.lam)
@@ -78,21 +79,22 @@ def potential(spec: GameSpec, model: MeasurementModel, v) -> float:
     informations plus lam * kl_global.  Game 3: mi_global plus lam *
     sum of local KL divergences.
     """
-    return kernel_potential(spec, PosteriorKernel(model, v))
+    kernel = PosteriorKernel(model, v)
+    mi, kl = np.array([kernel.mi]), np.array([kernel.kl])
+    return row_potentials(spec, model, kernel.v[None], mi, kl).item()
 
 
-def kernel_potential(spec: GameSpec, kernel: PosteriorKernel) -> float:
-    """Exact potential at the kernel's profile, from its global metrics.
+def row_potentials(spec: GameSpec, model: MeasurementModel, V, mi, kl) -> np.ndarray:
+    """Exact potential at each row of the profile block V.
 
-    The sums of ``mi_local`` and ``kl_local`` over all players are
-    evaluated as vectors.
+    ``mi`` and ``kl`` hold the global metrics of the rows; the sums of
+    ``mi_local`` and ``kl_local`` over all players are taken row-wise.
     """
-    model, v = kernel.model, kernel.v
     if spec.game == 1:
-        return kernel.mi + spec.lam * kernel.kl
+        return mi + spec.lam * kl
     if spec.game == 2:
-        local_mi = 0.5 * float(np.sum(np.log1p(model.c / (model.sigma2 + v))))
-        return local_mi + spec.lam * kernel.kl
+        local_mi = 0.5 * np.sum(np.log1p(model.c / (model.sigma2 + V)), axis=1)
+        return local_mi + spec.lam * kl
     s = model.s
-    local_kl = 0.5 * float(np.sum(v / s + np.log(s) - np.log(s + v)))
-    return kernel.mi + spec.lam * local_kl
+    local_kl = 0.5 * np.sum(V / s + np.log(s) - np.log(s + V), axis=1)
+    return mi + spec.lam * local_kl

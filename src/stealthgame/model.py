@@ -47,6 +47,7 @@ class StatePriorSpec:
     rho: float
 
     def __post_init__(self):
+        check_integer("n", self.n)
         if self.n < 1:
             raise ValueError(f"state dimension must be positive, got {self.n}")
         if not 0.0 <= self.rho < 1.0:
@@ -136,6 +137,10 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
     H = np.atleast_2d(np.asarray(H, dtype=float))
     Sigma_XX = np.atleast_2d(np.asarray(Sigma_XX, dtype=float))
     m, n = H.shape
+    if m == 0 or n == 0:
+        raise ValueError(
+            f"H must have at least one row and one column, got shape {H.shape}"
+        )
     if Sigma_XX.shape != (n, n):
         raise ValueError(
             f"Sigma_XX shape {Sigma_XX.shape} does not match H columns ({n})"
@@ -208,6 +213,12 @@ def check_index(model: MeasurementModel, i: int) -> int:
     if not 0 <= i < model.m:
         raise IndexError(f"measurement index {i} outside [0, {model.m})")
     return i
+
+
+def check_integer(name: str, value) -> None:
+    """Validate an integer field: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_noise_variance(sigma2: float) -> float:
@@ -303,6 +314,7 @@ class PosteriorKernel:
     def __init__(self, model: MeasurementModel, v):
         self.model = model
         self.v = as_profile(model, v).copy()
+        self._outer = np.empty((model.n, model.n))  # update's rank-one term
         self.refactor()
 
     def refactor(self) -> None:
@@ -349,7 +361,8 @@ class PosteriorKernel:
             u, gamma = self._solve_row(i)
             before, after = 1.0 + w_old * gamma, 1.0 + w_i * gamma
             self._row = None
-            self.inv -= np.outer((delta * before / after) * u, u)
+            np.multiply.outer((delta * before / after) * u, u, out=self._outer)
+            self.inv -= self._outer
             self.logdet += math.log(after / before)
         # log1p(v_i / sigma2) - log1p(v_old / sigma2) in one logarithm.
         self._log_sum += math.log1p((v_i - v_old) * w_old)

@@ -14,7 +14,10 @@ best responses and best-response dynamics in 50-digit mpmath
 arithmetic from the cost derivatives, not from the solvers' polynomials,
 and ``kl_global`` from the m-by-m matrix ``sigma2 I + B B^T``.
 ``llr_local``, the scalar LLR of one measurement, is the Monte-Carlo
-oracle for the package's ``kl_local``.
+oracle for the package's ``kl_local``.  ``brd_per_move`` is the one
+oracle that runs the package's kernel: it redoes ``run_brd`` with one
+trajectory record formed after every move, to check bit for bit the
+records that ``run_brd`` assembles once per round.
 """
 
 import math
@@ -24,11 +27,19 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from stealthgame.bestresponse import V_MAX, BRContext
+from stealthgame.bestresponse import V_MAX, BRContext, gain_context, respond
+from stealthgame.dynamics import (
+    DEFAULT_T_MAX,
+    DEFAULT_TOL,
+    ConvergenceReport,
+    TrajectoryRecord,
+    verify_ne,
+)
 from stealthgame.games import GameSpec, cost
 from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
 from stealthgame.model import (
     MeasurementModel,
+    PosteriorKernel,
     StatePriorSpec,
     as_profile,
     attacked_cov,
@@ -155,6 +166,49 @@ def oracle_br_context(model, i, v):
         c=float(model.c[i]),
         v=float(v[i]),
     )
+
+
+def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
+                 tol=DEFAULT_TOL):
+    """``run_brd`` from v = 0 with one record per move: after each update
+    the kernel's profile is copied and the potential formed from its
+    global metrics, with the local sums of games 2 and 3 over one
+    profile at a time."""
+
+    def record(kernel, t, player):
+        v = kernel.v
+        if spec.game == 1:
+            pot = kernel.mi + spec.lam * kernel.kl
+        elif spec.game == 2:
+            local_mi = 0.5 * float(np.sum(np.log1p(model.c / (model.sigma2 + v))))
+            pot = local_mi + spec.lam * kernel.kl
+        else:
+            s = model.s
+            local_kl = 0.5 * float(np.sum(v / s + np.log(s) - np.log(s + v)))
+            pot = kernel.mi + spec.lam * local_kl
+        return TrajectoryRecord(t, player, v.copy(), pot, kernel.mi, kernel.kl)
+
+    kernel = PosteriorKernel(model, np.zeros(model.m))
+    trajectory = [record(kernel, 0, -1)]
+    converged, rounds_used = False, 0
+    for t in range(1, t_max + 1):
+        max_delta = 0.0
+        for i in range(model.m):
+            ctx = gain_context(model, i, kernel.gain(i), kernel.v[i])
+            new_vi = respond(spec, ctx, model.sigma2)
+            max_delta = max(max_delta, abs(new_vi - kernel.v[i]))
+            kernel.update(i, new_vi)
+            if i == model.m - 1:
+                kernel.refactor()
+            trajectory.append(record(kernel, t, i))
+        rounds_used = t
+        if max_delta < tol:
+            converged = True
+            break
+    v = kernel.v
+    report = ConvergenceReport(converged, rounds_used, max_delta,
+                               verify_ne(spec, model, v))
+    return v, trajectory, report
 
 
 def oracle_rank_auc(llr_null, llr_attacked):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -190,6 +191,16 @@ class TestNonFiniteModelInput:
             build_model([[1.0, bad]], np.eye(2), 1.0)
         with pytest.raises(ValueError, match="Sigma_XX entries must be finite"):
             build_model(np.eye(2), [[1.0, bad], [bad, 1.0]], 1.0)
+
+    @pytest.mark.parametrize("H,Sigma_XX", [
+        (np.zeros((0, 2)), np.eye(2)),
+        (np.zeros((2, 0)), np.eye(0)),
+        (np.zeros(0), np.eye(0)),
+    ])
+    def test_build_model_rejects_empty_h(self, H, Sigma_XX):
+        shape = np.atleast_2d(H).shape
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+            build_model(H, Sigma_XX, 1.0)
 
     def test_build_model_rejects_overflowing_signal(self):
         with warnings.catch_warnings():

@@ -25,6 +25,7 @@ from stealthgame.model import (
 )
 
 from _helpers import (
+    brd_per_move,
     ieee9_model_at,
     logdet,
     low_redundancy_model,
@@ -140,6 +141,39 @@ class TestRunBrd:
         # start + 2 good updates + the diagnostic record for the abort
         assert len(excinfo.value.trajectory) == 4
 
+    @pytest.mark.parametrize("player", [0, 2])
+    def test_nonfinite_update_aborts_mid_round(
+        self, ring3_model, monkeypatch, player
+    ):
+        # Call m + player + 1 fails: round 2, after `player` moves of it.
+        m, spec = ring3_model.m, GameSpec(1, 2.0)
+        calls = {"n": 0}
+
+        def broken(spec, ctx, sigma2):
+            calls["n"] += 1
+            return math.nan if calls["n"] == m + player + 1 else 0.01 * calls["n"]
+
+        monkeypatch.setattr(dynamics, "respond", broken)
+        with pytest.raises(NonFiniteUpdateError) as excinfo:
+            run_brd(spec, ring3_model)
+        trajectory = excinfo.value.trajectory
+        assert len(trajectory) == 1 + m + player + 1
+        assert [(rec.round, rec.player) for rec in trajectory] == (
+            [(0, -1)] + [(1, i) for i in range(m)] + [(2, i) for i in range(player + 1)]
+        )
+        for prev, rec in zip(trajectory[:-2], trajectory[1:-1]):
+            assert np.flatnonzero(rec.v_snapshot != prev.v_snapshot).tolist() == [
+                rec.player
+            ]
+        before = 0.01 * np.arange(1, m + 1)
+        before[:player] = 0.01 * np.arange(m + 1, m + player + 1)
+        diagnostic = trajectory[-1]
+        np.testing.assert_array_equal(diagnostic.v_snapshot, before)
+        np.testing.assert_array_equal(diagnostic.v_snapshot, trajectory[-2].v_snapshot)
+        assert diagnostic.potential == pytest.approx(
+            potential(spec, ring3_model, before), rel=1e-13, abs=0.0
+        )
+
 
 # v* of the 9-bus case (rho 0.9, 30 dB) at lambda 2: run_brd's rounds
 # repeated in 50-digit arithmetic on the kernel's data, rounded to double
@@ -212,6 +246,26 @@ class TestKernelDynamics:
         for rec in trajectory:
             fresh = potential(spec, ieee9_model, rec.v_snapshot)
             assert abs(rec.potential - fresh) <= 1e-13
+
+    @pytest.mark.parametrize("snr", [30.0, 70.0])
+    @pytest.mark.parametrize("game,literal", [(1, False), (2, False), (3, False),
+                                              (3, True)])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 1e3])
+    def test_records_bit_identical_to_per_move_records(self, snr, game, literal, lam):
+        model = ieee9_model_at(snr)
+        spec = GameSpec(game, lam, literal)
+
+        def bits(v, trajectory, report):
+            floats = (report.max_delta_last_round, report.ne_residual)
+            return (
+                v.tobytes(),
+                (report.converged, report.rounds_used, *map(float.hex, floats)),
+                [(rec.round, rec.player, rec.v_snapshot.tobytes(),
+                  *map(float.hex, (rec.potential, rec.mi_global, rec.kl_global)))
+                 for rec in trajectory],
+            )
+
+        assert bits(*run_brd(spec, model)) == bits(*brd_per_move(spec, model))
 
     @pytest.mark.parametrize("game", [1, 2, 3])
     def test_rank_deficient_prior(self, rng, game):

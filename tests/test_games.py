@@ -29,6 +29,15 @@ class TestGameSpec:
         with pytest.raises(ValueError, match="game"):
             GameSpec(4, 2.0)
 
+    @pytest.mark.parametrize("game", [True, np.True_, 2.0, 2.5, "2"])
+    def test_game_index_must_be_an_integer(self, game):
+        with pytest.raises(ValueError, match="game must be an integer"):
+            GameSpec(game, 2.0)
+
+    @pytest.mark.parametrize("game", [np.int64(2), np.int32(3), np.uint8(1)])
+    def test_numpy_integer_game_index_accepted(self, game):
+        assert GameSpec(game, 2.0).game == game
+
     @pytest.mark.parametrize("game", [1, 2])
     def test_literal_rule_is_game_3_only(self, game):
         with pytest.raises(ValueError, match="game 3 only"):

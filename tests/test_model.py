@@ -42,6 +42,16 @@ class TestToeplitzCov:
         with pytest.raises(ValueError):
             StatePriorSpec(3, rho)
 
+    @pytest.mark.parametrize("n", [True, False, 2.5, 3.0, "3"])
+    def test_state_dimension_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            StatePriorSpec(n, 0.5)
+
+    def test_numpy_integer_state_dimension_accepted(self):
+        np.testing.assert_allclose(
+            toeplitz_cov(StatePriorSpec(np.int64(2), 0.9)), [[1.0, 0.9], [0.9, 1.0]]
+        )
+
     def test_positive_definite_for_valid_rho(self, rng):
         for _ in range(10):
             spec = StatePriorSpec(int(rng.integers(1, 9)), float(rng.uniform(0, 0.99)))
