@@ -37,7 +37,12 @@ both the numerator and the shifted denominator factor.  The literal rule
 pairs ``gamma_i`` with ``alpha_i`` in the denominator instead (kept for
 comparison, see README); a game selects it with
 ``GameSpec(3, lam, literal=True)``, which :func:`respond` passes on to
-:func:`br_g3`.
+the game-3 solver.
+
+:func:`br_g1`, :func:`br_g2` and :func:`br_g3` check the weight and the
+noise variance, then run their game's arithmetic.  :func:`respond`, which
+:func:`~stealthgame.dynamics.run_brd` calls once per move, runs the same
+arithmetic and takes the weight as checked by ``GameSpec``.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ __all__ = [
     "V_MAX",
     "br_context",
     "gain_context",
+    "player_contexts",
     "br_g1",
     "br_g2",
     "br_g3",
@@ -98,15 +104,24 @@ def gain_context(
 ) -> BRContext:
     """The context of player i, at variance v_i, whose gain from the other
     players is gamma."""
-    if not (gamma >= 0.0 and math.isfinite(gamma)):
-        raise np.linalg.LinAlgError(f"invalid gain for player {i}: gamma={gamma}")
-    return BRContext(
-        gamma=gamma,
-        gamma0=float(model.gain0[i]),
-        s=float(model.s[i]),
-        c=float(model.c[i]),
-        v=float(v_i),
-    )
+    return player_contexts(model)(i, gamma, float(v_i))
+
+
+def player_contexts(model: MeasurementModel):
+    """:func:`gain_context` of one model as ``context(i, gamma, v_i)``.
+
+    gamma0, s and c are read into Python floats once, so a context costs
+    no numpy scalar reads; ``v_i`` is taken as a float.  Raises
+    LinAlgError for a gain that is negative or not finite.
+    """
+    gain0, s, c = model.gain0.tolist(), model.s.tolist(), model.c.tolist()
+
+    def context(i: int, gamma: float, v_i: float) -> BRContext:
+        if not 0.0 <= gamma < math.inf:
+            raise np.linalg.LinAlgError(f"invalid gain for player {i}: gamma={gamma}")
+        return BRContext(float(gamma), gain0[i], s[i], c[i], v_i)
+
+    return context
 
 
 def br_context(model: MeasurementModel, i: int, v) -> BRContext:
@@ -132,7 +147,10 @@ def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     is nondecreasing on [0, inf).
     """
     check_weight(1, lam)
-    sigma2 = check_noise_variance(sigma2)
+    return _g1(ctx, check_noise_variance(sigma2), lam)
+
+
+def _g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     gamma, gamma0 = ctx.gamma, min(ctx.gamma0, ctx.gamma)
     d = gamma - gamma0
     B = sigma2 + d
@@ -192,7 +210,7 @@ def _warn_degenerate(game: int) -> float:
         f"game {game} with lam = 0 has no finite best response "
         f"(cost strictly decreasing); returning V_MAX",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
     return V_MAX
 
@@ -207,7 +225,10 @@ def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
     already nonnegative.
     """
     check_weight(2, lam)
-    sigma2 = check_noise_variance(sigma2)
+    return _g2(ctx, check_noise_variance(sigma2), lam)
+
+
+def _g2(ctx: BRContext, sigma2: float, lam: float) -> float:
     if lam == 0.0:
         return _warn_degenerate(2)
     if ctx.c <= 0.0:
@@ -216,7 +237,7 @@ def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
         return 0.0
     gamma, gamma0 = ctx.gamma, min(ctx.gamma0, ctx.gamma)
     rho, b2, b1, b0, xyz = _scaled_cubic(
-        (sigma2, ctx.s, gamma - gamma0), ctx.c * (sigma2 + gamma0), lam, sigma2 + gamma
+        sigma2, ctx.s, gamma - gamma0, ctx.c * (sigma2 + gamma0), lam, sigma2 + gamma
     )
     if abs(b0) < CANCELLED * xyz:  # recompute exactly, rounded once
         s2, g, g0 = Fraction(sigma2), Fraction(gamma), Fraction(gamma0)
@@ -240,7 +261,10 @@ def br_g3(
     l (sigma2 + l)(sigma2 + g + l) - k (s + l) = 0, k = gamma s / lam.
     """
     check_weight(3, lam)
-    sigma2 = check_noise_variance(sigma2)
+    return _g3(ctx, check_noise_variance(sigma2), lam, literal)
+
+
+def _g3(ctx: BRContext, sigma2: float, lam: float, literal: bool) -> float:
     if lam == 0.0:
         return _warn_degenerate(3)
     if ctx.gamma <= 0.0:
@@ -249,7 +273,7 @@ def br_g3(
         return 0.0
     shift = 1.0 / (sigma2 + ctx.gamma) if literal else ctx.gamma
     rho, b2, b1, b0, _ = _scaled_cubic(
-        (0.0, sigma2, sigma2 + shift), ctx.gamma * ctx.s, lam, ctx.s
+        0.0, sigma2, sigma2 + shift, ctx.gamma * ctx.s, lam, ctx.s
     )
     if not b0 < 0.0:  # only if k s underflows
         return 0.0
@@ -257,11 +281,11 @@ def br_g3(
 
 
 def _scaled_cubic(
-    shifts: tuple[float, float, float], numerator: float, lam: float, offset: float
+    x: float, y: float, z: float, numerator: float, lam: float, offset: float
 ) -> tuple[float, float, float, float, float]:
     """(x + l)(y + l)(z + l) - k (offset + l), k = numerator / lam, in l = rho t.
 
-    ``shifts`` = (x, y, z), ``numerator`` and ``offset`` are >= 0 and
+    The shifts x, y, z, ``numerator`` and ``offset`` are >= 0 and
     lam > 0.  Returns rho, the coefficients b2, b1, b0 of the monic cubic
     in t, and the b0 part xyz / rho^3.  When a small lam makes k large,
     rho is a power of two >= 2 max(k^(1/2), (k offset)^(1/3)), both formed
@@ -277,7 +301,7 @@ def _scaled_cubic(
     )
     rho = math.ldexp(1.0, math.frexp(max(2.0 * k_root, 1.0))[1])
     kappa = numerator / ((lam * rho) * rho)
-    x, y, z = (shift / rho for shift in shifts)
+    x, y, z = x / rho, y / rho, z / rho
     xyz = x * y * z
     b1 = x * y + z * (x + y) - kappa
     return rho, x + y + z, b1, xyz - kappa * (offset / rho), xyz
@@ -289,9 +313,14 @@ def best_response(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:
 
 
 def respond(spec: GameSpec, ctx: BRContext, sigma2: float) -> float:
-    """Best response of the player described by ``ctx`` in game ``spec``."""
+    """Best response of the player described by ``ctx`` in game ``spec``.
+
+    The same arithmetic as :func:`br_g1`, :func:`br_g2` and :func:`br_g3`;
+    the weight is not checked again, since ``GameSpec`` checked it.
+    """
+    sigma2 = check_noise_variance(sigma2)
     if spec.game == 1:
-        return br_g1(ctx, sigma2, spec.lam)
+        return _g1(ctx, sigma2, spec.lam)
     if spec.game == 2:
-        return br_g2(ctx, sigma2, spec.lam)
-    return br_g3(ctx, sigma2, spec.lam, literal=spec.literal)
+        return _g2(ctx, sigma2, spec.lam)
+    return _g3(ctx, sigma2, spec.lam, spec.literal)

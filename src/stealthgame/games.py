@@ -20,6 +20,7 @@ import numpy as np
 
 from .metrics import kl_global, kl_local, mi_global, mi_local
 from .model import MeasurementModel, PosteriorKernel, as_profile, check_integer
+from .model import check_real
 
 __all__ = ["GameSpec", "cost", "potential", "row_potentials"]
 
@@ -39,7 +40,10 @@ class GameSpec:
         check_integer("game", self.game)
         if self.game not in (1, 2, 3):
             raise ValueError(f"game must be 1, 2 or 3, got {self.game}")
+        check_real("lam", self.lam)
         check_weight(self.game, self.lam)
+        if not isinstance(self.literal, bool):
+            raise ValueError(f"literal must be a bool, got {self.literal!r}")
         if self.literal and self.game != 3:
             raise ValueError(
                 f"the literal best response exists in game 3 only, got game {self.game}"

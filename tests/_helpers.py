@@ -15,9 +15,10 @@ arithmetic from the cost derivatives, not from the solvers' polynomials,
 and ``kl_global`` from the m-by-m matrix ``sigma2 I + B B^T``.
 ``llr_local``, the scalar LLR of one measurement, is the Monte-Carlo
 oracle for the package's ``kl_local``.  ``brd_per_move`` is the one
-oracle that runs the package's kernel: it redoes ``run_brd`` with one
-trajectory record formed after every move, to check bit for bit the
-records that ``run_brd`` assembles once per round.
+oracle that runs the package's kernel: it redoes ``run_brd`` through the
+public, validated ``gain_context`` and ``br_g1``/``br_g2``/``br_g3``, with
+one trajectory record formed after every move, to check bit for bit the
+moves and the records that ``run_brd`` assembles once per round.
 """
 
 import math
@@ -27,16 +28,21 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from stealthgame.bestresponse import V_MAX, BRContext, gain_context, respond
+from stealthgame.bestresponse import V_MAX, BRContext, br_g1, br_g2, br_g3, gain_context
 from stealthgame.dynamics import (
     DEFAULT_T_MAX,
     DEFAULT_TOL,
     ConvergenceReport,
     TrajectoryRecord,
-    verify_ne,
 )
 from stealthgame.games import GameSpec, cost
-from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
+from stealthgame.grid import (
+    Branch,
+    BusNetwork,
+    build_dc_jacobian,
+    bundled_case,
+    parse_network,
+)
 from stealthgame.model import (
     MeasurementModel,
     PosteriorKernel,
@@ -71,6 +77,21 @@ def ieee9_model_at(snr: float) -> MeasurementModel:
     """Bundled 9-bus case with rho = 0.9 and the noise of an SNR in dB."""
     with open(bundled_case("ieee9"), encoding="utf-8") as fh:
         H = build_dc_jacobian(parse_network(fh.read())).H
+    Sigma_XX = toeplitz_cov(StatePriorSpec(H.shape[1], 0.9))
+    return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
+
+
+def chain_model(n_bus: int, snr: float, seed: int = 0) -> MeasurementModel:
+    """A chain of n_bus buses plus n_bus // 2 random chords, rho = 0.9:
+    m = (n_bus - 1) + n_bus // 2 + n_bus measurements (74 for 30 buses)."""
+    rng = np.random.default_rng(seed)
+    edges = {(k, k + 1) for k in range(1, n_bus)}
+    while len(edges) < (n_bus - 1) + n_bus // 2:
+        a, b = sorted(rng.choice(np.arange(1, n_bus + 1), 2, replace=False).tolist())
+        edges.add((a, b))
+    branches = tuple(Branch(a, b, float(rng.uniform(5.0, 20.0)))
+                     for a, b in sorted(edges))
+    H = build_dc_jacobian(BusNetwork(n_bus=n_bus, slack=1, branches=branches)).H
     Sigma_XX = toeplitz_cov(StatePriorSpec(H.shape[1], 0.9))
     return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
 
@@ -168,12 +189,24 @@ def oracle_br_context(model, i, v):
     )
 
 
+def checked_response(spec: GameSpec, ctx: BRContext, sigma2: float) -> float:
+    """The best response by the public solver of the game, which checks
+    the weight and the noise variance on every call."""
+    if spec.game == 1:
+        return br_g1(ctx, sigma2, spec.lam)
+    if spec.game == 2:
+        return br_g2(ctx, sigma2, spec.lam)
+    return br_g3(ctx, sigma2, spec.lam, literal=spec.literal)
+
+
 def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
                  tol=DEFAULT_TOL):
-    """``run_brd`` from v = 0 with one record per move: after each update
-    the kernel's profile is copied and the potential formed from its
-    global metrics, with the local sums of games 2 and 3 over one
-    profile at a time."""
+    """``run_brd`` from v = 0 through the public, validated calls: each
+    context from ``gain_context`` and each response from ``br_g1``,
+    ``br_g2`` or ``br_g3``.  After each update the kernel's profile is
+    copied and the potential formed from its global metrics, with the
+    local sums of games 2 and 3 over one profile at a time; the residual
+    is formed the same way from a fresh kernel."""
 
     def record(kernel, t, player):
         v = kernel.v
@@ -188,15 +221,18 @@ def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
             pot = kernel.mi + spec.lam * local_kl
         return TrajectoryRecord(t, player, v.copy(), pot, kernel.mi, kernel.kl)
 
+    def response(kernel, i):
+        ctx = gain_context(model, i, kernel.gain(i), kernel.v[i])
+        return checked_response(spec, ctx, model.sigma2)
+
     kernel = PosteriorKernel(model, np.zeros(model.m))
     trajectory = [record(kernel, 0, -1)]
     converged, rounds_used = False, 0
     for t in range(1, t_max + 1):
         max_delta = 0.0
         for i in range(model.m):
-            ctx = gain_context(model, i, kernel.gain(i), kernel.v[i])
-            new_vi = respond(spec, ctx, model.sigma2)
-            max_delta = max(max_delta, abs(new_vi - kernel.v[i]))
+            new_vi = response(kernel, i)
+            max_delta = max(max_delta, float(abs(new_vi - kernel.v[i])))
             kernel.update(i, new_vi)
             if i == model.m - 1:
                 kernel.refactor()
@@ -206,9 +242,10 @@ def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
             converged = True
             break
     v = kernel.v
-    report = ConvergenceReport(converged, rounds_used, max_delta,
-                               verify_ne(spec, model, v))
-    return v, trajectory, report
+    fresh = PosteriorKernel(model, v)
+    residual = max(abs(v[i] - response(fresh, i)) for i in range(model.m))
+    return v, trajectory, ConvergenceReport(converged, rounds_used, max_delta,
+                                            float(residual))
 
 
 def oracle_rank_auc(llr_null, llr_attacked):

@@ -26,6 +26,7 @@ from stealthgame.model import (
 
 from _helpers import (
     brd_per_move,
+    chain_model,
     ieee9_model_at,
     logdet,
     low_redundancy_model,
@@ -201,6 +202,18 @@ IEEE9_LAM2_NE = {
 IEEE9_LAM2_ROUNDS = {1: 7, 2: 8, 3: 12}
 
 
+def run_bits(v, trajectory, report):
+    """Every bit of a run_brd result."""
+    floats = (report.max_delta_last_round, report.ne_residual)
+    return (
+        v.tobytes(),
+        (report.converged, report.rounds_used, *map(float.hex, floats)),
+        [(rec.round, rec.player, rec.v_snapshot.tobytes(),
+          *map(float.hex, (rec.potential, rec.mi_global, rec.kl_global)))
+         for rec in trajectory],
+    )
+
+
 class TestKernelDynamics:
     @pytest.mark.parametrize("game", [1, 2, 3])
     def test_ieee9_equilibria_unchanged(self, ieee9_model, game):
@@ -254,18 +267,19 @@ class TestKernelDynamics:
     def test_records_bit_identical_to_per_move_records(self, snr, game, literal, lam):
         model = ieee9_model_at(snr)
         spec = GameSpec(game, lam, literal)
+        assert run_bits(*run_brd(spec, model)) == run_bits(*brd_per_move(spec, model))
 
-        def bits(v, trajectory, report):
-            floats = (report.max_delta_last_round, report.ne_residual)
-            return (
-                v.tobytes(),
-                (report.converged, report.rounds_used, *map(float.hex, floats)),
-                [(rec.round, rec.player, rec.v_snapshot.tobytes(),
-                  *map(float.hex, (rec.potential, rec.mi_global, rec.kl_global)))
-                 for rec in trajectory],
-            )
-
-        assert bits(*run_brd(spec, model)) == bits(*brd_per_move(spec, model))
+    @pytest.mark.parametrize("game,literal", [(1, False), (2, False), (3, False),
+                                              (3, True)])
+    def test_moves_bit_identical_to_the_public_path_at_m74(self, game, literal):
+        # run_brd reads the players' constants once per run and skips the
+        # public solvers' weight check; nothing else may differ.
+        model = chain_model(30, 30.0)
+        assert model.m == 74
+        spec = GameSpec(game, 2.0, literal)
+        result = run_brd(spec, model)
+        assert type(result[2].max_delta_last_round) is float
+        assert run_bits(*result) == run_bits(*brd_per_move(spec, model))
 
     @pytest.mark.parametrize("game", [1, 2, 3])
     def test_rank_deficient_prior(self, rng, game):

@@ -38,6 +38,20 @@ class TestGameSpec:
     def test_numpy_integer_game_index_accepted(self, game):
         assert GameSpec(game, 2.0).game == game
 
+    @pytest.mark.parametrize("lam", [True, False, np.True_, "2", None, 1 + 0j])
+    def test_weight_must_be_a_real_number(self, lam):
+        with pytest.raises(ValueError, match="lam must be a real number"):
+            GameSpec(3, lam)
+
+    @pytest.mark.parametrize("lam", [2, np.float32(2.0), np.int64(2)])
+    def test_integer_and_numpy_weights_accepted(self, lam):
+        assert GameSpec(1, lam).lam == lam
+
+    @pytest.mark.parametrize("literal", ["yes", 1, 0, None, np.True_])
+    def test_literal_must_be_a_bool(self, literal):
+        with pytest.raises(ValueError, match="literal must be a bool"):
+            GameSpec(3, 2.0, literal=literal)
+
     @pytest.mark.parametrize("game", [1, 2])
     def test_literal_rule_is_game_3_only(self, game):
         with pytest.raises(ValueError, match="game 3 only"):

@@ -9,6 +9,7 @@ from stealthgame.model import (
     attacked_cov,
     build_model,
     calibrate_noise,
+    kernel_gain,
     snr_db,
     toeplitz_cov,
 )
@@ -46,6 +47,11 @@ class TestToeplitzCov:
     def test_state_dimension_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
             StatePriorSpec(n, 0.5)
+
+    @pytest.mark.parametrize("rho", [True, False, np.False_, "0.5", None])
+    def test_rho_must_be_a_real_number(self, rho):
+        with pytest.raises(ValueError, match="rho must be a real number"):
+            StatePriorSpec(3, rho)
 
     def test_numpy_integer_state_dimension_accepted(self):
         np.testing.assert_allclose(
@@ -226,6 +232,24 @@ class TestPosteriorKernel:
             np.testing.assert_allclose(kernel.inv, fresh.inv, rtol=1e-10, atol=1e-13)
             assert kernel.logdet == pytest.approx(fresh.logdet, rel=1e-12)
             np.testing.assert_allclose(kernel.gains(), fresh.gains(), rtol=1e-10)
+
+    def test_rank_one_term_is_the_outer_product_bit_for_bit(self, rng):
+        # update forms (scale u) u^T by one BLAS product, not by
+        # np.multiply.outer; each entry is one rounded product either way.
+        for n in range(1, 121):
+            H = rng.standard_normal((n + 5, n))
+            model = build_model(H, toeplitz_cov(StatePriorSpec(n, 0.6)), 0.1)
+            kernel = PosteriorKernel(model, rng.uniform(0.0, 2.0, model.m))
+            for i in rng.permutation(model.m)[:3]:
+                inv, v_old, w_old = kernel.inv.copy(), kernel.v[i], kernel.w[i]
+                u, gamma = kernel_gain(model.B, kernel.w, kernel.inv, i)
+                v_i = float(rng.uniform(0.0, 2.0))
+                kernel.update(i, v_i)
+                w_i = 1.0 / (model.sigma2 + v_i)
+                delta = (v_old - v_i) * w_i * w_old
+                before, after = 1.0 + w_old * gamma, 1.0 + w_i * gamma
+                inv -= np.multiply.outer((delta * before / after) * u, u)
+                assert kernel.inv.tobytes() == inv.tobytes(), (n, i)
 
 
 def test_model_snr_roundtrip(ieee9_model):
