@@ -66,7 +66,6 @@ __all__ = [
     "BRContext",
     "V_MAX",
     "br_context",
-    "gain_context",
     "player_contexts",
     "br_g1",
     "br_g2",
@@ -99,16 +98,9 @@ class BRContext:
     v: float = field(default=0.0, compare=False)
 
 
-def gain_context(
-    model: MeasurementModel, i: int, gamma: float, v_i: float
-) -> BRContext:
-    """The context of player i, at variance v_i, whose gain from the other
-    players is gamma."""
-    return player_contexts(model)(i, gamma, float(v_i))
-
-
 def player_contexts(model: MeasurementModel):
-    """:func:`gain_context` of one model as ``context(i, gamma, v_i)``.
+    """``context(i, gamma, v_i)``: the context of player i of one model, at
+    variance v_i, whose gain from the other players is gamma.
 
     gamma0, s and c are read into Python floats once, so a context costs
     no numpy scalar reads; ``v_i`` is taken as a float.  Raises
@@ -135,7 +127,8 @@ def br_context(model: MeasurementModel, i: int, v) -> BRContext:
     i = check_index(model, i)
     others = v.copy()
     others[i] = 0.0
-    return gain_context(model, i, PosteriorKernel(model, others).gain(i), v[i])
+    gamma = PosteriorKernel(model, others).gain(i)
+    return player_contexts(model)(i, gamma, float(v[i]))
 
 
 def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:

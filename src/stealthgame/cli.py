@@ -101,15 +101,19 @@ def _variant(spec: GameSpec) -> str:
     return "literal" if spec.literal else "gamma"
 
 
-def _model_header_lines(args, model, source: str) -> list[str]:
+def _header(title: str, args, model, source: str, settings: str) -> list[str]:
+    """A CSV file's comment lines: its title, the model and the command's
+    own settings."""
     noise = (
         f"snr_db={_fmt(args.snr_db)}"
         if args.snr_db is not None
         else f"sigma2={_fmt(args.sigma2)}"
     )
     return [
+        f"# stealthgame {title}",
         f"# source={source} rho={_fmt(args.rho)} {noise}",
         f"# m={model.m} n={model.n} sigma2={_fmt(model.sigma2)}",
+        f"# {settings}",
     ]
 
 
@@ -129,18 +133,13 @@ def cmd_build(parser, args) -> int:
     return EXIT_OK
 
 
-def _write_trajectory(path: str, header: list[str], trajectory, m: int) -> None:
-    cols = ["t", "player"] + [f"v_{j + 1}" for j in range(m)]
-    cols += ["potential", "mi_global", "kl_global"]
+def _write_csv(path: str, header: list[str], columns: list[str], row: str, rows):
+    """Write the header, the column line, then ``row % values`` for each
+    tuple of ``rows``; ``%.17g`` prints the digits :func:`_fmt` prints."""
+    row += "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        fh.write(",".join(cols) + "\n")
-        for rec in trajectory:
-            row = [str(rec.round), str(rec.player + 1)]
-            row += [_fmt(x) for x in rec.v_snapshot]
-            row += [_fmt(rec.potential), _fmt(rec.mi_global), _fmt(rec.kl_global)]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(line + "\n" for line in [*header, ",".join(columns)])
+        fh.writelines(row % values for values in rows)
 
 
 def cmd_run(parser, args) -> int:
@@ -148,13 +147,20 @@ def cmd_run(parser, args) -> int:
     model, source = _build_from_args(args)
     v_star, trajectory, report = run_brd(spec, model, t_max=args.tmax, tol=args.tol)
 
-    header = ["# stealthgame trajectory"]
-    header += _model_header_lines(args, model, source)
-    header.append(
-        f"# game={spec.game} lambda={_fmt(spec.lam)} tmax={args.tmax} "
+    settings = (
+        f"game={spec.game} lambda={_fmt(spec.lam)} tmax={args.tmax} "
         f"tol={_fmt(args.tol)} br3={_variant(spec)}"
     )
-    _write_trajectory(f"{args.out}.trajectory.csv", header, trajectory, model.m)
+    columns = ["t", "player"] + [f"v_{j + 1}" for j in range(model.m)]
+    columns += ["potential", "mi_global", "kl_global"]
+    rows = (
+        (rec.round, rec.player + 1, *rec.v_snapshot.tolist(), rec.potential,
+         rec.mi_global, rec.kl_global)
+        for rec in trajectory
+    )
+    row = "%d,%d," + "%.17g," * model.m + "%.17g,%.17g,%.17g"
+    header = _header("trajectory", args, model, source, settings)
+    _write_csv(f"{args.out}.trajectory.csv", header, columns, row, rows)
 
     result = {
         "game": spec.game,
@@ -190,33 +196,28 @@ def cmd_sweep(parser, args) -> int:
     specs = [_game_spec(parser, args, lam) for lam in lambdas]
     model, source = _build_from_args(args)
 
-    ordered = sorted(specs, key=lambda sp: sp.lam)
-    results = [run_brd(spec, model, t_max=args.tmax, tol=args.tol) for spec in ordered]
+    # Each run is reduced to its row as it returns, so no trajectory
+    # outlives its run; the file is written only once every run is done.
+    runs = [
+        _sweep_row(spec, *run_brd(spec, model, t_max=args.tmax, tol=args.tol))
+        for spec in sorted(specs, key=lambda sp: sp.lam)
+    ]
+    converged, rows = zip(*runs)
+    settings = f"game={args.game} tmax={args.tmax} tol={_fmt(args.tol)}"
+    header = _header("lambda sweep", args, model, source, settings)
+    columns = ["lambda", "v_min", "v_mean", "v_max", "mi_global", "kl_global"]
+    row = "%.17g," * len(columns) + "%s"
+    _write_csv(args.out, header, columns + ["br3_variant"], row, rows)
+    return EXIT_OK if all(converged) else EXIT_NO_CONVERGENCE
 
-    all_converged = True
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# stealthgame lambda sweep\n")
-        for line in _model_header_lines(args, model, source):
-            fh.write(line + "\n")
-        fh.write(f"# game={args.game} tmax={args.tmax} tol={_fmt(args.tol)}\n")
-        fh.write("lambda,v_min,v_mean,v_max,mi_global,kl_global,br3_variant\n")
-        for spec, (v_star, trajectory, report) in zip(ordered, results):
-            all_converged &= report.converged
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(spec.lam),
-                        _fmt(np.min(v_star)),
-                        _fmt(np.mean(v_star)),
-                        _fmt(np.max(v_star)),
-                        _fmt(trajectory[-1].mi_global),
-                        _fmt(trajectory[-1].kl_global),
-                        _variant(spec) if spec.game == 3 else "-",
-                    ]
-                )
-                + "\n"
-            )
-    return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+
+def _sweep_row(spec: GameSpec, v_star, trajectory, report) -> tuple[bool, tuple]:
+    """Whether one sweep run converged, and its CSV row."""
+    last = trajectory[-1]
+    variant = _variant(spec) if spec.game == 3 else "-"
+    row = (spec.lam, np.min(v_star), np.mean(v_star), np.max(v_star),
+           last.mi_global, last.kl_global, variant)
+    return report.converged, row
 
 
 def _read_profile(path: str, ne) -> np.ndarray:
@@ -270,17 +271,12 @@ def cmd_detect(parser, args) -> int:
     log_taus = np.linspace(max(lo - 1e-9, -700.0), min(hi + 1e-9, 700.0), args.grid)
     curve = threshold_curve(llr_null, llr_attacked, np.exp(log_taus))
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# stealthgame detection curve\n")
-        for line in _model_header_lines(args, model, source):
-            fh.write(line + "\n")
-        fh.write(
-            f"# ne={args.ne} n_samples={args.samples} seed={args.seed} "
-            f"kl_global={_fmt(kl)}\n"
-        )
-        fh.write("tau,alpha_hat,beta_hat\n")
-        for tau, alpha_hat, beta_hat in curve:
-            fh.write(f"{_fmt(tau)},{_fmt(alpha_hat)},{_fmt(beta_hat)}\n")
+    settings = (
+        f"ne={args.ne} n_samples={args.samples} seed={args.seed} kl_global={_fmt(kl)}"
+    )
+    header = _header("detection curve", args, model, source, settings)
+    columns = ["tau", "alpha_hat", "beta_hat"]
+    _write_csv(args.out, header, columns, "%.17g,%.17g,%.17g", curve)
     return EXIT_OK
 
 

@@ -20,8 +20,7 @@ calls), its context from constants read into Python floats once per run
 Python floats with the weight already checked by ``GameSpec``, and the
 kernel's rank-one update (two more BLAS calls).  At m = 149 (n = 59) a
 move, with its share of the round's records, takes about 20 us on 2
-vCPUs, against 33 us when each move read numpy scalars, re-checked the
-weight and formed the rank-one term with ``np.multiply.outer``.
+vCPUs.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ and ``kl_global`` from the m-by-m matrix ``sigma2 I + B B^T``.
 ``llr_local``, the scalar LLR of one measurement, is the Monte-Carlo
 oracle for the package's ``kl_local``.  ``brd_per_move`` is the one
 oracle that runs the package's kernel: it redoes ``run_brd`` through the
-public, validated ``gain_context`` and ``br_g1``/``br_g2``/``br_g3``, with
+public, validated ``player_contexts`` and ``br_g1``/``br_g2``/``br_g3``, with
 one trajectory record formed after every move, to check bit for bit the
 moves and the records that ``run_brd`` assembles once per round.
 """
@@ -28,7 +28,14 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from stealthgame.bestresponse import V_MAX, BRContext, br_g1, br_g2, br_g3, gain_context
+from stealthgame.bestresponse import (
+    V_MAX,
+    BRContext,
+    br_g1,
+    br_g2,
+    br_g3,
+    player_contexts,
+)
 from stealthgame.dynamics import (
     DEFAULT_T_MAX,
     DEFAULT_TOL,
@@ -202,7 +209,7 @@ def checked_response(spec: GameSpec, ctx: BRContext, sigma2: float) -> float:
 def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
                  tol=DEFAULT_TOL):
     """``run_brd`` from v = 0 through the public, validated calls: each
-    context from ``gain_context`` and each response from ``br_g1``,
+    context from ``player_contexts`` and each response from ``br_g1``,
     ``br_g2`` or ``br_g3``.  After each update the kernel's profile is
     copied and the potential formed from its global metrics, with the
     local sums of games 2 and 3 over one profile at a time; the residual
@@ -222,9 +229,10 @@ def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
         return TrajectoryRecord(t, player, v.copy(), pot, kernel.mi, kernel.kl)
 
     def response(kernel, i):
-        ctx = gain_context(model, i, kernel.gain(i), kernel.v[i])
+        ctx = context(i, kernel.gain(i), float(kernel.v[i]))
         return checked_response(spec, ctx, model.sigma2)
 
+    context = player_contexts(model)
     kernel = PosteriorKernel(model, np.zeros(model.m))
     trajectory = [record(kernel, 0, -1)]
     converged, rounds_used = False, 0

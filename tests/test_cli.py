@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+import stealthgame.cli as cli
 from stealthgame.bestresponse import V_MAX
-from stealthgame.cli import main
+from stealthgame.cli import _fmt, main
+from stealthgame.dynamics import NonFiniteUpdateError, run_brd
 from stealthgame.games import GameSpec, potential
 from stealthgame.grid import bundled_case
 from stealthgame.model import StatePriorSpec, build_model, toeplitz_cov
@@ -237,6 +239,50 @@ class TestSweep:
             if ln and not ln.startswith("#") and not ln.startswith("lambda")
         ]
         assert lams == sorted(lams)
+
+    @pytest.mark.parametrize("game, extra", [("1", []), ("3", ["--br3-literal"])])
+    def test_rows_are_the_run_summaries(self, tmp_path, capsys, game, extra):
+        """Each sweep row is, byte for byte, the summary of ``run``'s NE
+        file at the same weight."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *MODEL_FLAGS, "--game", game, *extra,
+                     "--lambda-list", "1,2,5,10", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[5:]
+        variant = "literal" if extra else "-"
+        for row, lam in zip(rows, ["1", "2", "5", "10"], strict=True):
+            prefix = tmp_path / f"run{lam}"
+            assert main(["run", *MODEL_FLAGS, "--game", game, *extra,
+                         "--lambda", lam, "--out", str(prefix)]) == 0
+            ne = json.loads((tmp_path / f"run{lam}.ne.json").read_text())
+            v = np.array(ne["v_star"])
+            cells = [float(lam), np.min(v), np.mean(v), np.max(v),
+                     ne["mi_global"], ne["kl_global"]]
+            assert row == ",".join([*map(_fmt, cells), variant])
+
+    def test_failed_run_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NonFiniteUpdateError("non-finite update", [])
+            return run_brd(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_brd", failing_second)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *MODEL_FLAGS, "--game", "1",
+                     "--lambda-list", "1,2,5", "--out", str(out)]) == 4
+        assert "non-finite update" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert not out.exists()
+
+    def test_unconverged_sweep_exits_3_with_every_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *MODEL_FLAGS, "--game", "1", "--tmax", "1",
+                     "--lambda-list", "1,2,5,10", "--out", str(out)]) == 3
+        lines = out.read_text().splitlines()
+        assert lines[4] == "lambda,v_min,v_mean,v_max,mi_global,kl_global,br3_variant"
+        assert [ln.split(",")[0] for ln in lines[5:]] == ["1", "2", "5", "10"]
 
 
 class TestDetect:

@@ -9,12 +9,13 @@ import copy
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stealthgame.bestresponse as bestresponse
 from stealthgame.bestresponse import BRContext, br_g1, br_g2, br_g3
+from stealthgame.cli import _fmt
 from stealthgame.dynamics import run_brd, verify_ne
 from stealthgame.games import GameSpec, cost, potential
 from stealthgame.model import (
@@ -173,3 +174,36 @@ def test_kernel_row_follows_every_move(seed, steps):
         np.testing.assert_allclose(gains, fresh.gains(), rtol=1e-10)
         np.testing.assert_allclose(kernel.inv, fresh.inv, rtol=1e-10, atol=1e-13)
         assert kernel.logdet == pytest.approx(fresh.logdet, rel=1e-12)
+
+
+# The CLI's CSV rows are %-templates; header values and stdout use _fmt.
+FORMAT = settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+
+
+@FORMAT
+@given(st.floats())
+@example(float("nan"))
+@example(float("inf"))
+@example(float("-inf"))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+@example(1.0)
+@example(-3.0)
+@example(2.0**53)
+@example(1e16)
+@example(1e17)
+def test_float_template_prints_fmt_digits(x):
+    assert "%.17g" % x == _fmt(x)
+    assert "%.17g" % np.float64(x) == _fmt(x)
+
+
+@FORMAT
+@given(st.integers(-(2**64), 2**64))
+@example(0)
+@example(-1)
+def test_int_template_prints_str(k):
+    assert "%d" % k == str(k)
