@@ -35,7 +35,6 @@ from .metrics import (
 from .games import GameSpec, cost, potential
 from .bestresponse import (
     BRContext,
-    V_MAX,
     best_response,
     br_context,
     br_g1,

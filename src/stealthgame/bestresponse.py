@@ -21,16 +21,17 @@ gives a cubic,
     game 3: lam l (sigma2 + l)(sigma2 + g + l) - gamma s (s + l)
 
 with g = gamma, or g = alpha = 1 / (sigma2 + gamma) for the literal rule
-(below).  For lam > 0 its l^3 and l^2 coefficients are positive, and a
-root is needed only when its constant is negative; Descartes' rule of
-signs then leaves exactly one positive root, and the cubic is convex on
-[0, inf).  Newton iteration finds that root, started from the player's
-current variance (``BRContext.v``) when that lies near the root; by
-convexity every step after the first stays at or right of the root, so
-no bracket is needed.  A power-of-two Fujiwara bound scales the cubic,
-so no coefficient overflows for any finite lam.  With lam = 0 the cost
-of games 2 and 3 strictly decreases and :data:`V_MAX` is returned with a
-RuntimeWarning.
+(below).  The weight is positive (at lam = 0 the cost of games 2 and 3
+strictly decreases in l, so there is no best response and no
+equilibrium, and :func:`~stealthgame.games.check_weight` rejects it).
+So the l^3 and l^2 coefficients are positive, and a root is needed only
+when the constant is negative; Descartes' rule of signs then leaves
+exactly one positive root, and the cubic is convex on [0, inf).  Newton
+iteration finds that root, started from the player's current variance
+(``BRContext.v``) when that lies near the root; by convexity every step
+after the first stays at or right of the root, so no bracket is needed.
+A power-of-two Fujiwara bound scales the cubic, so no coefficient
+overflows for any finite lam > 0.
 
 For game 3 the stationarity condition uses the scalar ``gamma_i`` in
 both the numerator and the shifted denominator factor.  The literal rule
@@ -48,7 +49,6 @@ arithmetic and takes the weight as checked by ``GameSpec``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,13 +58,11 @@ from .games import GameSpec, check_weight
 from .model import CANCELLED, MeasurementModel, PosteriorKernel
 from .model import as_profile, check_index, check_noise_variance
 
-V_MAX = 1e12  # the best response of games 2 and 3 at lam = 0
 _NEWTON_RTOL = 2.0**-50  # relative size of the step that ends the iteration
 _NEWTON_MAX_ITER = 100
 
 __all__ = [
     "BRContext",
-    "V_MAX",
     "br_context",
     "player_contexts",
     "br_g1",
@@ -198,18 +196,8 @@ def _newton_cubic(b2: float, b1: float, b0: float, t: float) -> float:
     return t
 
 
-def _warn_degenerate(game: int) -> float:
-    warnings.warn(
-        f"game {game} with lam = 0 has no finite best response "
-        f"(cost strictly decreasing); returning V_MAX",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-    return V_MAX
-
-
 def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
-    """Best response in game 2: root of the cost derivative.
+    """Best response in game 2 (lam > 0): root of the cost derivative.
 
     Solves -c / ((sigma2 + l)(s + l)) - lam / (sigma2 + gamma + l)
     + lam / (sigma2 + gamma0) = 0 for l >= 0, as the cubic
@@ -222,8 +210,6 @@ def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
 
 
 def _g2(ctx: BRContext, sigma2: float, lam: float) -> float:
-    if lam == 0.0:
-        return _warn_degenerate(2)
     if ctx.c <= 0.0:
         # A zero sensing row has no local information to destroy, and
         # the detection term pins the optimum at 0.
@@ -246,7 +232,7 @@ def _g2(ctx: BRContext, sigma2: float, lam: float) -> float:
 def br_g3(
     ctx: BRContext, sigma2: float, lam: float, literal: bool = False
 ) -> float:
-    """Best response in game 3: root of the cost derivative.
+    """Best response in game 3 (lam > 0): root of the cost derivative.
 
     Solves lam l / ((s + l) s) - gamma / ((sigma2 + l)(sigma2 + l + g))
     = 0 for l >= 0, where g = gamma by default and
@@ -258,8 +244,6 @@ def br_g3(
 
 
 def _g3(ctx: BRContext, sigma2: float, lam: float, literal: bool) -> float:
-    if lam == 0.0:
-        return _warn_degenerate(3)
     if ctx.gamma <= 0.0:
         # A zero sensing row contributes nothing: the disruption term is
         # flat and the detection term pins the optimum at 0.

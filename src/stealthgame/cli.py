@@ -61,12 +61,17 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_H(args) -> tuple[np.ndarray, str]:
-    if args.case is not None:
-        with open(args.case, encoding="utf-8") as fh:
-            net = parse_network(fh.read())
-        return build_dc_jacobian(net).H, args.case
-    with open(args.h_matrix, encoding="utf-8") as fh:
-        return load_matrix(fh.read()).H, args.h_matrix
+    """The measurement matrix of the --case or --h-matrix file, and the
+    file's path, which every error about the file's content names."""
+    path = args.case if args.case is not None else args.h_matrix
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        if args.case is not None:
+            return build_dc_jacobian(parse_network(text)).H, path
+        return load_matrix(text).H, path
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from None
 
 
 def _build_from_args(args):

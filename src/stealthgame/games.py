@@ -4,7 +4,8 @@ Game 1 pairs global disruption with global detectability, game 2 local
 disruption with global detectability, game 3 global disruption with
 local detectability.  The weight ``lam`` trades disruption against
 detectability; game 1 requires ``lam >= 1`` (convexity of its cost),
-games 2 and 3 admit any ``lam >= 0``.
+games 2 and 3 require ``lam > 0``: at ``lam = 0`` a player's cost
+strictly decreases in its own variance, so no equilibrium exists.
 
 Each game admits an exact potential: a single function whose change
 under any unilateral deviation equals the deviating player's cost
@@ -27,9 +28,10 @@ __all__ = ["GameSpec", "cost", "potential", "row_potentials"]
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Game index (1, 2 or 3), trade-off weight lam, and for game 3 the
-    best-response rule: ``literal=True`` pairs ``gamma_i`` with ``alpha_i``
-    in the stationarity condition (see :func:`~stealthgame.bestresponse.br_g3`).
+    """Game index (1, 2 or 3), trade-off weight lam (checked by
+    :func:`check_weight`), and for game 3 the best-response rule:
+    ``literal=True`` pairs ``gamma_i`` with ``alpha_i`` in the stationarity
+    condition (see :func:`~stealthgame.bestresponse.br_g3`).
     """
 
     game: int
@@ -52,13 +54,13 @@ class GameSpec:
 
 def check_weight(game: int, lam: float) -> None:
     """Validate the weight of game 1, 2 or 3: finite, and >= 1 in game 1
-    (cost convexity) or >= 0 in games 2 and 3."""
+    (cost convexity) or > 0 in games 2 and 3 (at 0 no equilibrium exists)."""
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     if game == 1 and lam < 1.0:
         raise ValueError(f"game 1 requires lam >= 1 (cost convexity), got {lam}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if lam <= 0.0:
+        raise ValueError(f"lam must be positive, got {lam}")
 
 
 def cost(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:

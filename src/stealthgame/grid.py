@@ -53,28 +53,34 @@ class BusNetwork:
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
-        if self.n_bus < 1:
-            raise NetworkFormatError(f"n_bus must be positive, got {self.n_bus}")
-        if not 1 <= self.slack <= self.n_bus:
-            raise NetworkFormatError(
-                f"slack bus {self.slack} outside [1, {self.n_bus}]"
-            )
-        for k, br in enumerate(self.branches):
-            if not (1 <= br.from_bus <= self.n_bus and 1 <= br.to_bus <= self.n_bus):
-                raise NetworkFormatError(
-                    f"branch {k + 1} ({br.from_bus}-{br.to_bus}): dangling bus index"
-                )
-            if br.from_bus == br.to_bus:
-                raise NetworkFormatError(
-                    f"branch {k + 1}: from_bus equals to_bus ({br.from_bus})"
-                )
-            if not (br.susceptance > 0 and math.isfinite(br.susceptance)):
-                raise NetworkFormatError(
-                    f"branch {k + 1}: susceptance must be finite and positive, "
-                    f"got {br.susceptance}"
-                )
-        if not _connected(self.n_bus, self.branches):
-            raise NetworkFormatError("branch graph is not connected")
+        _check_network(self.n_bus, self.slack, self.branches)
+
+
+def _check_network(
+    n_bus: int, slack: int, branches, lines: dict | None = None
+) -> None:
+    """Validate a network's parts.  ``lines``, if given, maps "bus",
+    "slack" and each 0-based branch index to its file line, which an
+    error about that part then names."""
+
+    def fail(part, message):
+        where = f"line {lines[part]}: " if lines and part in lines else ""
+        raise NetworkFormatError(where + message)
+
+    if n_bus < 1:
+        fail("bus", f"n_bus must be positive, got {n_bus}")
+    if not 1 <= slack <= n_bus:
+        fail("slack", f"slack bus {slack} outside [1, {n_bus}]")
+    for k, br in enumerate(branches):
+        if not (1 <= br.from_bus <= n_bus and 1 <= br.to_bus <= n_bus):
+            fail(k, f"branch {k + 1} ({br.from_bus}-{br.to_bus}): dangling bus index")
+        if br.from_bus == br.to_bus:
+            fail(k, f"branch {k + 1}: from_bus equals to_bus ({br.from_bus})")
+        if not (br.susceptance > 0 and math.isfinite(br.susceptance)):
+            fail(k, f"branch {k + 1}: susceptance must be finite and positive, "
+                    f"got {br.susceptance}")
+    if not _connected(n_bus, branches):
+        fail(None, "branch graph is not connected")
 
 
 def _connected(n_bus: int, branches: tuple[Branch, ...]) -> bool:
@@ -124,11 +130,11 @@ class JacobianMatrix:
 def parse_network(text: str) -> BusNetwork:
     """Parse a network file into a validated :class:`BusNetwork`.
 
-    Branch order is preserved from the file.  Errors report the
-    offending 1-based line number.
+    Branch order is preserved from the file.  An error about one line
+    reports its 1-based number.
     """
-    n_bus = None
-    slack = None
+    declared: dict[str, int] = {}  # the bus count and the slack bus
+    lines: dict = {}  # the line of each declaration and of each branch
     branches: list[Branch] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -136,16 +142,13 @@ def parse_network(text: str) -> BusNetwork:
             continue
         tokens = line.split()
         directive = tokens[0].lower()
-        if directive == "bus":
-            if n_bus is not None:
-                raise NetworkFormatError(f"line {lineno}: duplicate bus declaration")
-            n_bus = _parse_int(tokens, 1, lineno, expected=2)
-        elif directive == "slack":
-            if slack is not None:
+        if directive in ("bus", "slack"):
+            if directive in declared:
                 raise NetworkFormatError(
-                    f"line {lineno}: duplicate slack declaration"
+                    f"line {lineno}: duplicate {directive} declaration"
                 )
-            slack = _parse_int(tokens, 1, lineno, expected=2)
+            declared[directive] = _parse_int(tokens, 1, lineno, expected=2)
+            lines[directive] = lineno
         elif directive == "branch":
             if len(tokens) != 4:
                 raise NetworkFormatError(
@@ -154,15 +157,16 @@ def parse_network(text: str) -> BusNetwork:
             f = _parse_int(tokens, 1, lineno)
             t = _parse_int(tokens, 2, lineno)
             b = _parse_branch_value(tokens[3], lineno)
+            lines[len(branches)] = lineno
             branches.append(Branch(f, t, b))
         else:
             raise NetworkFormatError(
                 f"line {lineno}: unknown directive {directive!r}"
             )
-    if n_bus is None:
+    if "bus" not in declared:
         raise NetworkFormatError("missing bus declaration")
-    if slack is None:
-        slack = 1
+    n_bus, slack = declared["bus"], declared.get("slack", 1)
+    _check_network(n_bus, slack, branches, lines)
     return BusNetwork(n_bus=n_bus, slack=slack, branches=tuple(branches))
 
 

@@ -29,7 +29,6 @@ import mpmath
 import numpy as np
 
 from stealthgame.bestresponse import (
-    V_MAX,
     BRContext,
     br_g1,
     br_g2,
@@ -65,6 +64,7 @@ from stealthgame.model import (
 )
 
 _GOLDEN_WIDTH = 1e-10
+_BRACKET_MAX = 1e12  # br_numeric's largest upper end
 MP_DPS = 50
 _LOG_2PI = math.log(2.0 * math.pi)
 MC_MIN_SAMPLES = 10_000
@@ -344,9 +344,9 @@ def br_numeric(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:
     hi = 1.0
     while slope(hi) <= 0.0:
         hi *= 2.0
-        if hi > V_MAX:
+        if hi > _BRACKET_MAX:
             raise BracketError(
-                f"no finite minimum below V_MAX={V_MAX:g} for player {i} "
+                f"no minimum below {_BRACKET_MAX:g} for player {i} "
                 f"(game {spec.game}, lam {spec.lam})"
             )
 

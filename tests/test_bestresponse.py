@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stealthgame.bestresponse import (
-    V_MAX,
     best_response,
     br_context,
     br_g1,
@@ -204,15 +203,17 @@ class TestClosedForms:
         assert br_g3(ctx, 1.0, 1e6) < 1e-4
 
     @pytest.mark.parametrize("game", [2, 3])
-    def test_zero_weight_degenerates(self, scalar_model, game):
+    def test_zero_weight_rejected(self, scalar_model, game):
         ctx = br_context(scalar_model, 0, [0.0])
         solver = br_g2 if game == 2 else br_g3
-        with pytest.warns(RuntimeWarning, match="no finite best response"):
-            assert solver(ctx, 1.0, 0.0) == V_MAX
+        with pytest.raises(ValueError, match="lam must be positive"):
+            solver(ctx, 1.0, 0.0)
 
     def test_numeric_oracle_rejects_zero_weight(self, scalar_model):
+        # GameSpec refuses lam = 0; at 1e-30 the minimizer (about 1.4e15)
+        # already lies beyond the oracle's bracket.
         with pytest.raises(BracketError):
-            br_numeric(GameSpec(2, 0.0), scalar_model, 0, [0.0])
+            br_numeric(GameSpec(2, 1e-30), scalar_model, 0, [0.0])
 
     def test_g3_literal_variant_differs(self, ring3_model, rng):
         v = random_profile(rng, ring3_model)
@@ -361,14 +362,14 @@ class TestHighPrecisionReference:
     @pytest.mark.parametrize("game,literal", SOLVERS[1:])
     def test_extreme_weights_give_the_finite_root(self, game, literal, lam):
         # The root ranges from about 1e-305 to 1e152 here; no step may
-        # overflow, underflow to a wrong 0 or fall back on V_MAX.
+        # overflow or underflow to a wrong 0.
         model = ieee9_at(30.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for ctx in reference_contexts(model):
                 got = solve(game, ctx, model.sigma2, lam, literal)
                 ref = mp_best_response(game, ctx, model.sigma2, lam, literal)
-                assert math.isfinite(got) and got != V_MAX
+                assert math.isfinite(got)
                 assert abs(got - ref) <= 1e-14 * ref, (ctx, got, ref)
 
     @pytest.mark.parametrize("game,literal", SOLVERS[1:])

@@ -20,10 +20,13 @@ class TestGameSpec:
         GameSpec(1, 1.0)
 
     @pytest.mark.parametrize("game", [2, 3])
-    def test_games_2_3_allow_zero(self, game):
-        GameSpec(game, 0.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            GameSpec(game, -0.1)
+    def test_games_2_3_need_positive_weight(self, game):
+        # At lam = 0 a player's cost strictly decreases in its own
+        # variance: there is no equilibrium to solve for.
+        for lam in (0.0, -0.0, -0.1):
+            with pytest.raises(ValueError, match="positive"):
+                GameSpec(game, lam)
+        assert GameSpec(game, 5e-324).lam == 5e-324
 
     def test_game_index_validated(self):
         with pytest.raises(ValueError, match="game"):

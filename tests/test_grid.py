@@ -94,6 +94,39 @@ class TestParseNetwork:
             assert parse_network(serialize_network(net)) == net
 
 
+class TestErrorsNameTheLine:
+    # A comment line first, and a good branch before the bad one, so a
+    # branch's line number is not its index plus one.
+    @pytest.mark.parametrize("bad,message", [
+        ("branch 1 2 -1", "susceptance must be finite and positive"),
+        ("branch 1 2 0", "susceptance must be finite and positive"),
+        ("branch 2 2 1", "from_bus equals to_bus"),
+        ("branch 1 3 1", r"\(1-3\): dangling bus index"),
+    ], ids=["negative", "zero", "self-loop", "dangling"])
+    def test_branch_error(self, bad, message):
+        text = f"# two buses\nbus 2\n\nbranch 1 2 1\n{bad}\n"
+        with pytest.raises(NetworkFormatError,
+                           match=f"^line 5: branch 2:? .*{message}"):
+            parse_network(text)
+
+    def test_bus_declared_after_the_branches(self):
+        with pytest.raises(NetworkFormatError, match="^line 3: branch 2 .*dangling"):
+            parse_network("# c\nbranch 1 2 1\nbranch 1 3 1\nbus 2\n")
+
+    def test_slack_out_of_range(self):
+        with pytest.raises(NetworkFormatError,
+                           match=r"^line 3: slack bus 5 outside \[1, 2\]"):
+            parse_network("# c\nbus 2\nslack 5\nbranch 1 2 1\n")
+
+    def test_bus_count_below_one(self):
+        with pytest.raises(NetworkFormatError, match="^line 2: n_bus must be positive"):
+            parse_network("# c\nbus 0\n")
+
+    def test_library_network_names_the_branch(self):
+        with pytest.raises(NetworkFormatError, match="^branch 2: from_bus equals"):
+            BusNetwork(2, 1, (Branch(1, 2, 1.0), Branch(2, 2, 1.0)))
+
+
 class TestBuildDcJacobian:
     def test_two_bus_hand_derived(self):
         # P_12 = b (theta_1 - theta_2) with theta_1 the removed slack angle.
