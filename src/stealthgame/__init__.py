@@ -23,7 +23,6 @@ from .model import (
     attacked_cov,
     build_model,
     calibrate_noise,
-    snr_db,
     toeplitz_cov,
 )
 from .metrics import (

@@ -23,7 +23,7 @@ import numpy as np
 from .detection import MIN_CURVE_SAMPLES, llr_samples, threshold_curve
 from .dynamics import DEFAULT_T_MAX, DEFAULT_TOL, NonFiniteUpdateError, run_brd
 from .games import GameSpec
-from .grid import NetworkFormatError, build_dc_jacobian, load_matrix, parse_network
+from .grid import build_dc_jacobian, load_matrix, parse_network
 from .metrics import kl_global, mi_global
 from .model import (
     StatePriorSpec,
@@ -60,28 +60,25 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     noise.add_argument("--sigma2", type=float, help="noise variance")
 
 
-def _load_H(args) -> tuple[np.ndarray, str]:
-    """The measurement matrix of the --case or --h-matrix file, and the
-    file's path, which every error about the file's content names."""
+def _build_from_args(args):
+    """The model of the --case or --h-matrix file and the model flags,
+    and the file's path, which every ValueError on the way names."""
     path = args.case if args.case is not None else args.h_matrix
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         if args.case is not None:
-            return build_dc_jacobian(parse_network(text)).H, path
-        return load_matrix(text).H, path
-    except NetworkFormatError as exc:
-        raise NetworkFormatError(f"{path}: {exc}") from None
-
-
-def _build_from_args(args):
-    H, source = _load_H(args)
-    Sigma_XX = toeplitz_cov(StatePriorSpec(n=H.shape[1], rho=args.rho))
-    if args.sigma2 is not None:
-        sigma2 = args.sigma2
-    else:
-        sigma2 = calibrate_noise(H, Sigma_XX, args.snr_db)
-    return build_model(H, Sigma_XX, sigma2), source
+            H = build_dc_jacobian(parse_network(text)).H
+        else:
+            H = load_matrix(text).H
+        Sigma_XX = toeplitz_cov(StatePriorSpec(n=H.shape[1], rho=args.rho))
+        if args.sigma2 is not None:
+            sigma2 = args.sigma2
+        else:
+            sigma2 = calibrate_noise(H, Sigma_XX, args.snr_db)
+        return build_model(H, Sigma_XX, sigma2), path
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
@@ -329,13 +326,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except (
-        NetworkFormatError,
-        ValueError,  # includes numpy.linalg.LinAlgError
-        OSError,
-        json.JSONDecodeError,
-        NonFiniteUpdateError,
-    ) as exc:
+    except (ValueError, OSError, NonFiniteUpdateError) as exc:
+        # ValueError includes NetworkFormatError, json.JSONDecodeError and
+        # numpy.linalg.LinAlgError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,6 +11,10 @@ measurement set is one active-power flow per branch (from -> to
 direction only) plus one power injection per bus, so ``m = n_branch +
 n_bus``.  The slack bus angle is the removed state column, giving
 ``n = n_bus - 1`` states.
+
+The parser converts each line's tokens; the values, susceptances
+included, are checked once, by the validator :class:`BusNetwork` also
+runs, which names the line at fault.
 """
 
 from __future__ import annotations
@@ -103,19 +107,16 @@ def _connected(n_bus: int, branches: tuple[Branch, ...]) -> bool:
 
 @dataclass(frozen=True)
 class JacobianMatrix:
-    """Dense measurement matrix with one label per measurement row."""
+    """Dense measurement matrix ``H``: one row per measurement, in the
+    order :func:`build_dc_jacobian` or :func:`load_matrix` documents, and
+    one column per state."""
 
     H: np.ndarray
-    row_labels: tuple[str, ...]
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
         if H.ndim != 2:
             raise ValueError(f"H must be 2-D, got shape {H.shape}")
-        if len(self.row_labels) != H.shape[0]:
-            raise ValueError(
-                f"{len(self.row_labels)} row labels for {H.shape[0]} rows"
-            )
         object.__setattr__(self, "H", H)
 
     @property
@@ -185,6 +186,7 @@ def _parse_int(tokens: list[str], pos: int, lineno: int, expected: int | None = 
 
 def _parse_branch_value(token: str, lineno: int) -> float:
     # Bare number = susceptance; "x:<value>" = reactance, converted as b = 1/x.
+    # _check_network checks the susceptance and names the line.
     is_reactance = token.lower().startswith("x:")
     body = token[2:] if is_reactance else token
     try:
@@ -198,11 +200,7 @@ def _parse_branch_value(token: str, lineno: int) -> float:
             raise NetworkFormatError(
                 f"line {lineno}: reactance must be finite and positive, got {value}"
             )
-        value = 1.0 / value
-    if not math.isfinite(value):
-        raise NetworkFormatError(
-            f"line {lineno}: branch value {token!r} gives a non-finite susceptance"
-        )
+        return 1.0 / value
     return value
 
 
@@ -233,15 +231,12 @@ def build_dc_jacobian(net: BusNetwork) -> JacobianMatrix:
         H[k, br.to_bus - 1] = -br.susceptance
         H[n_branch + br.from_bus - 1] += H[k]
         H[n_branch + br.to_bus - 1] -= H[k]
-    labels = [f"flow({br.from_bus},{br.to_bus})" for br in net.branches]
-    labels += [f"injection({bus})" for bus in range(1, net.n_bus + 1)]
-    return JacobianMatrix(
-        H=np.delete(H, net.slack - 1, axis=1), row_labels=tuple(labels)
-    )
+    return JacobianMatrix(H=np.delete(H, net.slack - 1, axis=1))
 
 
 def load_matrix(text: str) -> JacobianMatrix:
-    """Load a dense numeric matrix (whitespace- or comma-separated)."""
+    """Load a dense numeric matrix (whitespace- or comma-separated), one
+    measurement per row in file order."""
     rows: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -261,9 +256,7 @@ def load_matrix(text: str) -> JacobianMatrix:
             )
     if not rows:
         raise NetworkFormatError("empty matrix file")
-    H = np.array(rows)
-    labels = tuple(f"m{i + 1}" for i in range(H.shape[0]))
-    return JacobianMatrix(H=H, row_labels=labels)
+    return JacobianMatrix(H=np.array(rows))
 
 
 def bundled_case(name: str) -> str:

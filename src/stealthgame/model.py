@@ -3,18 +3,21 @@
 The sensed system is ``y = H x + z`` with ``x ~ N(0, Sigma_XX)`` and
 ``z ~ N(0, sigma2 I)``, so the clean measurements have covariance
 ``Sigma_YY = H Sigma_XX H^T + sigma2 I``.  An attack profile ``v``
-(one nonnegative variance per measurement) adds ``diag(v)``.
+(one nonnegative variance per measurement) adds ``diag(v)``.  One private
+routine forms ``H Sigma_XX H^T``: :func:`calibrate_noise` reads its trace
+and :func:`build_model` the matrix.
 
 Global metrics and best-response scalars are read from one n-by-n kernel,
 :class:`PosteriorKernel`: with ``Sigma_XX = L L^T`` and ``B = H L``, it
 holds the inverse and log-determinant of ``M(v) = I + B^T diag(w) B``,
-``w_j = 1 / (sigma2 + v_j)``.  Changing one ``v_i`` is a rank-one change
-of ``M``: a best-response move costs four BLAS calls, a matrix-vector
-product for ``M^{-1} b_i``, a dot product for ``b_i . M^{-1} b_i``, one
-outer product into a preallocated n-by-n workspace and one in-place
-subtraction.  At
-n = 59 (m = 149) they take about 6 us of a move's 20 us (2 vCPUs, numpy
-2.4); the rest is Python call overhead, not flops.
+``w_j = 1 / (sigma2 + v_j)``.  Only :func:`posterior_factor` factors
+``M(v)``, for the model's ``M(0)`` and whenever a kernel is rebuilt.
+Changing one ``v_i`` is a rank-one change of ``M``: a best-response move
+costs four BLAS calls, a matrix-vector product for ``M^{-1} b_i``, a dot
+product for ``b_i . M^{-1} b_i``, one outer product into a preallocated
+n-by-n workspace and one in-place subtraction.  At n = 59 (m = 149) they
+take about 6 us of a move's 20 us (2 vCPUs, numpy 2.4); the rest is
+Python call overhead, not flops.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ __all__ = [
     "MeasurementModel",
     "toeplitz_cov",
     "calibrate_noise",
-    "snr_db",
     "build_model",
     "attacked_cov",
     "chol_logdet",
     "chol_inverse",
+    "posterior_factor",
     "kernel_gain",
     "PosteriorKernel",
 ]
@@ -67,19 +70,23 @@ def toeplitz_cov(spec: StatePriorSpec) -> np.ndarray:
     return first_row[np.abs(idx[:, None] - idx[None, :])]
 
 
-def snr_db(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> float:
-    """Signal-to-noise ratio 10*log10(tr(H Sigma_XX H^T) / (m sigma2))."""
-    H = np.asarray(H, dtype=float)
-    m = H.shape[0]
-    signal = float(np.trace(H @ Sigma_XX @ H.T))
-    return 10.0 * np.log10(signal / (m * sigma2))
+def _signal_cov(H: np.ndarray, Sigma_XX: np.ndarray) -> np.ndarray:
+    """H Sigma_XX H^T, exactly symmetric, or a ValueError if it or its
+    trace overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal_cov = H @ Sigma_XX @ H.T
+        signal_cov = 0.5 * (signal_cov + signal_cov.T)
+        trace = np.trace(signal_cov)
+    if not (np.isfinite(trace) and np.all(np.isfinite(signal_cov))):
+        raise ValueError("H Sigma_XX H^T overflows: H or Sigma_XX entries too large")
+    return signal_cov
 
 
 def calibrate_noise(H: np.ndarray, Sigma_XX: np.ndarray, snr_db_target: float) -> float:
     """Noise variance that realizes the requested SNR in decibels."""
     H = np.asarray(H, dtype=float)
     m = H.shape[0]
-    signal = float(np.trace(H @ Sigma_XX @ H.T))
+    signal = float(np.trace(_signal_cov(H, Sigma_XX)))
     if signal <= 0:
         raise ValueError("tr(H Sigma_XX H^T) must be positive to set an SNR")
     try:
@@ -99,7 +106,8 @@ class MeasurementModel:
     """Immutable observation model with cached derived quantities.
 
     Build through :func:`build_model`; every consumer in the package
-    reads the cached ``Sigma_YY`` factorization rather than refactoring.
+    reads the cached ``Sigma_YY`` factorization rather than refactoring,
+    and :meth:`snr_db` reads the cached diagonal ``c``.
 
     Cached fields: ``chol_YY`` is the lower Cholesky factor of
     ``Sigma_YY``, the factor detection draws and whitens with, and its
@@ -109,8 +117,9 @@ class MeasurementModel:
     factor ``Sigma_XX = L L^T`` (from ``eigh``, so singular priors work);
     ``logdet_M0`` is the log-determinant of the kernel matrix ``M(0)``;
     and ``gain0`` holds each player's gain ``gamma_i(0)`` with every other
-    measurement clean, formed by :func:`kernel_gain` from ``M(0)^{-1}``
-    exactly as a kernel at ``v = 0`` forms it.  By Sherman-Morrison on
+    measurement clean.  ``M(0)`` is factored by :func:`posterior_factor`
+    and each ``gamma_i(0)`` formed by :func:`kernel_gain`, the two calls a
+    kernel at ``v = 0`` makes.  By Sherman-Morrison on
     that kernel, ``1 / (sigma2 + gamma_i(0))`` is the i-th diagonal entry
     of ``Sigma_YY^{-1}``.
     """
@@ -136,7 +145,8 @@ class MeasurementModel:
         return self.H.shape[1]
 
     def snr_db(self) -> float:
-        return snr_db(self.H, self.Sigma_XX, self.sigma2)
+        """Signal-to-noise ratio 10 log10(tr(H Sigma_XX H^T) / (m sigma2))."""
+        return float(10.0 * np.log10(np.sum(self.c) / (self.m * self.sigma2)))
 
 
 def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> MeasurementModel:
@@ -166,26 +176,21 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         raise ValueError(f"Sigma_XX is not PSD (min eigenvalue {eigvals[0]:.3e})")
     B = H @ (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)))
 
-    signal_cov = H @ Sigma_XX @ H.T
-    signal_cov = 0.5 * (signal_cov + signal_cov.T)  # enforce exact symmetry
-    if not np.all(np.isfinite(signal_cov)):
-        raise ValueError("H Sigma_XX H^T overflows: H or Sigma_XX entries too large")
+    signal_cov = _signal_cov(H, Sigma_XX)
     Sigma_YY = signal_cov + sigma2 * np.eye(m)
-    # The weights, hence the log-determinant and gains, of a kernel at
-    # v = 0, so that kl_global(model, 0) is exactly 0 and the gain
-    # differences gamma_i(v) - gamma_i(0) of the best responses are exactly
-    # 0 while a kernel is at v = 0: each gain is formed as
-    # PosteriorKernel.gain forms it.
+    # M(0) and the gains as a kernel at v = 0 forms them, so that
+    # kl_global(model, 0) is exactly 0 and the gain differences
+    # gamma_i(v) - gamma_i(0) of the best responses are exactly 0 while a
+    # kernel is at v = 0.
     w0 = np.full(m, 1.0 / sigma2)
     try:
         chol_YY, logdet_YY = chol_logdet(Sigma_YY)
-        chol_M0, logdet_M0 = chol_logdet(posterior_matrix(B, w0))
+        inv_M0, logdet_M0 = posterior_factor(B, w0)
     except np.linalg.LinAlgError:
         raise ValueError(
             f"Sigma_YY or the kernel matrix M(0) is not numerically positive "
             f"definite: sigma2 {sigma2} is too small for this H and Sigma_XX"
         ) from None
-    inv_M0 = chol_inverse(chol_M0)
     gain0 = [kernel_gain(B, w0, inv_M0, i)[1] for i in range(m)]
     return MeasurementModel(
         H=H,
@@ -272,11 +277,12 @@ def chol_inverse(chol: np.ndarray) -> np.ndarray:
     return inv_chol.T @ inv_chol
 
 
-def posterior_matrix(B: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The kernel matrix I + B^T diag(w) B."""
+def posterior_factor(B: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse and log-determinant of the kernel matrix M = I + B^T diag(w) B."""
     M = (B.T * w) @ B
     M[np.diag_indices_from(M)] += 1.0
-    return M
+    chol, logdet = chol_logdet(M)
+    return chol_inverse(chol), logdet
 
 
 def kernel_gain(B, w, inv, i: int) -> tuple[np.ndarray, float]:
@@ -317,7 +323,8 @@ class PosteriorKernel:
     read only that row, so a gain followed by a move of the same player
     forms it once.  :meth:`update` is O(n^2), one BLAS outer product into
     a workspace and one in-place subtraction; :meth:`refactor` rebuilds
-    from the profile in O(m n^2 + n^3).  The sums
+    from the profile in O(m n^2 + n^3) by :func:`posterior_factor`, the
+    call that gave the model its ``M(0)``.  The sums
     ``sum_j log1p(v_j / sigma2)`` and ``v . diag(Sigma_YY^{-1})`` that
     :attr:`kl` needs are kept as running totals, with
     ``diag(Sigma_YY^{-1}) = 1 / (sigma2 + gain0)``, so :attr:`mi` and
@@ -338,8 +345,7 @@ class PosteriorKernel:
         """Rebuild the inverse, log-determinant and sums from the profile."""
         model = self.model
         self.w = 1.0 / (model.sigma2 + self.v)
-        chol, self.logdet = chol_logdet(posterior_matrix(model.B, self.w))
-        self.inv = chol_inverse(chol)
+        self.inv, self.logdet = posterior_factor(model.B, self.w)
         self._log_sum = float(np.sum(np.log1p(self.v / model.sigma2)))
         self._lin_sum = float(self.v @ self._beta)
         self._row = None

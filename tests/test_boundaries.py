@@ -203,10 +203,15 @@ class TestNonFiniteModelInput:
             build_model(H, Sigma_XX, 1.0)
 
     def test_build_model_rejects_overflowing_signal(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        # The product overflows, then only its trace (three entries of
+        # 8.1e307); numpy's overflow warning, which the suite makes an
+        # error, stays quiet.
+        for H in ([[1e200]], np.diag([9e153] * 3)):
+            Sigma_XX = np.eye(len(H))
             with pytest.raises(ValueError, match="overflows"):
-                build_model([[1e200]], [[1.0]], 1.0)
+                build_model(H, Sigma_XX, 1.0)
+            with pytest.raises(ValueError, match="overflows"):
+                calibrate_noise(H, Sigma_XX, 30.0)
 
     @pytest.mark.parametrize("b", NON_FINITE)
     def test_bus_network_rejects_susceptance(self, b):

@@ -83,7 +83,10 @@ class TestBuild:
         ("empty.net", "# no buses\n", "missing bus declaration"),
         ("ragged.mat", "1 0\n1\n", "line 2: ragged row"),
         ("empty.mat", "# nothing\n", "empty matrix file"),
-    ], ids=["self-loop", "disconnected", "no-bus", "ragged", "empty-matrix"])
+        ("zero.mat", "0 0\n0 0\n", "tr(H Sigma_XX H^T) must be positive"),
+        ("huge.mat", "1e300 0\n0 1\n", "H Sigma_XX H^T overflows"),
+    ], ids=["self-loop", "disconnected", "no-bus", "ragged", "empty-matrix",
+            "zero-matrix", "overflowing-matrix"])
     def test_file_errors_name_the_file(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.write_text(text)
@@ -412,6 +415,19 @@ class TestDetect:
         assert aucs["1"] >= aucs["10"]
 
 
+def run_module(argv, cwd):
+    """``python -m stealthgame.cli`` in a fresh process, with Python's
+    default warning filters, under which a RuntimeWarning prints to stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "stealthgame.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 class TestModuleEntryPoint:
     """``python -m stealthgame.cli`` in a fresh process prints what an
     in-process :func:`main` prints and exits with its code."""
@@ -423,12 +439,7 @@ class TestModuleEntryPoint:
     def test_matches_in_process_main(self, tmp_path, capsys, monkeypatch, argv,
                                      code):
         monkeypatch.chdir(tmp_path)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "stealthgame.cli", *argv],
-                              cwd=tmp_path, env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = run_module(argv, tmp_path)
         try:
             rc = main(argv)
         except SystemExit as exc:
@@ -437,3 +448,18 @@ class TestModuleEntryPoint:
         assert (proc.returncode, rc) == (code, code)
         assert (proc.stdout, proc.stderr) == (out, err)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("noise", [["--snr-db", "30"], ["--sigma2", "1"]],
+                             ids=["snr-db", "sigma2"])
+    def test_overflowing_matrix_prints_one_line(self, tmp_path, noise):
+        # numpy's overflow warning stays off stderr, and the error names
+        # the matrix, not the SNR.
+        path = tmp_path / "huge.mat"
+        path.write_text("1e300 0\n0 1\n")
+        proc = run_module(["build", "--h-matrix", str(path), "--rho", "0.9",
+                           *noise], tmp_path)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {path}: H Sigma_XX H^T overflows: H or Sigma_XX entries too large"
+        ]

@@ -399,6 +399,15 @@ class TestLiteralRule:
         responses = mp_profile_responses(ieee9_model, spec, v_star)
         np.testing.assert_allclose(v_star, responses, rtol=1e-12, atol=0.0)
 
+    def test_fixed_point_is_not_a_game_3_equilibrium(self, ieee9_model):
+        # Game 3's potential is exact for the gamma-paired rule only: the
+        # literal rule converges, yet its moves raise that potential.
+        _, literal, report = run_brd(GameSpec(3, 2.0, literal=True), ieee9_model)
+        assert report.converged
+        assert potential_audit(literal) != []
+        _, default, _ = run_brd(GameSpec(3, 2.0), ieee9_model)
+        assert potential_audit(default) == []
+
 
 class TestVerifyNe:
     def test_run_output_is_fixed_point(self, ring3_model):

@@ -132,7 +132,6 @@ class TestBuildDcJacobian:
         # P_12 = b (theta_1 - theta_2) with theta_1 the removed slack angle.
         jac = build_dc_jacobian(parse_network(TWO_BUS))
         np.testing.assert_allclose(jac.H, [[-10.0], [-10.0], [10.0]])
-        assert jac.row_labels == ("flow(1,2)", "injection(1)", "injection(2)")
 
     def test_dimensions(self):
         jac = build_dc_jacobian(parse_network(RING))
@@ -193,7 +192,6 @@ class TestLoadMatrix:
     def test_identity(self):
         jac = load_matrix("1 0\n0 1\n")
         np.testing.assert_allclose(jac.H, np.eye(2))
-        assert jac.row_labels == ("m1", "m2")
 
     def test_single_row(self):
         assert load_matrix("1 2 3\n").H.shape == (1, 3)

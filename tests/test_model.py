@@ -10,7 +10,6 @@ from stealthgame.model import (
     build_model,
     calibrate_noise,
     kernel_gain,
-    snr_db,
     toeplitz_cov,
 )
 
@@ -80,9 +79,8 @@ class TestCalibrateNoise:
             model = random_desk_model(rng)
             target = float(rng.uniform(-10, 40))
             sigma2 = calibrate_noise(model.H, model.Sigma_XX, target)
-            assert snr_db(model.H, model.Sigma_XX, sigma2) == pytest.approx(
-                target, abs=1e-9
-            )
+            rebuilt = build_model(model.H, model.Sigma_XX, sigma2)
+            assert rebuilt.snr_db() == pytest.approx(target, abs=1e-9)
 
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError, match="positive"):
