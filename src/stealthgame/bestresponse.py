@@ -56,7 +56,7 @@ import numpy as np
 
 from .games import GameSpec, check_weight
 from .model import CANCELLED, MeasurementModel, PosteriorKernel
-from .model import as_profile, check_index, check_noise_variance
+from .model import as_profile, check_index, check_positive
 
 _NEWTON_RTOL = 2.0**-50  # relative size of the step that ends the iteration
 _NEWTON_MAX_ITER = 100
@@ -138,7 +138,7 @@ def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     is nondecreasing on [0, inf).
     """
     check_weight(1, lam)
-    return _g1(ctx, check_noise_variance(sigma2), lam)
+    return _g1(ctx, check_positive("sigma2", sigma2), lam)
 
 
 def _g1(ctx: BRContext, sigma2: float, lam: float) -> float:
@@ -206,7 +206,7 @@ def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
     already nonnegative.
     """
     check_weight(2, lam)
-    return _g2(ctx, check_noise_variance(sigma2), lam)
+    return _g2(ctx, check_positive("sigma2", sigma2), lam)
 
 
 def _g2(ctx: BRContext, sigma2: float, lam: float) -> float:
@@ -240,7 +240,7 @@ def br_g3(
     l (sigma2 + l)(sigma2 + g + l) - k (s + l) = 0, k = gamma s / lam.
     """
     check_weight(3, lam)
-    return _g3(ctx, check_noise_variance(sigma2), lam, literal)
+    return _g3(ctx, check_positive("sigma2", sigma2), lam, literal)
 
 
 def _g3(ctx: BRContext, sigma2: float, lam: float, literal: bool) -> float:
@@ -295,7 +295,7 @@ def respond(spec: GameSpec, ctx: BRContext, sigma2: float) -> float:
     The same arithmetic as :func:`br_g1`, :func:`br_g2` and :func:`br_g3`;
     the weight is not checked again, since ``GameSpec`` checked it.
     """
-    sigma2 = check_noise_variance(sigma2)
+    sigma2 = check_positive("sigma2", sigma2)
     if spec.game == 1:
         return _g1(ctx, sigma2, spec.lam)
     if spec.game == 2:

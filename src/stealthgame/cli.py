@@ -6,9 +6,10 @@ weights), ``detect`` (Monte-Carlo ROC of the joint likelihood-ratio
 test against a stored equilibrium).
 
 Exit codes: 0 success, 2 usage error, 3 reached t_max without
-convergence, 4 input-data error.  Every command is deterministic given
-its full flag set; CSV floats are printed with 17 significant digits so
-files round-trip doubles losslessly.
+convergence, 4 input-data error; one reader names the file in any error
+about its data.  Every command is deterministic given its full flag set;
+CSV floats are printed with 17 significant digits so files round-trip
+doubles losslessly, and JSON output has no NaN or infinity.
 """
 
 from __future__ import annotations
@@ -60,25 +61,31 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     noise.add_argument("--sigma2", type=float, help="noise variance")
 
 
-def _build_from_args(args):
-    """The model of the --case or --h-matrix file and the model flags,
-    and the file's path, which every ValueError on the way names."""
-    path = args.case if args.case is not None else args.h_matrix
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+def _read(path: str, parse):
+    """``parse`` of the file's UTF-8 text; any error about the text names the path."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (ValueError, RecursionError) as exc:  # deeply nested JSON recurses
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _build_from_args(args):
+    """The model of the --case or --h-matrix file and the model flags, and
+    the file's path, which every error on the way, flag values included, names."""
+    def build(text):
         if args.case is not None:
             H = build_dc_jacobian(parse_network(text)).H
         else:
             H = load_matrix(text).H
         Sigma_XX = toeplitz_cov(StatePriorSpec(n=H.shape[1], rho=args.rho))
-        if args.sigma2 is not None:
-            sigma2 = args.sigma2
-        else:
+        sigma2 = args.sigma2
+        if sigma2 is None:
             sigma2 = calibrate_noise(H, Sigma_XX, args.snr_db)
-        return build_model(H, Sigma_XX, sigma2), path
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        return build_model(H, Sigma_XX, sigma2)
+
+    path = args.case if args.case is not None else args.h_matrix
+    return _read(path, build), path
 
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
@@ -121,6 +128,7 @@ def _header(title: str, args, model, source: str, settings: str) -> list[str]:
 
 def cmd_build(parser, args) -> int:
     model, source = _build_from_args(args)
+    cond_H = float(np.linalg.cond(model.H))
     summary = {
         "source": source,
         "m": model.m,
@@ -128,10 +136,10 @@ def cmd_build(parser, args) -> int:
         "rho": args.rho,
         "sigma2": model.sigma2,
         "snr_db": model.snr_db(),
-        "cond_H": float(np.linalg.cond(model.H)),
+        "cond_H": cond_H if math.isfinite(cond_H) else None,  # None: H singular
         "cond_Sigma_YY": float(np.linalg.cond(model.Sigma_YY)),
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -176,9 +184,9 @@ def cmd_run(parser, args) -> int:
         "mi_global": trajectory[-1].mi_global,
         "kl_global": trajectory[-1].kl_global,
     }
+    ne_json = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
     with open(f"{args.out}.ne.json", "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(ne_json + "\n")
 
     print(
         f"game {spec.game} lambda {_fmt(spec.lam)}: "
@@ -222,21 +230,28 @@ def _sweep_row(spec: GameSpec, v_star, trajectory, report) -> tuple[bool, tuple]
     return report.converged, row
 
 
-def _read_profile(path: str, ne) -> np.ndarray:
-    """The 'v_star' list of an NE file's JSON value, as floats."""
-    if not isinstance(ne, dict):
-        raise ValueError(f"{path}: expected a JSON object with a 'v_star' field")
-    if "v_star" not in ne:
-        raise ValueError(f"{path}: missing 'v_star' field")
+def _read_profile(model, text: str) -> tuple[np.ndarray, float]:
+    """An NE file's 'v_star' profile, checked against the model, and its kl_global."""
+    ne = json.loads(text)
+    if not isinstance(ne, dict) or "v_star" not in ne:
+        raise ValueError("expected a JSON object with a 'v_star' field")
     raw = ne["v_star"]
     if not isinstance(raw, list) or any(
         isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw
     ):
-        raise ValueError(f"{path}: 'v_star' must be a list of numbers")
+        raise ValueError("'v_star' must be a list of numbers")
     try:
-        return np.array(raw, dtype=float)
+        v = as_profile(model, raw)
     except OverflowError:
-        raise ValueError(f"{path}: 'v_star' has a number beyond double range") from None
+        raise ValueError("'v_star' has a number beyond double range") from None
+    except ValueError as exc:
+        raise ValueError(f"'v_star': {exc}") from None
+    # A divergence that overflows would overflow the sampler too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kl = kl_global(model, v)
+    if not math.isfinite(kl):
+        raise ValueError(f"'v_star' gives a non-finite kl_global ({kl})")
+    return v, kl
 
 
 def cmd_detect(parser, args) -> int:
@@ -249,19 +264,7 @@ def cmd_detect(parser, args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     model, source = _build_from_args(args)
-    with open(args.ne, encoding="utf-8") as fh:
-        v = _read_profile(args.ne, json.load(fh))
-    try:
-        v = as_profile(model, v)
-    except ValueError as exc:
-        raise ValueError(f"{args.ne}: 'v_star': {exc}") from None
-
-    # A profile whose divergence overflows would overflow the sampler
-    # too; reject it before drawing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        kl = kl_global(model, v)
-    if not math.isfinite(kl):
-        raise ValueError(f"{args.ne}: 'v_star' gives a non-finite kl_global ({kl})")
+    v, kl = _read(args.ne, lambda text: _read_profile(model, text))
 
     # One draw per hypothesis gives both the threshold grid, spanning
     # the observed LLR range, and the curve.
@@ -327,8 +330,8 @@ def main(argv=None) -> int:
     try:
         return args.func(parser, args)
     except (ValueError, OSError, NonFiniteUpdateError) as exc:
-        # ValueError includes NetworkFormatError, json.JSONDecodeError and
-        # numpy.linalg.LinAlgError.
+        # ValueError includes NetworkFormatError, json.JSONDecodeError,
+        # UnicodeDecodeError and numpy.linalg.LinAlgError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -75,16 +75,20 @@ def sample_observations(
     factor ``L`` of ``Sigma_YY`` (clean) or ``Sigma_YY + diag(v)``
     (attacked); the same seed gives the same ``z_k`` under both.
     """
-    v = as_profile(model, v)
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    v, n_samples = as_profile(model, v), _sample_count(n_samples)
     if attacked:
         chol = np.linalg.cholesky(attacked_cov(model, v))
     else:
         chol = model.chol_YY
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n_samples, model.m)) @ chol.T
+
+
+def _sample_count(n_samples) -> int:
+    """``n_samples`` as an int, which must be at least 1."""
+    if int(n_samples) < 1:
+        raise ValueError(f"n_samples must be >= 1, got {int(n_samples)}")
+    return int(n_samples)
 
 
 def llr_joint(model: MeasurementModel, v, y) -> float | np.ndarray:
@@ -124,10 +128,7 @@ def llr_samples(
     of the two arrays is biased up by at most ``1 / (2 n_samples)``.  At
     ``v = 0`` every value is exactly 0.
     """
-    v = as_profile(model, v)
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    v, n_samples = as_profile(model, v), _sample_count(n_samples)
     kappa = _whitened_spectrum(model, v)
     weights_null, weights_attacked = 0.5 * kappa / (1.0 + kappa), 0.5 * kappa
     rng = np.random.default_rng(seed)

@@ -35,7 +35,7 @@ import numpy as np
 from .bestresponse import best_response, player_contexts, respond  # noqa: F401
 from .games import GameSpec, potential, row_potentials  # noqa: F401
 from .metrics import kl_global, mi_global  # noqa: F401
-from .model import MeasurementModel, PosteriorKernel
+from .model import MeasurementModel, PosteriorKernel, check_nonnegative, check_positive
 
 DEFAULT_T_MAX = 100
 DEFAULT_TOL = 1e-9
@@ -116,8 +116,7 @@ def run_brd(
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    tol = check_positive("tol", tol)
     kernel = PosteriorKernel(model, np.zeros(model.m) if v0 is None else v0)
     context, sigma2 = player_contexts(model), model.sigma2
 
@@ -185,8 +184,7 @@ def potential_audit(
     ValueError for a non-finite or negative ``threshold``: a NaN one
     would flag nothing.
     """
-    if not (threshold >= 0 and math.isfinite(threshold)):
-        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
+    threshold = check_nonnegative("threshold", threshold)
     violations = []
     for k in range(1, len(trajectory)):
         rise = trajectory[k].potential - trajectory[k - 1].potential

@@ -10,11 +10,12 @@ Bus indices are 1-based, as in common case-data conventions.  The
 measurement set is one active-power flow per branch (from -> to
 direction only) plus one power injection per bus, so ``m = n_branch +
 n_bus``.  The slack bus angle is the removed state column, giving
-``n = n_bus - 1`` states.
+``n = n_bus - 1`` states.  The branches must connect every bus, so
+``n_bus <= n_branch + 1``.
 
-The parser converts each line's tokens; the values, susceptances
-included, are checked once, by the validator :class:`BusNetwork` also
-runs, which names the line at fault.
+The parser converts each line's tokens; :class:`BusNetwork` then checks
+the values, susceptances included, once, and :func:`parse_network` names
+the file line of the part at fault.
 """
 
 from __future__ import annotations
@@ -60,16 +61,14 @@ class BusNetwork:
         _check_network(self.n_bus, self.slack, self.branches)
 
 
-def _check_network(
-    n_bus: int, slack: int, branches, lines: dict | None = None
-) -> None:
-    """Validate a network's parts.  ``lines``, if given, maps "bus",
-    "slack" and each 0-based branch index to its file line, which an
-    error about that part then names."""
+def _check_network(n_bus: int, slack: int, branches) -> None:
+    """Validate a network's parts.  An error's ``part`` is the part at
+    fault: "bus", "slack", a 0-based branch index, or None for the graph."""
 
     def fail(part, message):
-        where = f"line {lines[part]}: " if lines and part in lines else ""
-        raise NetworkFormatError(where + message)
+        error = NetworkFormatError(message)
+        error.part = part
+        raise error
 
     if n_bus < 1:
         fail("bus", f"n_bus must be positive, got {n_bus}")
@@ -83,7 +82,8 @@ def _check_network(
         if not (br.susceptance > 0 and math.isfinite(br.susceptance)):
             fail(k, f"branch {k + 1}: susceptance must be finite and positive, "
                     f"got {br.susceptance}")
-    if not _connected(n_bus, branches):
+    # Fewer than n_bus - 1 branches cannot connect n_bus buses.
+    if n_bus > len(branches) + 1 or not _connected(n_bus, branches):
         fail(None, "branch graph is not connected")
 
 
@@ -166,9 +166,11 @@ def parse_network(text: str) -> BusNetwork:
             )
     if "bus" not in declared:
         raise NetworkFormatError("missing bus declaration")
-    n_bus, slack = declared["bus"], declared.get("slack", 1)
-    _check_network(n_bus, slack, branches, lines)
-    return BusNetwork(n_bus=n_bus, slack=slack, branches=tuple(branches))
+    try:
+        return BusNetwork(declared["bus"], declared.get("slack", 1), tuple(branches))
+    except NetworkFormatError as exc:
+        where = f"line {lines[exc.part]}: " if exc.part in lines else ""
+        raise NetworkFormatError(where + str(exc)) from None
 
 
 def _parse_int(tokens: list[str], pos: int, lineno: int, expected: int | None = None) -> int:
@@ -186,7 +188,7 @@ def _parse_int(tokens: list[str], pos: int, lineno: int, expected: int | None = 
 
 def _parse_branch_value(token: str, lineno: int) -> float:
     # Bare number = susceptance; "x:<value>" = reactance, converted as b = 1/x.
-    # _check_network checks the susceptance and names the line.
+    # BusNetwork checks the susceptance; parse_network names the line.
     is_reactance = token.lower().startswith("x:")
     body = token[2:] if is_reactance else token
     try:

@@ -18,7 +18,7 @@ from .model import (  # noqa: F401
     PosteriorKernel,
     attacked_cov,
     check_index,
-    check_scalar_variance,
+    check_nonnegative,
 )
 
 __all__ = [
@@ -46,7 +46,7 @@ def mi_local(model: MeasurementModel, i: int, v_i: float) -> float:
     c_i = e_i^T H Sigma_XX H^T e_i.
     """
     i = check_index(model, i)
-    v_i = check_scalar_variance(v_i)
+    v_i = check_nonnegative("attack variance", v_i)
     return 0.5 * math.log1p(model.c[i] / (model.sigma2 + v_i))
 
 
@@ -67,6 +67,6 @@ def kl_local(model: MeasurementModel, i: int, v_i: float) -> float:
     s_i = e_i^T Sigma_YY e_i.
     """
     i = check_index(model, i)
-    v_i = check_scalar_variance(v_i)
+    v_i = check_nonnegative("attack variance", v_i)
     s_i = model.s[i]
     return 0.5 * (v_i / s_i + math.log(s_i) - math.log(s_i + v_i))

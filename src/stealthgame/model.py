@@ -4,8 +4,8 @@ The sensed system is ``y = H x + z`` with ``x ~ N(0, Sigma_XX)`` and
 ``z ~ N(0, sigma2 I)``, so the clean measurements have covariance
 ``Sigma_YY = H Sigma_XX H^T + sigma2 I``.  An attack profile ``v``
 (one nonnegative variance per measurement) adds ``diag(v)``.  One private
-routine forms ``H Sigma_XX H^T``: :func:`calibrate_noise` reads its trace
-and :func:`build_model` the matrix.
+routine forms ``H Sigma_XX H^T`` and requires a positive, finite trace:
+:func:`calibrate_noise` reads the trace and :func:`build_model` the matrix.
 
 Global metrics and best-response scalars are read from one n-by-n kernel,
 :class:`PosteriorKernel`: with ``Sigma_XX = L L^T`` and ``B = H L``, it
@@ -72,13 +72,15 @@ def toeplitz_cov(spec: StatePriorSpec) -> np.ndarray:
 
 def _signal_cov(H: np.ndarray, Sigma_XX: np.ndarray) -> np.ndarray:
     """H Sigma_XX H^T, exactly symmetric, or a ValueError if it or its
-    trace overflows."""
+    trace overflows or the trace is not positive (no signal)."""
     with np.errstate(over="ignore", invalid="ignore"):
         signal_cov = H @ Sigma_XX @ H.T
         signal_cov = 0.5 * (signal_cov + signal_cov.T)
         trace = np.trace(signal_cov)
     if not (np.isfinite(trace) and np.all(np.isfinite(signal_cov))):
         raise ValueError("H Sigma_XX H^T overflows: H or Sigma_XX entries too large")
+    if trace <= 0:
+        raise ValueError("tr(H Sigma_XX H^T) must be positive")
     return signal_cov
 
 
@@ -87,8 +89,6 @@ def calibrate_noise(H: np.ndarray, Sigma_XX: np.ndarray, snr_db_target: float) -
     H = np.asarray(H, dtype=float)
     m = H.shape[0]
     signal = float(np.trace(_signal_cov(H, Sigma_XX)))
-    if signal <= 0:
-        raise ValueError("tr(H Sigma_XX H^T) must be positive to set an SNR")
     try:
         sigma2 = signal / (m * 10.0 ** (snr_db_target / 10.0))
     except (OverflowError, ZeroDivisionError):
@@ -162,7 +162,7 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         raise ValueError(
             f"Sigma_XX shape {Sigma_XX.shape} does not match H columns ({n})"
         )
-    sigma2 = check_noise_variance(sigma2)
+    sigma2 = check_positive("sigma2", sigma2)
     if not math.isfinite(1.0 / sigma2):
         raise ValueError(f"sigma2 {sigma2} is too small: its reciprocal overflows")
     if not np.all(np.isfinite(H)):
@@ -239,22 +239,20 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
-def check_noise_variance(sigma2: float) -> float:
-    """Validate a noise variance: finite and positive."""
-    sigma2 = float(sigma2)
-    if not (sigma2 > 0 and math.isfinite(sigma2)):
-        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
-    return sigma2
+def check_positive(name: str, value) -> float:
+    """Validate a scalar named ``name``: finite and positive; as a float."""
+    value = float(value)
+    if not 0.0 < value < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
-def check_scalar_variance(v_i: float) -> float:
-    """Validate one attack variance: finite and nonnegative."""
-    v_i = float(v_i)
-    if not math.isfinite(v_i):
-        raise ValueError(f"attack variance must be finite, got {v_i}")
-    if v_i < 0:
-        raise ValueError(f"attack variance must be nonnegative, got {v_i}")
-    return v_i
+def check_nonnegative(name: str, value) -> float:
+    """Validate a scalar named ``name``: finite and nonnegative; as a float."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
 
 
 def attacked_cov(model: MeasurementModel, v) -> np.ndarray:
@@ -375,7 +373,7 @@ class PosteriorKernel:
         """
         model = self.model
         i = check_index(model, i)
-        v_i = check_scalar_variance(v_i)
+        v_i = check_nonnegative("attack variance", v_i)
         v_old, w_old = self.v.item(i), self.w.item(i)
         w_i = 1.0 / (model.sigma2 + v_i)
         # The new w_i minus the old one, without cancellation.

@@ -58,7 +58,7 @@ from stealthgame.model import (
     build_model,
     calibrate_noise,
     check_index,
-    check_scalar_variance,
+    check_nonnegative,
     chol_logdet,
     toeplitz_cov,
 )
@@ -291,7 +291,7 @@ def oracle_threshold_curve(llr_null, llr_attacked, thresholds):
 def llr_local(model, i, v_i, y_i):
     """Scalar log-likelihood ratio for measurement i alone."""
     i = check_index(model, i)
-    v_i = check_scalar_variance(v_i)
+    v_i = check_nonnegative("attack variance", v_i)
     s_i = model.s[i]
     y = np.asarray(y_i, dtype=float)
     out = 0.5 * y * y * (1.0 / s_i - 1.0 / (s_i + v_i)) + 0.5 * (

@@ -124,6 +124,22 @@ class TestDegenerateDetectInput:
         assert str(ne) in err and "v_star" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"v_star": [0.5, \xff]}', b'{"v_star": [1,', b"{", b"[" * 100_000],
+        ids=["undecodable", "broken", "unclosed", "deeply-nested"],
+    )
+    def test_unreadable_ne_file_exits_4(self, tmp_path, capsys, content):
+        ne = tmp_path / "bad.ne.json"
+        ne.write_bytes(content)
+        out = tmp_path / "roc.csv"
+        rc = main(["detect", *MODEL_FLAGS, "--ne", str(ne), "--samples", "2000",
+                   "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ne}: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestDetectArguments:
     @pytest.mark.parametrize(

@@ -85,16 +85,24 @@ class TestBuild:
         ("empty.mat", "# nothing\n", "empty matrix file"),
         ("zero.mat", "0 0\n0 0\n", "tr(H Sigma_XX H^T) must be positive"),
         ("huge.mat", "1e300 0\n0 1\n", "H Sigma_XX H^T overflows"),
+        ("huge-bus.net", "bus 999999999999999999999999999999\nbranch 1 2 1\n",
+         "branch graph is not connected"),
+        ("undecodable.net", b"bus 2\nbranch 1 2 1 # \xff\n", "'utf-8' codec can't decode"),
+        ("undecodable.mat", b"1 \xff\n", "'utf-8' codec can't decode"),
     ], ids=["self-loop", "disconnected", "no-bus", "ragged", "empty-matrix",
-            "zero-matrix", "overflowing-matrix"])
+            "zero-matrix", "overflowing-matrix", "huge-bus-count", "undecodable-case",
+            "undecodable-matrix"])
     def test_file_errors_name_the_file(self, tmp_path, capsys, name, text, message):
+        # Under either noise flag: --sigma2 reaches build_model without
+        # calibrate_noise.
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         flag = "--case" if name.endswith(".net") else "--h-matrix"
-        rc = main(["build", flag, str(path), "--rho", "0", "--snr-db", "10"])
-        out, err = capsys.readouterr()
-        assert (rc, out) == (4, "")
-        assert err.startswith(f"error: {path}: {message}")
+        for noise in (["--snr-db", "10"], ["--sigma2", "1"]):
+            rc = main(["build", flag, str(path), "--rho", "0", *noise])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (4, "")
+            assert err.startswith(f"error: {path}: {message}")
 
 
 class TestRun:
