@@ -218,17 +218,22 @@ def roc_auc(model: MeasurementModel, v, n_samples: int, seed: int) -> float:
 
 
 def rank_auc(llr_null: np.ndarray, llr_attacked: np.ndarray) -> float:
-    """Mann-Whitney AUC of two samples, tied values sharing their midrank.
+    """Mann-Whitney AUC of two samples, ties counted half.
 
-    The midranks are integers or halves, so the rank sum is exact below
-    2**53 values.  Raises ValueError when either sample is empty.
+    U sums, over the attacked values, the number of null values below
+    plus half the number tied, which is the midrank sum of the attacked
+    sample less n1 (n1 + 1) / 2.  Each sample is sorted once and U comes
+    from two ``searchsorted`` counts, so the extra memory is one copy of
+    each sample plus one index array, O(n).  The count 2 U is an
+    integer, so the result is U / (n0 n1) correctly rounded while
+    n0 n1 is below 2**52.  NaNs sort above +inf and tie with one
+    another.  Raises ValueError when either sample is empty.
     """
     n0, n1 = llr_null.size, llr_attacked.size
     if n0 == 0 or n1 == 0:
         raise ValueError(f"rank_auc needs nonempty samples, got sizes {n0} and {n1}")
-    combined = np.concatenate([llr_null, llr_attacked])
-    _, group, counts = np.unique(combined, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts)
-    ranks = ((2 * last - counts + 1) / 2.0)[group]
-    rank_sum = float(np.sum(ranks[n0:]))
-    return (rank_sum - n1 * (n1 + 1) / 2.0) / (n0 * n1)
+    null = np.sort(llr_null, axis=None)
+    attacked = np.sort(llr_attacked, axis=None)
+    below = int(np.searchsorted(null, attacked, side="left").sum())
+    not_above = int(np.searchsorted(null, attacked, side="right").sum())
+    return (below + not_above) / 2.0 / (n0 * n1)

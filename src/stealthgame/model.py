@@ -185,14 +185,20 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
     w0 = np.full(m, 1.0 / sigma2)
     try:
         chol_YY, logdet_YY = chol_logdet(Sigma_YY)
-        inv_M0, logdet_M0 = posterior_factor(B, w0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv_M0, logdet_M0 = posterior_factor(B, w0)
     except np.linalg.LinAlgError:
         raise ValueError(
             f"Sigma_YY or the kernel matrix M(0) is not numerically positive "
             f"definite: sigma2 {sigma2} is too small for this H and Sigma_XX"
         ) from None
+    if not (math.isfinite(logdet_M0) and np.all(np.isfinite(inv_M0))):
+        raise ValueError(
+            f"the kernel matrix M(0) is not within double range: "
+            f"sigma2 {sigma2} is too small for this H and Sigma_XX"
+        )
     gain0 = [kernel_gain(B, w0, inv_M0, i)[1] for i in range(m)]
-    return MeasurementModel(
+    model = MeasurementModel(
         H=H,
         sigma2=sigma2,
         Sigma_XX=Sigma_XX,
@@ -205,6 +211,15 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         logdet_M0=logdet_M0,
         gain0=np.array(gain0),
     )
+    with np.errstate(over="ignore", divide="ignore"):
+        snr_db = model.snr_db()
+    if not math.isfinite(snr_db):
+        raise ValueError(
+            f"SNR tr(H Sigma_XX H^T) / (m sigma2) is not within double range: "
+            f"sigma2 {sigma2} is too {'large' if snr_db < 0 else 'small'} "
+            f"for this H and Sigma_XX"
+        )
+    return model
 
 
 def as_profile(model: MeasurementModel, v) -> np.ndarray:

@@ -298,6 +298,23 @@ class TestNonFiniteModelInput:
         assert out == ""
         assert "Sigma_YY" in err and "sigma2" in err
 
+    @pytest.mark.parametrize("entry,sigma2,words", [
+        # I + B^T B / sigma2 overflows to inf.
+        ("1e150", "1e-300", r"the kernel matrix M\(0\) is not within double range"),
+        # M(0) is I, but the SNR ratio 1e-320 / 1e300 underflows to 0.
+        ("1e-160", "1e300", r"SNR .* is not within double range: .* too large"),
+    ])
+    def test_build_exits_4_when_the_model_leaves_double_range(
+        self, tmp_path, capfd, entry, sigma2, words
+    ):
+        mat = tmp_path / "h.mat"
+        mat.write_text(entry + "\n")
+        rc = main(["build", "--h-matrix", str(mat), "--rho", "0", "--sigma2", sigma2])
+        out, err = capfd.readouterr()
+        assert rc == 4
+        assert out == ""
+        assert re.fullmatch(f"error: {re.escape(str(mat))}: {words}[^\n]*\n", err)
+
     def test_run_converges_at_tiny_noise(self, tmp_path, capfd):
         # The square H of test_model at sigma2 = 1e-14, where a game-2
         # kernel update's pivot 1 + (w_new - w_old) q, formed from q,

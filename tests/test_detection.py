@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,39 @@ class TestRankAuc:
     def test_empty_sample_rejected(self, n_null, n_attacked):
         with pytest.raises(ValueError, match="nonempty samples"):
             rank_auc(np.zeros(n_null), np.ones(n_attacked))
+
+    def test_matches_midrank_loop_on_random_tie_heavy_samples(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n_null, n_attacked = rng.integers(1, 301, size=2)
+            decimals = int(rng.integers(0, 4))
+            null = np.round(rng.standard_normal(n_null), decimals)
+            attacked = np.round(
+                rng.standard_normal(n_attacked) + rng.uniform(-1.0, 1.0), decimals
+            )
+            assert rank_auc(null, attacked) == oracle_rank_auc(null, attacked)
+
+    @pytest.mark.parametrize("null,attacked,auc", [
+        # NaNs sort above +inf and tie with one another (the oracle ranks
+        # them apart, so these are counted by hand).
+        ([math.nan, 0.0], [math.nan, 1.0], 0.625),
+        ([math.inf], [math.nan], 1.0),
+        ([math.nan], [math.inf], 0.0),
+        ([math.nan, math.nan], [math.nan], 0.5),
+    ])
+    def test_nan_convention(self, null, attacked, auc):
+        assert rank_auc(np.array(null), np.array(attacked)) == auc
+
+    def test_extra_memory_is_linear(self, rng):
+        null = rng.standard_normal(100_000)
+        attacked = rng.standard_normal(100_000) + 0.5
+        tracemalloc.start()
+        try:
+            rank_auc(null, attacked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (null.nbytes + attacked.nbytes)
 
     def test_roc_auc_matches_midrank_loop(self, ring3_model, rng):
         v = random_profile(rng, ring3_model, scale=0.5)

@@ -2,9 +2,11 @@
 
 A fresh import of the command line loads no scipy; the numpy forms of
 the Toeplitz prior, the diagonal of Sigma_YY^{-1} and the joint LLR
-agree with direct evaluations and with 50-digit references.
+agree with direct evaluations and with 50-digit references; and an
+equilibrium does not depend on the BLAS thread count beyond rounding.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -22,12 +24,18 @@ from stealthgame.model import StatePriorSpec, toeplitz_cov
 from _helpers import random_desk_model
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_env(**extra):
+    """The environment for a fresh interpreter that imports this package."""
     src = str(Path(stealthgame.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    env = _fresh_env()
     code = (
         "import sys, stealthgame.cli; "
         "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
@@ -84,3 +92,52 @@ def test_llr_joint_matches_high_precision_reference(ieee9_model, lam):
             )[0]
             ref = 0.5 * (quad + logdet_ratio)
             assert abs(value - float(ref)) <= 2e-12
+
+
+# Games 1 and 3 at lambda = 2 on the benchmark's 240-bus network (m = 599),
+# printed as JSON: {game: [rounds, v*]}.  bench/synthnet.py is read, and
+# -B leaves no bytecode next to it.
+_SOLVE_M599 = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import synthnet
+from stealthgame.dynamics import run_brd
+from stealthgame.games import GameSpec
+from stealthgame.grid import build_dc_jacobian, parse_network
+from stealthgame.model import StatePriorSpec, build_model, calibrate_noise, toeplitz_cov
+
+H = build_dc_jacobian(parse_network(synthnet.network_text(240, 1))).H
+Sigma_XX = toeplitz_cov(StatePriorSpec(H.shape[1], 0.9))
+model = build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, 30.0))
+out = {}
+for game in (1, 3):
+    v, _, report = run_brd(GameSpec(game, 2.0), model)
+    out[game] = [report.rounds_used, v.tolist()]
+print(json.dumps(out))
+"""
+
+
+def test_equilibria_agree_across_blas_thread_counts():
+    """Reruns are byte-identical for one BLAS thread count only: at
+    m = 599 the eigh and GEMM of the model build already round
+    differently with 2 threads.  Across thread counts the rounds agree
+    and v* agrees to 1e-12 of max v; bits are not compared."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-B", "-c", _SOLVE_M599, bench],
+            env=_fresh_env(**{name: threads for name in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in ("1", "2")
+    ]
+    outputs = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    one, two = (json.loads(output) for output in outputs)
+    for game in ("1", "3"):
+        (rounds_one, v_one), (rounds_two, v_two) = one[game], two[game]
+        assert rounds_one == rounds_two
+        v_one, v_two = np.array(v_one), np.array(v_two)
+        assert np.max(np.abs(v_one - v_two)) <= 1e-12 * np.max(v_one)
