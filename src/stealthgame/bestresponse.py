@@ -13,6 +13,8 @@ by the rule :func:`~stealthgame.dynamics.run_brd` reads it by.
 Game 1: the stationarity condition is the quadratic l^2 + B l + C = 0
 with B = sigma2 + d and C = sigma2 d - gamma (sigma2 + gamma0) / lam,
 solved in the cancellation-free form l = -2C / (B + sqrt(B^2 - 4C)).
+When sigma2 or gamma exceeds 2^500 it is solved for l / rho instead,
+rho a power of two near the larger of them, so no product overflows.
 
 Games 2 and 3: multiplying the derivative by its positive denominators
 gives a cubic,
@@ -143,6 +145,12 @@ def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
 
 def _g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     gamma, gamma0 = ctx.gamma, min(ctx.gamma0, ctx.gamma)
+    rho = 1.0
+    if max(sigma2, gamma) > 2.0**500:
+        # gamma (sigma2 + gamma0) could overflow: solve for l = rho t with
+        # rho a power of two, which rescales every coefficient exactly.
+        rho = math.ldexp(1.0, math.frexp(max(sigma2, gamma))[1])
+        sigma2, gamma, gamma0 = sigma2 / rho, gamma / rho, gamma0 / rho
     d = gamma - gamma0
     B = sigma2 + d
     gain_term = sigma2 * d
@@ -153,7 +161,7 @@ def _g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     if C >= 0.0:
         return 0.0
     # sqrt(B^2 - 4C) = hypot(B, 2 sqrt(-C)); the sum has no cancellation.
-    return -2.0 * C / (B + math.hypot(B, 2.0 * math.sqrt(-C)))
+    return rho * (-2.0 * C / (B + math.hypot(B, 2.0 * math.sqrt(-C))))
 
 
 def _newton_cubic(b2: float, b1: float, b0: float, t: float) -> float:

@@ -274,6 +274,8 @@ def cmd_detect(parser, args) -> int:
     if hi - lo < 1e-9:
         lo, hi = -1.0, 1.0
     log_taus = np.linspace(max(lo - 1e-9, -700.0), min(hi + 1e-9, 700.0), args.grid)
+    llr_null.sort()  # the draw is ours: sorted in place, not copied
+    llr_attacked.sort()
     curve = threshold_curve(llr_null, llr_attacked, np.exp(log_taus))
 
     settings = (

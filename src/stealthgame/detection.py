@@ -161,7 +161,9 @@ def threshold_curve(
     For each threshold tau > 0 the detector accuses when the joint LLR
     is at least log(tau).  Type-I error is estimated on ``llr_null``
     (clean samples), Type-II on ``llr_attacked``; each needs at least
-    ``MIN_CURVE_SAMPLES`` values.
+    ``MIN_CURVE_SAMPLES`` values.  A sample already in ascending order
+    is read as it is; any other is sorted into a copy, so the caller's
+    arrays are never modified.
     """
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
@@ -174,9 +176,8 @@ def threshold_curve(
             f"need at least {MIN_CURVE_SAMPLES} samples per hypothesis, got {n_samples}"
         )
 
-    # One sort per hypothesis; NaN sorts last and neither accuses nor misses.
-    null = np.sort(llr_null, axis=None)
-    attacked = np.sort(llr_attacked, axis=None)
+    # At most one sort per hypothesis; NaN sorts last and neither accuses nor misses.
+    null, attacked = _ascending(llr_null), _ascending(llr_attacked)
     log_taus = [math.log(tau) for tau in thresholds]
     n_null_valid = null.size - np.count_nonzero(np.isnan(null))
     accused = n_null_valid - np.searchsorted(null, log_taus, side="left")
@@ -185,6 +186,21 @@ def threshold_curve(
         (tau, int(a) / null.size, int(b) / attacked.size)
         for tau, a, b in zip(thresholds, accused, missed)
     ]
+
+
+def _ascending(x) -> np.ndarray:
+    """The values of ``x``, flattened, in ascending order with NaNs last.
+
+    Returns ``x`` itself (flattened, a view when ``x`` is contiguous) when
+    one O(n) comparison of neighbours shows it already is in that order,
+    else the sorted copy ``np.sort(x, axis=None)``.  ``x`` is never
+    modified.  A NaN fails every comparison, so two or more values
+    holding one are always sorted, which puts the NaNs last.
+    """
+    flat = np.ravel(x)
+    if np.all(flat[:-1] <= flat[1:]):
+        return flat
+    return np.sort(x, axis=None)
 
 
 def error_curve(
@@ -200,6 +216,8 @@ def error_curve(
     samples each, drawn by :func:`llr_samples`.
     """
     llr_null, llr_attacked = llr_samples(model, v, n_samples, seed)
+    llr_null.sort()  # the draw is ours: sorted in place, not copied
+    llr_attacked.sort()
     return threshold_curve(llr_null, llr_attacked, thresholds)
 
 
@@ -214,6 +232,8 @@ def roc_auc(model: MeasurementModel, v, n_samples: int, seed: int) -> float:
     other n^2 - n pairs are independent.
     """
     llr_null, llr_attacked = llr_samples(model, v, int(n_samples), seed)
+    llr_null.sort()  # the draw is ours: sorted in place, not copied
+    llr_attacked.sort()
     return rank_auc(llr_null, llr_attacked)
 
 
@@ -222,18 +242,19 @@ def rank_auc(llr_null: np.ndarray, llr_attacked: np.ndarray) -> float:
 
     U sums, over the attacked values, the number of null values below
     plus half the number tied, which is the midrank sum of the attacked
-    sample less n1 (n1 + 1) / 2.  Each sample is sorted once and U comes
-    from two ``searchsorted`` counts, so the extra memory is one copy of
-    each sample plus one index array, O(n).  The count 2 U is an
-    integer, so the result is U / (n0 n1) correctly rounded while
-    n0 n1 is below 2**52.  NaNs sort above +inf and tie with one
-    another.  Raises ValueError when either sample is empty.
+    sample less n1 (n1 + 1) / 2.  U comes from two ``searchsorted``
+    counts over the two samples in ascending order.  A sample already in
+    that order is read as it is; any other is sorted into a copy, and
+    the caller's arrays are never modified.  So the extra memory is one
+    index array plus a copy of each sample that was not ascending, O(n).
+    The count 2 U is an integer, so the result is U / (n0 n1) correctly
+    rounded while n0 n1 is below 2**52.  NaNs sort above +inf and tie
+    with one another.  Raises ValueError when either sample is empty.
     """
     n0, n1 = llr_null.size, llr_attacked.size
     if n0 == 0 or n1 == 0:
         raise ValueError(f"rank_auc needs nonempty samples, got sizes {n0} and {n1}")
-    null = np.sort(llr_null, axis=None)
-    attacked = np.sort(llr_attacked, axis=None)
+    null, attacked = _ascending(llr_null), _ascending(llr_attacked)
     below = int(np.searchsorted(null, attacked, side="left").sum())
     not_above = int(np.searchsorted(null, attacked, side="right").sum())
     return (below + not_above) / 2.0 / (n0 * n1)

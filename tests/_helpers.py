@@ -288,6 +288,18 @@ def oracle_threshold_curve(llr_null, llr_attacked, thresholds):
     return curve
 
 
+def shuffled_samples(rng, n, shift=0.0, nan=True):
+    """n LLR-like values in random order: runs of ties at one decimal, a
+    tenth each of 0.0 and -0.0 and, with ``nan``, a twentieth of NaN."""
+    values = np.round(rng.standard_normal(n) + shift, 1)
+    values[: n // 10] = 0.0
+    values[n // 10 : n // 5] = -0.0
+    if nan:
+        values[n // 5 : n // 5 + n // 20] = math.nan
+    rng.shuffle(values)
+    return values
+
+
 def llr_local(model, i, v_i, y_i):
     """Scalar log-likelihood ratio for measurement i alone."""
     i = check_index(model, i)

@@ -14,7 +14,12 @@ from stealthgame.cli import _fmt, main
 from stealthgame.dynamics import NonFiniteUpdateError, run_brd
 from stealthgame.games import GameSpec, potential
 from stealthgame.grid import bundled_case
-from stealthgame.model import StatePriorSpec, build_model, toeplitz_cov
+from stealthgame.model import (
+    StatePriorSpec,
+    build_model,
+    calibrate_noise,
+    toeplitz_cov,
+)
 
 from _helpers import mp_profile_responses
 
@@ -162,6 +167,27 @@ class TestRun:
         assert np.all(np.isfinite(v))
         responses = mp_profile_responses(ieee9_model, GameSpec(game, float(lam)), v)
         np.testing.assert_allclose(v, responses, rtol=1e-12, atol=0.0)
+
+    def test_extreme_scale_game_1_reaches_the_finite_equilibrium(
+        self, tmp_path, capsys
+    ):
+        # sigma2 = 1e299 and gamma = 1e300: gamma (sigma2 + gamma0) would
+        # overflow without the game-1 root's power-of-two scaling.
+        path = tmp_path / "huge.mat"
+        path.write_text("1e150\n")
+        out = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--h-matrix", str(path), "--rho", "0.5",
+                       "--snr-db", "10", "--game", "1", "--lambda", "2",
+                       "--out", str(out)])
+        assert rc == 0
+        ne = json.loads((tmp_path / "huge.ne.json").read_text())
+        assert ne["converged"] is True
+        H, Sigma_XX = np.array([[1e150]]), toeplitz_cov(StatePriorSpec(1, 0.5))
+        model = build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, 10.0))
+        responses = mp_profile_responses(model, GameSpec(1, 2.0), ne["v_star"])
+        np.testing.assert_allclose(ne["v_star"], responses, rtol=1e-14, atol=0.0)
 
     def test_trajectory_roundtrip_reproduces_potential(self, tmp_path, capsys):
         out = tmp_path / "rt"

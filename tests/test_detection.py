@@ -14,10 +14,12 @@ from stealthgame.detection import (
     roc_auc,
     sample_observations,
 )
+from stealthgame.dynamics import run_brd
+from stealthgame.games import GameSpec
 from stealthgame.metrics import kl_global, kl_local
 from stealthgame.model import attacked_cov
 
-from _helpers import llr_local, oracle_rank_auc, random_profile
+from _helpers import llr_local, oracle_rank_auc, random_profile, shuffled_samples
 
 
 class TestSampleObservations:
@@ -313,7 +315,43 @@ class TestRankAuc:
             tracemalloc.stop()
         assert peak < 2.5 * (null.nbytes + attacked.nbytes)
 
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_unsorted_input_is_read_not_modified(self, rng, nan):
+        # Ties, both signed zeros and NaNs, in random order: the AUC is
+        # that of sorted copies, which are read as they are when they
+        # hold no NaN, and no input array changes.
+        null = shuffled_samples(rng, 3_000, nan=nan)
+        attacked = shuffled_samples(rng, 2_000, shift=0.4, nan=nan)
+        null_sorted, attacked_sorted = np.sort(null), np.sort(attacked)
+        inputs = (null, attacked, null_sorted, attacked_sorted)
+        before = [x.tobytes() for x in inputs]
+        auc = rank_auc(null, attacked)
+        assert auc == rank_auc(null_sorted, attacked_sorted)
+        if not nan:  # the oracle ranks NaNs apart
+            assert auc == oracle_rank_auc(null, attacked)
+        assert [x.tobytes() for x in inputs] == before
+
     def test_roc_auc_matches_midrank_loop(self, ring3_model, rng):
         v = random_profile(rng, ring3_model, scale=0.5)
         null, attacked = llr_samples(ring3_model, v, 10_000, 17)
         assert roc_auc(ring3_model, v, 10_000, 17) == oracle_rank_auc(null, attacked)
+
+
+@pytest.mark.parametrize("statistic,bound", [("error_curve", 2.5), ("roc_auc", 3.5)])
+def test_peak_memory_is_the_draw_sorted_in_place(ieee9_model, statistic, bound):
+    # The draw is two arrays of n doubles, which the statistic sorts in
+    # place; a sorted copy of each would add 2 x 8 n bytes to the peak.
+    n = 200_000
+    v, _, _ = run_brd(GameSpec(1, 2.0), ieee9_model)
+    call = {
+        "error_curve": lambda: error_curve(ieee9_model, v, n, 1, [0.5, 1.0, 2.0]),
+        "roc_auc": lambda: roc_auc(ieee9_model, v, n, 1),
+    }[statistic]
+    call()  # the modules numpy's generator imports on first use are not counted
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n

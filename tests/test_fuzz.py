@@ -129,10 +129,12 @@ def _strict_json(text):
          matrix=b"", ne=b"", noise=("--snr-db", "10"))
 @example(command="detect", flag="--case", network=b"bus 2\nbranch 1 2 1", matrix=b"",
          ne=b'{"v_star": [1, 0, 0]}', noise=("--sigma2", "1"))
+@example(command="run", flag="--h-matrix", network=b"", matrix=b"1e150", ne=None,
+         noise=("--snr-db", "10"))
 def test_main_on_fuzzed_files(tmp_path, capsys, command, flag, network, matrix, ne,
                               noise):
-    # Every exit 4 names an input file, unless the solver itself failed;
-    # stderr holds at most one line, and every JSON output is standard JSON.
+    # Every exit 4 names an input file, stderr holds at most one line,
+    # and every JSON output is standard JSON.
     for path in tmp_path.iterdir():
         path.unlink()
     source = tmp_path / ("in.net" if flag == "--case" else "in.mat")
@@ -155,8 +157,7 @@ def test_main_on_fuzzed_files(tmp_path, capsys, command, flag, network, matrix, 
     assert rc in (0, 3, 4)
     assert err.count("\n") == (rc == 4)
     if rc == 4:
-        if not err.startswith("error: non-finite best response"):
-            assert err.startswith((f"error: {source}: ", f"error: {ne_path}: "))
+        assert err.startswith((f"error: {source}: ", f"error: {ne_path}: "))
     elif command == "build":
         _strict_json(stdout)
     elif command == "run":

@@ -9,7 +9,7 @@ from stealthgame.cli import main
 from stealthgame.detection import error_curve, llr_samples, threshold_curve
 from stealthgame.grid import bundled_case
 
-from _helpers import oracle_threshold_curve, random_profile
+from _helpers import oracle_threshold_curve, random_profile, shuffled_samples
 
 MODEL_FLAGS = ["--case", bundled_case("ieee9"), "--rho", "0.9", "--snr-db", "30"]
 
@@ -54,6 +54,23 @@ def test_nan_neither_accuses_nor_misses(rng):
     assert threshold_curve(null, attacked, taus) == (
         oracle_threshold_curve(null, attacked, taus)
     )
+
+
+@pytest.mark.parametrize("nan", [False, True])
+def test_unsorted_input_is_read_not_modified(rng, nan):
+    # Ties, both signed zeros (log(1) = 0 is a threshold) and NaNs, in
+    # random order: the curve is that of sorted copies, which are read
+    # as they are when they hold no NaN, and no input array changes.
+    taus = [0.5, 1.0, 2.0]
+    null = shuffled_samples(rng, 1_500, nan=nan)
+    attacked = shuffled_samples(rng, 1_300, shift=0.5, nan=nan)
+    null_sorted, attacked_sorted = np.sort(null), np.sort(attacked)
+    inputs = (null, attacked, null_sorted, attacked_sorted)
+    before = [x.tobytes() for x in inputs]
+    curve = threshold_curve(null, attacked, taus)
+    assert curve == threshold_curve(null_sorted, attacked_sorted, taus)
+    assert curve == oracle_threshold_curve(null, attacked, taus)
+    assert [x.tobytes() for x in inputs] == before
 
 
 def test_validation():
