@@ -13,8 +13,9 @@ by the rule :func:`~stealthgame.dynamics.run_brd` reads it by.
 Game 1: the stationarity condition is the quadratic l^2 + B l + C = 0
 with B = sigma2 + d and C = sigma2 d - gamma (sigma2 + gamma0) / lam,
 solved in the cancellation-free form l = -2C / (B + sqrt(B^2 - 4C)).
-When sigma2 or gamma exceeds 2^500 it is solved for l / rho instead,
-rho a power of two near the larger of them, so no product overflows.
+When a product or the denominator overflows, it is solved again for
+t = l / rho, rho a power of two near the square root of the largest
+product gamma max(sigma2, gamma0), so those products lie near 1.
 
 Games 2 and 3: multiplying the derivative by its positive denominators
 gives a cubic,
@@ -145,23 +146,34 @@ def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
 
 def _g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     gamma, gamma0 = ctx.gamma, min(ctx.gamma0, ctx.gamma)
-    rho = 1.0
-    if max(sigma2, gamma) > 2.0**500:
-        # gamma (sigma2 + gamma0) could overflow: solve for l = rho t with
-        # rho a power of two, which rescales every coefficient exactly.
-        rho = math.ldexp(1.0, math.frexp(max(sigma2, gamma))[1])
-        sigma2, gamma, gamma0 = sigma2 / rho, gamma / rho, gamma0 / rho
+    l = _g1_root(sigma2, gamma, gamma0, lam)
+    if l == math.inf:
+        # Solve for l = rho t.  When a product overflowed, the largest,
+        # gamma max(sigma2, gamma0), is above 2^1022, and rho near its
+        # square root puts it near 1 and each of its factors above 2^-514;
+        # rho >= 4 keeps the denominator finite when only it overflowed.
+        k = math.frexp(gamma)[1] + math.frexp(max(sigma2, gamma0))[1]
+        rho = math.ldexp(1.0, min(max(k // 2, 2), 1023))
+        l = rho * _g1_root(sigma2 / rho, gamma / rho, gamma0 / rho, lam)
+    return l
+
+
+def _g1_root(sigma2: float, gamma: float, gamma0: float, lam: float) -> float:
+    """The game-1 root for these scalars; inf when a product overflows."""
     d = gamma - gamma0
     B = sigma2 + d
     gain_term = sigma2 * d
     C = gain_term - gamma * (sigma2 + gamma0) / lam
+    if not math.isfinite(C):
+        return math.inf
     if abs(C) < CANCELLED * gain_term:  # recompute exactly, rounded once
         s2, g, g0 = Fraction(sigma2), Fraction(gamma), Fraction(gamma0)
         C = float(s2 * (g - g0) - g * (s2 + g0) / Fraction(lam))
     if C >= 0.0:
         return 0.0
     # sqrt(B^2 - 4C) = hypot(B, 2 sqrt(-C)); the sum has no cancellation.
-    return rho * (-2.0 * C / (B + math.hypot(B, 2.0 * math.sqrt(-C))))
+    den = B + math.hypot(B, 2.0 * math.sqrt(-C))
+    return -2.0 * C / den if den < math.inf else math.inf
 
 
 def _newton_cubic(b2: float, b1: float, b0: float, t: float) -> float:

@@ -192,15 +192,19 @@ def _ascending(x) -> np.ndarray:
     """The values of ``x``, flattened, in ascending order with NaNs last.
 
     Returns ``x`` itself (flattened, a view when ``x`` is contiguous) when
-    one O(n) comparison of neighbours shows it already is in that order,
-    else the sorted copy ``np.sort(x, axis=None)``.  ``x`` is never
-    modified.  A NaN fails every comparison, so two or more values
-    holding one are always sorted, which puts the NaNs last.
+    one O(n) comparison of neighbours shows it already is in that order.
+    Otherwise it sorts the flattened values: in place when flattening
+    already copied them, else into one copy.  ``x`` is never modified.
+    A NaN fails every comparison, so two or more values holding one are
+    always sorted, which puts the NaNs last.
     """
     flat = np.ravel(x)
     if np.all(flat[:-1] <= flat[1:]):
         return flat
-    return np.sort(x, axis=None)
+    if np.may_share_memory(flat, x):
+        return np.sort(flat)
+    flat.sort()
+    return flat
 
 
 def error_curve(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stealthgame.bestresponse import (
+    BRContext,
     best_response,
     br_context,
     br_g1,
@@ -184,6 +185,29 @@ class TestClosedForms:
     def test_g1_scalar_golden_ratio(self, scalar_model):
         ctx = br_context(scalar_model, 0, [0.0])
         assert br_g1(ctx, 1.0, 2.0) == pytest.approx(GOLDEN, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "gamma, gamma0, sigma2, lam",
+        [
+            (1e300, 1e300, 1e299, 2.0),  # gamma (sigma2 + gamma0) overflows
+            (1e250, 1e100, 1e-300, 2.0),  # gamma gamma0 overflows
+            (3.0, 3.0, 1.7e308, 2.0),  # a small gain beside the largest sigma2
+            (1.2e154, 1.2e154, 1.0, 1.0),  # only -2C overflows
+            (1e-300, 1e-300, 1e308, 2.0),  # only the denominator overflows
+            (1e-130, 1e-130, 1e200, 2.0),  # nothing overflows; gamma is tiny
+            (1e308, 1e-300, 1e308, 3.0),  # C overflows and is positive
+            (1.7e308, 1.7e308, 1.7e308, 1.0),  # every scalar near the top
+        ],
+    )
+    def test_g1_at_extreme_scale_matches_the_50_digit_root(
+        self, gamma, gamma0, sigma2, lam
+    ):
+        ctx = BRContext(gamma=gamma, gamma0=gamma0, s=sigma2 + gamma0, c=gamma0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = br_g1(ctx, sigma2, lam)
+        ref = mp_best_response(1, ctx, sigma2, lam)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_g1_weight_floor(self, scalar_model):
         ctx = br_context(scalar_model, 0, [0.0])

@@ -168,25 +168,38 @@ class TestRun:
         responses = mp_profile_responses(ieee9_model, GameSpec(game, float(lam)), v)
         np.testing.assert_allclose(v, responses, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "matrix, noise",
+        [
+            # sigma2 = 1e299 and gamma = 1e300: gamma (sigma2 + gamma0)
+            # overflows unless the game-1 root is solved at a smaller scale.
+            ("1e150\n", ["--snr-db", "10"]),
+            # Beside sigma2 = 1e200 the tiny gains overflow nothing and must
+            # not be scaled away: player 2's response is about 5e-131.
+            ("1e50 0\n0 1e-65\n", ["--sigma2", "1e200"]),
+            ("1e-58\n", ["--sigma2", "1e200"]),
+        ],
+    )
     def test_extreme_scale_game_1_reaches_the_finite_equilibrium(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, matrix, noise
     ):
-        # sigma2 = 1e299 and gamma = 1e300: gamma (sigma2 + gamma0) would
-        # overflow without the game-1 root's power-of-two scaling.
-        path = tmp_path / "huge.mat"
-        path.write_text("1e150\n")
-        out = tmp_path / "huge"
+        path = tmp_path / "extreme.mat"
+        path.write_text(matrix)
+        out = tmp_path / "extreme"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["run", "--h-matrix", str(path), "--rho", "0.5",
-                       "--snr-db", "10", "--game", "1", "--lambda", "2",
-                       "--out", str(out)])
+            rc = main(["run", "--h-matrix", str(path), "--rho", "0.5", *noise,
+                       "--game", "1", "--lambda", "2", "--out", str(out)])
         assert rc == 0
-        ne = json.loads((tmp_path / "huge.ne.json").read_text())
+        ne = json.loads((tmp_path / "extreme.ne.json").read_text())
         assert ne["converged"] is True
-        H, Sigma_XX = np.array([[1e150]]), toeplitz_cov(StatePriorSpec(1, 0.5))
-        model = build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, 10.0))
+        H = np.array([row.split() for row in matrix.splitlines()], dtype=float)
+        Sigma_XX = toeplitz_cov(StatePriorSpec(H.shape[1], 0.5))
+        sigma2 = (calibrate_noise(H, Sigma_XX, float(noise[1]))
+                  if noise[0] == "--snr-db" else float(noise[1]))
+        model = build_model(H, Sigma_XX, sigma2)
         responses = mp_profile_responses(model, GameSpec(1, 2.0), ne["v_star"])
+        assert min(responses) > 0.0
         np.testing.assert_allclose(ne["v_star"], responses, rtol=1e-14, atol=0.0)
 
     def test_trajectory_roundtrip_reproduces_potential(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The threshold curve from LLR samples, and ``detect`` drawing them once."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,27 @@ def test_unsorted_input_is_read_not_modified(rng, nan):
     assert curve == threshold_curve(null_sorted, attacked_sorted, taus)
     assert curve == oracle_threshold_curve(null, attacked, taus)
     assert [x.tobytes() for x in inputs] == before
+
+
+def test_strided_input_is_sorted_in_one_copy(rng):
+    # Flattening a column of a 2-column array copies it, and that copy is
+    # the one sorted: one extra 8 n bytes per sample at most, not two.
+    n, taus = 100_000, [0.5, 1.0, 2.0]
+    null, attacked = (
+        np.stack([shuffled_samples(rng, n, shift=shift), np.zeros(n)], axis=1)[:, 0]
+        for shift in (0.0, 0.5)
+    )
+    before = [null.tobytes(), attacked.tobytes()]
+    expected = threshold_curve(np.sort(null), np.sort(attacked), taus)
+    tracemalloc.start()
+    try:
+        curve = threshold_curve(null, attacked, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve == expected
+    assert [null.tobytes(), attacked.tobytes()] == before
+    assert peak <= 2.5 * 8 * n
 
 
 def test_validation():
