@@ -34,7 +34,10 @@ iteration finds that root, started from the player's current variance
 (``BRContext.v``) when that lies near the root; by convexity every step
 after the first stays at or right of the root, so no bracket is needed.
 A power-of-two Fujiwara bound scales the cubic, so no coefficient
-overflows for any finite lam > 0.
+overflows for any finite lam > 0.  When a product of the scalars
+themselves overflows, the cubic is solved again with every scalar
+divided by the power of two that puts the largest near 2^300, and the
+root is scaled back; every other input keeps its unscaled arithmetic.
 
 For game 3 the stationarity condition uses the scalar ``gamma_i`` in
 both the numerator and the shifted denominator factor.  The literal rule
@@ -234,19 +237,29 @@ def _g2(ctx: BRContext, sigma2: float, lam: float) -> float:
         # A zero sensing row has no local information to destroy, and
         # the detection term pins the optimum at 0.
         return 0.0
-    gamma, gamma0 = ctx.gamma, min(ctx.gamma0, ctx.gamma)
+    scalars = (sigma2, ctx.s, ctx.c, ctx.gamma, min(ctx.gamma0, ctx.gamma))
+    l = _g2_root(*scalars, lam, ctx.v)
+    return l if l < math.inf else _rescaled(_g2_root, scalars, lam, ctx.v)
+
+
+def _g2_root(
+    sigma2: float, s: float, c: float, gamma: float, gamma0: float, lam: float, v: float
+) -> float:
+    """The game-2 root for these scalars, from v; inf when a product overflows."""
     rho, b2, b1, b0, xyz = _scaled_cubic(
-        sigma2, ctx.s, gamma - gamma0, ctx.c * (sigma2 + gamma0), lam, sigma2 + gamma
+        sigma2, s, gamma - gamma0, c * (sigma2 + gamma0), lam, sigma2 + gamma
     )
+    if rho == math.inf:
+        return math.inf
     if abs(b0) < CANCELLED * xyz:  # recompute exactly, rounded once
         s2, g, g0 = Fraction(sigma2), Fraction(gamma), Fraction(gamma0)
-        exact = s2 * Fraction(ctx.s) * (g - g0) - Fraction(ctx.c) * (s2 + g0) * (
+        exact = s2 * Fraction(s) * (g - g0) - Fraction(c) * (s2 + g0) * (
             s2 + g
         ) / Fraction(lam)
         b0 = float(exact / Fraction(rho) ** 3)
     if not b0 < 0.0:
         return 0.0
-    return rho * _newton_cubic(b2, b1, b0, ctx.v / rho)
+    return rho * _newton_cubic(b2, b1, b0, v / rho)
 
 
 def br_g3(
@@ -269,12 +282,35 @@ def _g3(ctx: BRContext, sigma2: float, lam: float, literal: bool) -> float:
         # flat and the detection term pins the optimum at 0.
         return 0.0
     shift = 1.0 / (sigma2 + ctx.gamma) if literal else ctx.gamma
-    rho, b2, b1, b0, _ = _scaled_cubic(
-        0.0, sigma2, sigma2 + shift, ctx.gamma * ctx.s, lam, ctx.s
-    )
+    scalars = (sigma2, sigma2 + shift, ctx.gamma, ctx.s)
+    l = _g3_root(*scalars, lam, ctx.v)
+    return l if l < math.inf else _rescaled(_g3_root, scalars, lam, ctx.v)
+
+
+def _g3_root(
+    sigma2: float, z: float, gamma: float, s: float, lam: float, v: float
+) -> float:
+    """The game-3 root for these scalars (z = sigma2 + g), from v; inf when
+    a product overflows."""
+    rho, b2, b1, b0, _ = _scaled_cubic(0.0, sigma2, z, gamma * s, lam, s)
+    if rho == math.inf:
+        return math.inf
     if not b0 < 0.0:  # only if k s underflows
         return 0.0
-    return rho * _newton_cubic(b2, b1, b0, ctx.v / rho)
+    return rho * _newton_cubic(b2, b1, b0, v / rho)
+
+
+def _rescaled(root, scalars: tuple, lam: float, v: float) -> float:
+    """``root(*scalars, lam, v)`` for scalars at which it overflowed.
+
+    The root is homogeneous of degree 1 in the scalars, so it is rho t
+    for the root t at scalars / rho.  rho is the power of two that puts
+    the largest scalar in [2^299, 2^300): a product of three scaled
+    scalars stays below 2^900, and a scalar or root down to 2^-1322 of
+    the largest is still a normal double.
+    """
+    rho = math.ldexp(1.0, math.frexp(max(scalars))[1] - 300)
+    return rho * root(*(x / rho for x in scalars), lam, v / rho)
 
 
 def _scaled_cubic(
@@ -284,9 +320,10 @@ def _scaled_cubic(
 
     The shifts x, y, z, ``numerator`` and ``offset`` are >= 0 and
     lam > 0.  Returns rho, the coefficients b2, b1, b0 of the monic cubic
-    in t, and the b0 part xyz / rho^3.  When a small lam makes k large,
-    rho is a power of two >= 2 max(k^(1/2), (k offset)^(1/3)), both formed
-    without k: k / rho^2 = numerator / ((lam rho) rho) then cannot
+    in t, and the b0 part xyz / rho^3; rho is inf when a product of the
+    shifts, ``numerator`` or ``offset`` overflows.  When a small lam makes
+    k large, rho is a power of two >= 2 max(k^(1/2), (k offset)^(1/3)), both
+    formed without k: k / rho^2 = numerator / ((lam rho) rho) then cannot
     overflow, every other coefficient is an exact rescaling, and the
     root, which Fujiwara's rule bounds by 2 max(x + y + z,
     (xy + xz + yz)^(1/2), (xyz)^(1/3), k^(1/2), (k offset)^(1/3)), is at
@@ -301,7 +338,11 @@ def _scaled_cubic(
     x, y, z = x / rho, y / rho, z / rho
     xyz = x * y * z
     b1 = x * y + z * (x + y) - kappa
-    return rho, x + y + z, b1, xyz - kappa * (offset / rho), xyz
+    b0 = xyz - kappa * (offset / rho)
+    inf = math.inf
+    if not (k_root < inf and -inf < b1 < inf and -inf < b0 < inf):
+        rho = inf
+    return rho, x + y + z, b1, b0, xyz
 
 
 def best_response(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:

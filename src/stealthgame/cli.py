@@ -143,13 +143,28 @@ def cmd_build(parser, args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: str, header: list[str], columns: list[str], row: str, rows):
-    """Write the header, the column line, then ``row % values`` for each
-    tuple of ``rows``; ``%.17g`` prints the digits :func:`_fmt` prints."""
-    row += "\n"
+def _write_csv(path: str, header: list[str], columns: list[str], lines):
+    """Write the header, the column line, then ``lines``, each ending in a
+    newline; ``%.17g`` prints the digits :func:`_fmt` prints."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in [*header, ",".join(columns)])
-        fh.writelines(row % values for values in rows)
+        fh.writelines(lines)
+
+
+def _trajectory_lines(trajectory):
+    """The trajectory CSV's data lines.  A record's profile differs from
+    the previous record's in at most the moved player's cell, so only
+    that cell is formatted again; a start record formats every cell."""
+    cells = []
+    for rec in trajectory:
+        if rec.player < 0:
+            cells = ["%.17g" % x for x in rec.v_snapshot.tolist()]
+        else:
+            cells[rec.player] = "%.17g" % rec.end[rec.player]
+        yield "%d,%d,%s,%.17g,%.17g,%.17g\n" % (
+            rec.round, rec.player + 1, ",".join(cells), rec.potential,
+            rec.mi_global, rec.kl_global,
+        )
 
 
 def cmd_run(parser, args) -> int:
@@ -163,14 +178,9 @@ def cmd_run(parser, args) -> int:
     )
     columns = ["t", "player"] + [f"v_{j + 1}" for j in range(model.m)]
     columns += ["potential", "mi_global", "kl_global"]
-    rows = (
-        (rec.round, rec.player + 1, *rec.v_snapshot.tolist(), rec.potential,
-         rec.mi_global, rec.kl_global)
-        for rec in trajectory
-    )
-    row = "%d,%d," + "%.17g," * model.m + "%.17g,%.17g,%.17g"
     header = _header("trajectory", args, model, source, settings)
-    _write_csv(f"{args.out}.trajectory.csv", header, columns, row, rows)
+    _write_csv(f"{args.out}.trajectory.csv", header, columns,
+               _trajectory_lines(trajectory))
 
     result = {
         "game": spec.game,
@@ -216,8 +226,8 @@ def cmd_sweep(parser, args) -> int:
     settings = f"game={args.game} tmax={args.tmax} tol={_fmt(args.tol)}"
     header = _header("lambda sweep", args, model, source, settings)
     columns = ["lambda", "v_min", "v_mean", "v_max", "mi_global", "kl_global"]
-    row = "%.17g," * len(columns) + "%s"
-    _write_csv(args.out, header, columns + ["br3_variant"], row, rows)
+    row = "%.17g," * len(columns) + "%s\n"
+    _write_csv(args.out, header, columns + ["br3_variant"], (row % r for r in rows))
     return EXIT_OK if all(converged) else EXIT_NO_CONVERGENCE
 
 
@@ -283,7 +293,7 @@ def cmd_detect(parser, args) -> int:
     )
     header = _header("detection curve", args, model, source, settings)
     columns = ["tau", "alpha_hat", "beta_hat"]
-    _write_csv(args.out, header, columns, "%.17g,%.17g,%.17g", curve)
+    _write_csv(args.out, header, columns, ("%.17g,%.17g,%.17g\n" % r for r in curve))
     return EXIT_OK
 
 

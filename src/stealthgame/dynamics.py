@@ -10,9 +10,13 @@ rather than hiding it.
 One :class:`~stealthgame.model.PosteriorKernel` per run supplies every
 best-response context and the O(1) ``mi`` and ``kl`` of every record:
 each update is a rank-one change, O(n^2), and the kernel is refactored
-once per round.  A round's records are built at its end, its m profiles
-as one m-by-m block and their potentials as one row-wise evaluation, so
-a round costs O(m n^2) plus O(m^2) numpy work.
+once per round.  A round's records are built at its end and share two
+read-only length-m profiles, the round's start and its end (which is
+the next round's start), so a trajectory keeps O(m) numbers per round
+and O(1) per record.  Their potentials are one row-wise evaluation: in
+games 2 and 3 over an m-by-m block of the round's profiles that lives
+only for that evaluation, in game 1 from the metrics alone.  A round
+costs O(m n^2) plus O(m^2) numpy work.
 
 A move does only what it needs: the player's row and gain (two BLAS
 calls), its context from constants read into Python floats once per run
@@ -62,20 +66,31 @@ class NonFiniteUpdateError(RuntimeError):
         self.trajectory = trajectory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryRecord:
-    """Snapshot after one player update (player = -1 for the start).
+    """One player update of a round (player = -1 for the start, round 0).
 
-    ``v_snapshot`` differs from the previous record in at most the
-    updated player's coordinate.
+    ``start`` and ``end`` are the round's profiles before its first move
+    and after its last, shared by all its records.  The profile after
+    this update, :attr:`v_snapshot`, is ``end`` up to and including the
+    player and ``start`` after it, so it differs from the previous
+    record's in at most the updated player's coordinate, whose new value
+    is ``end[player]``.
     """
 
     round: int
     player: int
-    v_snapshot: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
     potential: float
     mi_global: float
     kl_global: float
+
+    @property
+    def v_snapshot(self) -> np.ndarray:
+        """The profile right after this update, as a new array."""
+        k = self.player + 1
+        return np.concatenate((self.end[:k], self.start[k:]))
 
 
 @dataclass(frozen=True)
@@ -86,16 +101,26 @@ class ConvergenceReport:
     ne_residual: float
 
 
-def _records(spec: GameSpec, model: MeasurementModel, t: int, start, v, metrics):
-    """Records of round t's first len(metrics) moves; row k of the profile
-    block is v up to player k and ``start`` after it.  ``metrics`` holds
-    the kernel's (mi, kl) after each move.  Round 0 is the start, player -1."""
-    V = np.where(np.tri(len(metrics), model.m, dtype=bool), v, start)
+def _records(spec: GameSpec, model: MeasurementModel, t: int, start, end, metrics):
+    """Records of round t's first len(metrics) moves, sharing the round's
+    ``start`` and ``end`` profiles; ``metrics`` holds the kernel's (mi, kl)
+    after each move.  Round 0 is the start, player -1."""
     mi, kl = np.array(metrics).T
+    V = None  # game 1's potential reads only the metrics
+    if spec.game != 1:
+        # Row k is the profile after move k: end up to player k, start after.
+        V = np.where(np.tri(len(metrics), model.m, dtype=bool), end, start)
     potentials = row_potentials(spec, model, V, mi, kl).tolist()
-    players = range(len(V)) if t else [-1]
-    rows = zip(players, V, potentials, mi.tolist(), kl.tolist())
-    return [TrajectoryRecord(t, *fields) for fields in rows]
+    players = range(len(metrics)) if t else [-1]
+    rows = zip(players, potentials, mi.tolist(), kl.tolist())
+    return [TrajectoryRecord(t, k, start, end, p, a, b) for k, p, a, b in rows]
+
+
+def _frozen_copy(v: np.ndarray) -> np.ndarray:
+    """A read-only copy of the profile v, for records to share."""
+    copy = v.copy()
+    copy.flags.writeable = False
+    return copy
 
 
 def run_brd(
@@ -121,12 +146,13 @@ def run_brd(
     context, sigma2 = player_contexts(model), model.sigma2
 
     v = kernel.v  # kernel.update writes each move into it in place
-    trajectory = _records(spec, model, 0, v, v, [(kernel.mi, kernel.kl)])
+    start = _frozen_copy(v)
+    trajectory = _records(spec, model, 0, start, start, [(kernel.mi, kernel.kl)])
     converged = False
     rounds_used = 0
     max_delta = math.inf
     for t in range(1, t_max + 1):
-        start, metrics = v.copy(), []
+        metrics = []
         max_delta = 0.0
         # Players move in index order, so v_i is still the round's start.
         for i, v_i in enumerate(start.tolist()):
@@ -134,7 +160,7 @@ def run_brd(
             if not math.isfinite(new_vi):
                 # The diagnostic record: the profile before the failing move.
                 metrics.append((kernel.mi, kernel.kl))
-                trajectory += _records(spec, model, t, start, v, metrics)
+                trajectory += _records(spec, model, t, start, _frozen_copy(v), metrics)
                 raise NonFiniteUpdateError(
                     f"non-finite best response for player {i} in round {t}",
                     trajectory,
@@ -146,7 +172,10 @@ def run_brd(
         # each round's last record is a fresh evaluation.
         kernel.refactor()
         metrics[-1] = (kernel.mi, kernel.kl)
-        trajectory += _records(spec, model, t, start, v, metrics)
+        # A copy, not v: the caller owns v, returned as v*.
+        end = _frozen_copy(v)
+        trajectory += _records(spec, model, t, start, end, metrics)
+        start = end
         rounds_used = t
         if max_delta < tol:
             converged = True

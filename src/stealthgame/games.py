@@ -95,6 +95,7 @@ def row_potentials(spec: GameSpec, model: MeasurementModel, V, mi, kl) -> np.nda
 
     ``mi`` and ``kl`` hold the global metrics of the rows; the sums of
     ``mi_local`` and ``kl_local`` over all players are taken row-wise.
+    Game 1 does not read V.
     """
     if spec.game == 1:
         return mi + spec.lam * kl

@@ -19,6 +19,8 @@ oracle that runs the package's kernel: it redoes ``run_brd`` through the
 public, validated ``player_contexts`` and ``br_g1``/``br_g2``/``br_g3``, with
 one trajectory record formed after every move, to check bit for bit the
 moves and the records that ``run_brd`` assembles once per round.
+``naive_trajectory_lines`` renders every cell of every record, the
+reference for ``run``'s trajectory writer.
 """
 
 import math
@@ -88,9 +90,10 @@ def ieee9_model_at(snr: float) -> MeasurementModel:
     return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
 
 
-def chain_model(n_bus: int, snr: float, seed: int = 0) -> MeasurementModel:
-    """A chain of n_bus buses plus n_bus // 2 random chords, rho = 0.9:
-    m = (n_bus - 1) + n_bus // 2 + n_bus measurements (74 for 30 buses)."""
+def chain_network(n_bus: int, seed: int = 0) -> BusNetwork:
+    """A chain of n_bus buses plus n_bus // 2 random chords: (n_bus - 1)
+    + n_bus // 2 branches, so (n_bus - 1) + n_bus // 2 + n_bus
+    measurements (74 for 30 buses, 149 for 60)."""
     rng = np.random.default_rng(seed)
     edges = {(k, k + 1) for k in range(1, n_bus)}
     while len(edges) < (n_bus - 1) + n_bus // 2:
@@ -98,7 +101,13 @@ def chain_model(n_bus: int, snr: float, seed: int = 0) -> MeasurementModel:
         edges.add((a, b))
     branches = tuple(Branch(a, b, float(rng.uniform(5.0, 20.0)))
                      for a, b in sorted(edges))
-    H = build_dc_jacobian(BusNetwork(n_bus=n_bus, slack=1, branches=branches)).H
+    return BusNetwork(n_bus=n_bus, slack=1, branches=branches)
+
+
+def chain_model(n_bus: int, snr: float, seed: int = 0) -> MeasurementModel:
+    """The model of :func:`chain_network` with rho = 0.9 and the noise of
+    an SNR in dB."""
+    H = build_dc_jacobian(chain_network(n_bus, seed)).H
     Sigma_XX = toeplitz_cov(StatePriorSpec(H.shape[1], 0.9))
     return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
 
@@ -226,7 +235,9 @@ def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
             s = model.s
             local_kl = 0.5 * float(np.sum(v / s + np.log(s) - np.log(s + v)))
             pot = kernel.mi + spec.lam * local_kl
-        return TrajectoryRecord(t, player, v.copy(), pot, kernel.mi, kernel.kl)
+        snapshot = v.copy()  # start = end, so v_snapshot is this profile
+        return TrajectoryRecord(t, player, snapshot, snapshot, pot, kernel.mi,
+                                kernel.kl)
 
     def response(kernel, i):
         ctx = context(i, kernel.gain(i), float(kernel.v[i]))
@@ -254,6 +265,19 @@ def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
     residual = max(abs(v[i] - response(fresh, i)) for i in range(model.m))
     return v, trajectory, ConvergenceReport(converged, rounds_used, max_delta,
                                             float(residual))
+
+
+def naive_trajectory_lines(trajectory) -> list[str]:
+    """The trajectory CSV's data lines with every cell of every record
+    formatted by ``%.17g``: the round, the player from 1 (0 for the
+    start), the profile ``v_snapshot`` and the three metrics."""
+    return [
+        ",".join(["%d" % rec.round, "%d" % (rec.player + 1)]
+                 + ["%.17g" % x for x in rec.v_snapshot.tolist()]
+                 + ["%.17g" % x for x in (rec.potential, rec.mi_global,
+                                          rec.kl_global)]) + "\n"
+        for rec in trajectory
+    ]
 
 
 def oracle_rank_auc(llr_null, llr_attacked):

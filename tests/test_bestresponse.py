@@ -209,6 +209,35 @@ class TestClosedForms:
         ref = mp_best_response(1, ctx, sigma2, lam)
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("game, literal", [(2, False), (3, False), (3, True)])
+    @pytest.mark.parametrize(
+        "gamma, gamma0, c, sigma2, lam",
+        [
+            # The 1e150 one-entry matrix at 10 dB: c (sigma2 + gamma0) and
+            # gamma s overflow.
+            (1e300, 1e300, 1e300, 1e299, 2.0),
+            (1e300, 5e299, 1e300, 1e299, 2.0),  # the same, with gamma > gamma0
+            (1e100, 1e100, 1e200, 1e100, 2.0),  # only a product of three overflows
+            (3.0, 3.0, 3.0, 1.7e308, 2.0),  # a small gain beside the largest sigma2
+            (1e200, 1e200, 1e200, 1e200, 1e-10),  # a small weight as well
+            (1e200, 1e200, 1e200, 1e200, 1e10),  # a large weight as well
+            (8e307, 8e307, 8e307, 8e307, 1.0),  # every scalar near the top
+        ],
+    )
+    def test_g2_g3_at_extreme_scale_match_the_50_digit_root(
+        self, gamma, gamma0, c, sigma2, lam, game, literal
+    ):
+        ctx = BRContext(gamma=gamma, gamma0=gamma0, s=sigma2 + c, c=c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if game == 2:
+                got = br_g2(ctx, sigma2, lam)
+            else:
+                got = br_g3(ctx, sigma2, lam, literal=literal)
+        ref = mp_best_response(game, ctx, sigma2, lam, literal)
+        assert ref > 0.0
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_g1_weight_floor(self, scalar_model):
         ctx = br_context(scalar_model, 0, [0.0])
         with pytest.raises(ValueError, match="lam >= 1"):

@@ -13,7 +13,7 @@ import stealthgame.cli as cli
 from stealthgame.cli import _fmt, main
 from stealthgame.dynamics import NonFiniteUpdateError, run_brd
 from stealthgame.games import GameSpec, potential
-from stealthgame.grid import bundled_case
+from stealthgame.grid import bundled_case, serialize_network
 from stealthgame.model import (
     StatePriorSpec,
     build_model,
@@ -21,7 +21,7 @@ from stealthgame.model import (
     toeplitz_cov,
 )
 
-from _helpers import mp_profile_responses
+from _helpers import chain_network, mp_profile_responses, naive_trajectory_lines
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -136,6 +136,30 @@ class TestRun:
                 tmp_path / f"b{ext}"
             ).read_bytes()
 
+    @pytest.mark.parametrize("game", [1, 3])
+    def test_trajectory_csv_is_every_cell_formatted(
+        self, tmp_path, capsys, monkeypatch, game
+    ):
+        # The writer formats only each record's moved cell; at m = 149 its
+        # lines must equal a rendering of every cell of every record.
+        case = tmp_path / "chain60.net"
+        case.write_text(serialize_network(chain_network(60)))
+        runs = []
+
+        def recording_run_brd(*args, **kwargs):
+            runs.append(run_brd(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_brd", recording_run_brd)
+        out = tmp_path / "chain"
+        assert main(["run", "--case", str(case), "--rho", "0.9", "--snr-db", "30",
+                     "--game", str(game), "--lambda", "2", "--out", str(out)]) == 0
+        (_, trajectory, _), = runs
+        assert len(trajectory[0].v_snapshot) == 149
+        with open(tmp_path / "chain.trajectory.csv", encoding="utf-8", newline="") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+        assert lines[1:] == naive_trajectory_lines(trajectory)
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         rc = main(["run", *MODEL_FLAGS, "--game", "1", "--lambda", "2",
                    "--tmax", "1", "--tol", "1e-14",
@@ -200,6 +224,31 @@ class TestRun:
         model = build_model(H, Sigma_XX, sigma2)
         responses = mp_profile_responses(model, GameSpec(1, 2.0), ne["v_star"])
         assert min(responses) > 0.0
+        np.testing.assert_allclose(ne["v_star"], responses, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("game, literal", [(2, False), (3, False), (3, True)])
+    def test_extreme_scale_games_2_and_3_reach_the_finite_equilibrium(
+        self, tmp_path, capsys, game, literal
+    ):
+        # Beside sigma2 = 1e299 and gamma = 1e300 the cubics' products
+        # overflow unless they are solved at a smaller scale; the game-1,
+        # game-2 and game-3 equilibria are all 6.93e299.
+        path = tmp_path / "huge.mat"
+        path.write_text("1e150\n")
+        out = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--h-matrix", str(path), "--rho", "0.5", "--snr-db", "10",
+                       "--game", str(game), "--lambda", "2", "--out", str(out),
+                       *(["--br3-literal"] if literal else [])])
+        assert rc == 0
+        ne = json.loads((tmp_path / "huge.ne.json").read_text())
+        assert ne["converged"] is True
+        H = np.array([[1e150]])
+        Sigma_XX = toeplitz_cov(StatePriorSpec(1, 0.5))
+        model = build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, 10.0))
+        responses = mp_profile_responses(model, GameSpec(game, 2.0, literal), ne["v_star"])
+        assert responses[0] > 1e299
         np.testing.assert_allclose(ne["v_star"], responses, rtol=1e-14, atol=0.0)
 
     def test_trajectory_roundtrip_reproduces_potential(self, tmp_path, capsys):

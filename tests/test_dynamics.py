@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,50 @@ class TestVerifyNe:
         assert verify_ne(spec, ring3_model, bumped) >= 0.09
 
 
+class TestTrajectoryStorage:
+    def test_memory_is_o_of_rounds_times_m(self):
+        # Records share their round's start and end profiles, so what a
+        # run keeps grows by O(1) per record (O(m) per round); a profile
+        # per record would add 8 m = 1.2 kB to each.  The only m-by-m
+        # arrays are one round's transient potential block and its
+        # temporaries.
+        model, spec = chain_model(60, 30.0), GameSpec(3, 2.0)
+        assert model.m == 149
+        run_brd(spec, model)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            _, trajectory, report = run_brd(spec, model)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged and len(trajectory) == 1 + report.rounds_used * model.m
+        assert kept <= 400 * len(trajectory)
+        assert peak <= 400 * len(trajectory) + 8 * (8 * model.m**2)
+
+    @pytest.mark.parametrize("game", [1, 3])
+    def test_mutating_outputs_changes_no_record(self, ieee9_model, game):
+        spec = GameSpec(game, 2.0)
+        v_star, trajectory, report = run_brd(spec, ieee9_model)
+        before, solved = run_bits(v_star, trajectory, report)[2], v_star.copy()
+        v_star[:] = -1.0
+        for rec in trajectory:
+            rec.v_snapshot[:] = -2.0
+        assert run_bits(v_star, trajectory, report)[2] == before
+        np.testing.assert_array_equal(trajectory[-1].v_snapshot, solved)
+
+    def test_records_share_their_round_profiles(self, ieee9_model):
+        _, trajectory, report = run_brd(GameSpec(3, 2.0), ieee9_model)
+        m = ieee9_model.m
+        for t in range(1, report.rounds_used + 1):
+            first, last = trajectory[1 + (t - 1) * m], trajectory[t * m]
+            assert first.round == last.round == t
+            assert all(rec.start is first.start and rec.end is first.end
+                       for rec in trajectory[1 + (t - 1) * m:1 + t * m])
+            assert first.start is trajectory[(t - 1) * m].end
+            assert not first.end.flags.writeable
+            np.testing.assert_array_equal(last.v_snapshot, last.end)
+
+
 class TestPotentialAudit:
     @pytest.mark.parametrize("game", [1, 2, 3])
     def test_brd_trajectories_never_raise_potential(self, ring3_model, game):
@@ -452,7 +497,8 @@ class TestPotentialAudit:
         doctored[3] = type(rec)(
             round=rec.round,
             player=rec.player,
-            v_snapshot=rec.v_snapshot,
+            start=rec.start,
+            end=rec.end,
             potential=doctored[2].potential + 1e-6,
             mi_global=rec.mi_global,
             kl_global=rec.kl_global,

@@ -131,6 +131,8 @@ def _strict_json(text):
          ne=b'{"v_star": [1, 0, 0]}', noise=("--sigma2", "1"))
 @example(command="run", flag="--h-matrix", network=b"", matrix=b"1e150", ne=None,
          noise=("--snr-db", "10"))
+@example(command="sweep", flag="--h-matrix", network=b"", matrix=b"1e150", ne=b"",
+         noise=("--snr-db", "10"))
 def test_main_on_fuzzed_files(tmp_path, capsys, command, flag, network, matrix, ne,
                               noise):
     # Every exit 4 names an input file, stderr holds at most one line,
