@@ -13,9 +13,6 @@ by the rule :func:`~stealthgame.dynamics.run_brd` reads it by.
 Game 1: the stationarity condition is the quadratic l^2 + B l + C = 0
 with B = sigma2 + d and C = sigma2 d - gamma (sigma2 + gamma0) / lam,
 solved in the cancellation-free form l = -2C / (B + sqrt(B^2 - 4C)).
-When a product or the denominator overflows, it is solved again for
-t = l / rho, rho a power of two near the square root of the largest
-product gamma max(sigma2, gamma0), so those products lie near 1.
 
 Games 2 and 3: multiplying the derivative by its positive denominators
 gives a cubic,
@@ -33,11 +30,15 @@ exactly one positive root, and the cubic is convex on [0, inf).  Newton
 iteration finds that root, started from the player's current variance
 (``BRContext.v``) when that lies near the root; by convexity every step
 after the first stays at or right of the root, so no bracket is needed.
-A power-of-two Fujiwara bound scales the cubic, so no coefficient
-overflows for any finite lam > 0.  When a product of the scalars
-themselves overflows, the cubic is solved again with every scalar
-divided by the power of two that puts the largest near 2^300, and the
-root is scaled back; every other input keeps its unscaled arithmetic.
+
+One scale rule keeps each solve in double range: a root is homogeneous
+of degree 1 in its scalars, so at the scalars divided by 2^r it is the
+root divided by 2^r, bit for bit while no product the solve forms (each
+game lists them, the root and those divided by lam included) leaves the
+normal range.  r is 0 when every product lies within [2^-1018, 2^1019],
+else the middle of the r that keep them all there, else the least r
+that keeps them below overflow.  Where every nonzero scalar and lam lie
+within 2^+-200, the rule gives r = 0 and the solve skips it.
 
 For game 3 the stationarity condition uses the scalar ``gamma_i`` in
 both the numerator and the shifted denominator factor.  The literal rule
@@ -66,6 +67,7 @@ from .model import as_profile, check_index, check_positive
 
 _NEWTON_RTOL = 2.0**-50  # relative size of the step that ends the iteration
 _NEWTON_MAX_ITER = 100
+_LO, _HI = 2.0**-200, 2.0**200  # the box in which the scale rule gives r = 0
 
 __all__ = [
     "BRContext",
@@ -149,38 +151,31 @@ def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
 
 def _g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     gamma, gamma0 = ctx.gamma, min(ctx.gamma0, ctx.gamma)
-    l = _g1_root(sigma2, gamma, gamma0, lam)
-    if l == math.inf:
-        # Solve for l = rho t.  When a product overflowed, the largest,
-        # gamma max(sigma2, gamma0), is above 2^1022, and rho near its
-        # square root puts it near 1 and each of its factors above 2^-514;
-        # rho >= 4 keeps the denominator finite when only it overflowed.
-        k = math.frexp(gamma)[1] + math.frexp(max(sigma2, gamma0))[1]
-        rho = math.ldexp(1.0, min(max(k // 2, 2), 1023))
-        l = rho * _g1_root(sigma2 / rho, gamma / rho, gamma0 / rho, lam)
-    return l
+    if _LO < lam < _HI and _LO < sigma2 < _HI and _LO < gamma0 and gamma < _HI:
+        return _g1_root(lam, sigma2, gamma, gamma0)
+    e2, eg, e0, ed, ea = _log2(sigma2, gamma, gamma0, gamma - gamma0, max(sigma2, gamma0))
+    eC = eg + ea - math.log2(lam)  # -C, unless it cancels
+    root = min(eC - max(e2, ed), eC / 2.0)  # -C / max(B, (-C)^(1/2))
+    return _rescaled(_g1_root, lam, (sigma2, gamma, gamma0),
+                     (e2, eg, e0, root), (e2 + ed, eg + ea, eC))
 
 
-def _g1_root(sigma2: float, gamma: float, gamma0: float, lam: float) -> float:
-    """The game-1 root for these scalars; inf when a product overflows."""
+def _g1_root(lam: float, sigma2: float, gamma: float, gamma0: float) -> float:
     d = gamma - gamma0
     B = sigma2 + d
     gain_term = sigma2 * d
     C = gain_term - gamma * (sigma2 + gamma0) / lam
-    if not math.isfinite(C):
-        return math.inf
     if abs(C) < CANCELLED * gain_term:  # recompute exactly, rounded once
         s2, g, g0 = Fraction(sigma2), Fraction(gamma), Fraction(gamma0)
         C = float(s2 * (g - g0) - g * (s2 + g0) / Fraction(lam))
     if C >= 0.0:
         return 0.0
     # sqrt(B^2 - 4C) = hypot(B, 2 sqrt(-C)); the sum has no cancellation.
-    den = B + math.hypot(B, 2.0 * math.sqrt(-C))
-    return -2.0 * C / den if den < math.inf else math.inf
+    return -2.0 * C / (B + math.hypot(B, 2.0 * math.sqrt(-C)))
 
 
 def _newton_cubic(b2: float, b1: float, b0: float, t: float) -> float:
-    """Positive root of p(t) = t^3 + b2 t^2 + b1 t + b0, b2 >= 0 > b0.
+    """Positive root of p(t) = t^3 + b2 t^2 + b1 t + b0, b2 >= 0 > b0 or b0 = 0 > b1.
 
     p is convex on [0, inf) with p(0) < 0, so the root is unique.  Newton
     steps start at ``t`` when that lies in the window [s + u/3, s + u]
@@ -199,12 +194,15 @@ def _newton_cubic(b2: float, b1: float, b0: float, t: float) -> float:
     if b1 >= 0.0:
         shift, c1 = 0.0, b1
     else:
-        shift = -2.0 * b1 / (b2 + math.sqrt(b2 * b2 - 4.0 * b1))
+        disc = math.sqrt(b2 * b2 - 4.0 * b1)
+        if disc == math.inf:  # b2^2 overflowed
+            disc = math.hypot(b2, 2.0 * math.sqrt(-b1))
+        shift = -2.0 * b1 / (b2 + disc)
         c1 = shift * (2.0 * shift + b2)
     c2 = 3.0 * shift + b2
     u = math.cbrt(-b0)
-    if c2 > 0.0:
-        u = min(u, math.sqrt(-b0 / c2))
+    if c2 > 0.0:  # when -b0 / c2 underflows to 0, from the square roots
+        u = min(u, math.sqrt(-b0 / c2) or math.sqrt(-b0) / math.sqrt(c2))
     if c1 > 0.0:
         u = min(u, -b0 / c1)
     if not shift + u / 3.0 <= t <= shift + u:
@@ -233,38 +231,33 @@ def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
 
 
 def _g2(ctx: BRContext, sigma2: float, lam: float) -> float:
-    if ctx.c <= 0.0:
+    s, c, gamma, gamma0 = ctx.s, ctx.c, ctx.gamma, min(ctx.gamma0, ctx.gamma)
+    if c <= 0.0:
         # A zero sensing row has no local information to destroy, and
         # the detection term pins the optimum at 0.
         return 0.0
-    scalars = (sigma2, ctx.s, ctx.c, ctx.gamma, min(ctx.gamma0, ctx.gamma))
-    l = _g2_root(*scalars, lam, ctx.v)
-    return l if l < math.inf else _rescaled(_g2_root, scalars, lam, ctx.v)
+    scalars = (sigma2, s, c, gamma, gamma0)
+    if (_LO < lam < _HI and _LO < sigma2 < _HI and _LO < s < _HI
+            and _LO < c < _HI and _LO < gamma0 and gamma < _HI):
+        return _g2_root(lam, *scalars, ctx.v)
+    return _rescaled(_g2_root, lam, (*scalars, ctx.v), *_cubic_sizes(
+        lam, scalars, sigma2, s, gamma - gamma0, (c, max(sigma2, gamma0)), max(sigma2, gamma)))
 
 
-def _g2_root(
-    sigma2: float, s: float, c: float, gamma: float, gamma0: float, lam: float, v: float
-) -> float:
-    """The game-2 root for these scalars, from v; inf when a product overflows."""
+def _g2_root(lam: float, sigma2: float, s: float, c: float, gamma: float, gamma0: float,
+             v: float) -> float:
     rho, b2, b1, b0, xyz = _scaled_cubic(
-        sigma2, s, gamma - gamma0, c * (sigma2 + gamma0), lam, sigma2 + gamma
-    )
-    if rho == math.inf:
-        return math.inf
+        sigma2, s, gamma - gamma0, c * (sigma2 + gamma0), lam, sigma2 + gamma)
     if abs(b0) < CANCELLED * xyz:  # recompute exactly, rounded once
         s2, g, g0 = Fraction(sigma2), Fraction(gamma), Fraction(gamma0)
-        exact = s2 * Fraction(s) * (g - g0) - Fraction(c) * (s2 + g0) * (
-            s2 + g
-        ) / Fraction(lam)
+        exact = s2 * Fraction(s) * (g - g0) - Fraction(c) * (s2 + g0) * (s2 + g) / Fraction(lam)
         b0 = float(exact / Fraction(rho) ** 3)
-    if not b0 < 0.0:
+    if not (b0 < 0.0 or b0 == 0.0 > b1):  # b1 < 0 only if the exact b0 < 0
         return 0.0
     return rho * _newton_cubic(b2, b1, b0, v / rho)
 
 
-def br_g3(
-    ctx: BRContext, sigma2: float, lam: float, literal: bool = False
-) -> float:
+def br_g3(ctx: BRContext, sigma2: float, lam: float, literal: bool = False) -> float:
     """Best response in game 3 (lam > 0): root of the cost derivative.
 
     Solves lam l / ((s + l) s) - gamma / ((sigma2 + l)(sigma2 + l + g))
@@ -277,40 +270,24 @@ def br_g3(
 
 
 def _g3(ctx: BRContext, sigma2: float, lam: float, literal: bool) -> float:
-    if ctx.gamma <= 0.0:
+    gamma, s = ctx.gamma, ctx.s
+    if gamma <= 0.0:
         # A zero sensing row contributes nothing: the disruption term is
         # flat and the detection term pins the optimum at 0.
         return 0.0
-    shift = 1.0 / (sigma2 + ctx.gamma) if literal else ctx.gamma
-    scalars = (sigma2, sigma2 + shift, ctx.gamma, ctx.s)
-    l = _g3_root(*scalars, lam, ctx.v)
-    return l if l < math.inf else _rescaled(_g3_root, scalars, lam, ctx.v)
+    z = sigma2 + (1.0 / (sigma2 + gamma) if literal else gamma)
+    if _LO < lam < _HI and _LO < sigma2 < _HI and _LO < gamma < _HI and _LO < s < _HI:
+        return _g3_root(lam, sigma2, z, gamma, s, ctx.v)
+    return _rescaled(_g3_root, lam, (sigma2, z, gamma, s, ctx.v), *_cubic_sizes(
+        lam, (sigma2, z, gamma, s), 0.0, sigma2, z, (gamma, s), s))
 
 
-def _g3_root(
-    sigma2: float, z: float, gamma: float, s: float, lam: float, v: float
-) -> float:
-    """The game-3 root for these scalars (z = sigma2 + g), from v; inf when
-    a product overflows."""
+def _g3_root(lam: float, sigma2: float, z: float, gamma: float, s: float, v: float) -> float:
+    """The game-3 root for these scalars (z = sigma2 + g), from v."""
     rho, b2, b1, b0, _ = _scaled_cubic(0.0, sigma2, z, gamma * s, lam, s)
-    if rho == math.inf:
-        return math.inf
-    if not b0 < 0.0:  # only if k s underflows
+    if not (b0 < 0.0 or b0 == 0.0 > b1):  # b0 = 0 only if k s underflows
         return 0.0
     return rho * _newton_cubic(b2, b1, b0, v / rho)
-
-
-def _rescaled(root, scalars: tuple, lam: float, v: float) -> float:
-    """``root(*scalars, lam, v)`` for scalars at which it overflowed.
-
-    The root is homogeneous of degree 1 in the scalars, so it is rho t
-    for the root t at scalars / rho.  rho is the power of two that puts
-    the largest scalar in [2^299, 2^300): a product of three scaled
-    scalars stays below 2^900, and a scalar or root down to 2^-1322 of
-    the largest is still a normal double.
-    """
-    rho = math.ldexp(1.0, math.frexp(max(scalars))[1] - 300)
-    return rho * root(*(x / rho for x in scalars), lam, v / rho)
 
 
 def _scaled_cubic(
@@ -318,31 +295,53 @@ def _scaled_cubic(
 ) -> tuple[float, float, float, float, float]:
     """(x + l)(y + l)(z + l) - k (offset + l), k = numerator / lam, in l = rho t.
 
-    The shifts x, y, z, ``numerator`` and ``offset`` are >= 0 and
-    lam > 0.  Returns rho, the coefficients b2, b1, b0 of the monic cubic
-    in t, and the b0 part xyz / rho^3; rho is inf when a product of the
-    shifts, ``numerator`` or ``offset`` overflows.  When a small lam makes
-    k large, rho is a power of two >= 2 max(k^(1/2), (k offset)^(1/3)), both
-    formed without k: k / rho^2 = numerator / ((lam rho) rho) then cannot
-    overflow, every other coefficient is an exact rescaling, and the
-    root, which Fujiwara's rule bounds by 2 max(x + y + z,
-    (xy + xz + yz)^(1/2), (xyz)^(1/3), k^(1/2), (k offset)^(1/3)), is at
-    most of the order of the shifts or 1.
+    Its products are in double range by the scale rule.  Returns rho, the
+    coefficients b2, b1, b0 of the monic cubic in t and the b0 part
+    xyz / rho^3.  rho, a power of two >= 2 max(k^(1/2), (k offset)^(1/3),
+    1/2), makes k / rho^2 = numerator / ((lam rho) rho) <= 1/4.
     """
-    k_root = max(
-        math.sqrt(numerator) / math.sqrt(lam),
-        math.cbrt(numerator * offset) / math.cbrt(lam),
-    )
+    k_root = max(math.sqrt(numerator) / math.sqrt(lam),
+                 math.cbrt(numerator * offset) / math.cbrt(lam))
     rho = math.ldexp(1.0, math.frexp(max(2.0 * k_root, 1.0))[1])
     kappa = numerator / ((lam * rho) * rho)
     x, y, z = x / rho, y / rho, z / rho
     xyz = x * y * z
-    b1 = x * y + z * (x + y) - kappa
-    b0 = xyz - kappa * (offset / rho)
-    inf = math.inf
-    if not (k_root < inf and -inf < b1 < inf and -inf < b0 < inf):
-        rho = inf
-    return rho, x + y + z, b1, b0, xyz
+    return rho, x + y + z, x * y + z * (x + y) - kappa, xyz - kappa * (offset / rho), xyz
+
+
+def _cubic_sizes(lam, scalars, x, y, z, numerator, offset):
+    """log2 sizes, by degree, of the scale rule's products: the ``scalars``,
+    and the coefficients of a cubic of :func:`_scaled_cubic` and the least
+    bound on its root that starts :func:`_newton_cubic` (a sum stands as
+    its larger term, the ``numerator`` as its two factors)."""
+    ex, ey, ez, eo, ef, eg = _log2(x, y, z, offset, *numerator)
+    en = ef + eg
+    ek = en - math.log2(lam)
+    e2, e1, e0 = max(ex, ey, ez), max(ex + ey, ez + max(ex, ey)), ek + eo  # b2, b1 + k, -b0
+    root = min(e0 / 3.0, (e0 - e2) / 2.0, e0 - e1)
+    twos = (ex + ey, ez + max(ex, ey), en, ek)
+    return (*_log2(*scalars), root), twos, (ex + ey + ez, en + eo, e0)
+
+
+def _log2(*xs: float) -> list[float]:
+    return [math.log2(x) if x > 0.0 else -math.inf for x in xs]
+
+
+def _scale_exponent(*sizes: tuple[float, ...]) -> int:
+    """The scale rule's r for products of k scalars of log2 sizes ``sizes[k - 1]``; a 0
+    (size -inf) is exact at every scale, and an inf (a literal shift) is left out."""
+    ranges = [((e - 1019.0) / k, (e + 1018.0) / k)
+              for k, degree in enumerate(sizes, 1) for e in degree if abs(e) < math.inf]
+    lo, hi = math.ceil(max(a for a, _ in ranges)), math.floor(min(b for _, b in ranges))
+    return 0 if lo <= 0 <= hi else (lo + hi) // 2 if lo <= hi else lo
+
+
+def _rescaled(root, lam: float, scalars: tuple, *sizes: tuple[float, ...]) -> float:
+    """2^r ``root(lam, *scalars / 2^r)``, r by :func:`_scale_exponent`, 2^r applied as
+    two powers of two in double range; a start v or root beyond it is inf."""
+    r = _scale_exponent(*sizes)
+    a, b = 2.0 ** (r // 2), 2.0 ** (r - r // 2)
+    return root(lam, *(x / a / b for x in scalars)) * a * b
 
 
 def best_response(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:

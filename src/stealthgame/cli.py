@@ -6,10 +6,11 @@ weights), ``detect`` (Monte-Carlo ROC of the joint likelihood-ratio
 test against a stored equilibrium).
 
 Exit codes: 0 success, 2 usage error, 3 reached t_max without
-convergence, 4 input-data error; one reader names the file in any error
-about its data.  Every command is deterministic given its full flag set;
-CSV floats are printed with 17 significant digits so files round-trip
-doubles losslessly, and JSON output has no NaN or infinity.
+convergence, 4 input-data error, an input too large for memory included;
+one reader names the file in any error about its data.  Every command is
+deterministic given its full flag set; CSV floats are printed with 17
+significant digits so files round-trip doubles losslessly, and JSON
+output has no NaN or infinity.
 """
 
 from __future__ import annotations
@@ -62,12 +63,19 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _read(path: str, parse):
-    """``parse`` of the file's UTF-8 text; any error about the text names the path."""
+    """``parse`` of the file's UTF-8 text; any error about the text names the
+    path, a model too large for memory included."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
     except (ValueError, RecursionError) as exc:  # deeply nested JSON recurses
         raise ValueError(f"{path}: {exc}") from None
+    except MemoryError as exc:
+        raise ValueError(f"{path}: {_out_of_memory(exc)}") from None
+
+
+def _out_of_memory(exc: MemoryError) -> str:
+    return f"out of memory: {exc}" if str(exc) else "out of memory"
 
 
 def _build_from_args(args):
@@ -345,6 +353,9 @@ def main(argv=None) -> int:
         # ValueError includes NetworkFormatError, json.JSONDecodeError,
         # UnicodeDecodeError and numpy.linalg.LinAlgError.
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # an input too large for memory, such as --samples
+        print(f"error: {_out_of_memory(exc)}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import stealthgame.bestresponse as bestresponse
 from stealthgame.bestresponse import (
     BRContext,
     best_response,
@@ -222,6 +223,9 @@ class TestClosedForms:
             (1e200, 1e200, 1e200, 1e200, 1e-10),  # a small weight as well
             (1e200, 1e200, 1e200, 1e200, 1e10),  # a large weight as well
             (8e307, 8e307, 8e307, 8e307, 1.0),  # every scalar near the top
+            # Scalars spanning 330 decades: scaled to put c near 2^300,
+            # sigma2 s d fell below 2^-1022 (game 2 was 2.7e-8 off).
+            (5.96e-19, 1.50e-35, 2.92e296, 7.39e6, 2.30e7),
         ],
     )
     def test_g2_g3_at_extreme_scale_match_the_50_digit_root(
@@ -237,6 +241,54 @@ class TestClosedForms:
         ref = mp_best_response(game, ctx, sigma2, lam, literal)
         assert ref > 0.0
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "game, literal, gamma, gamma0, c, sigma2, v, lam",
+        [
+            # The literal rule's bound (-b0 / b2)^(1/2) on the root, where
+            # Newton starts, is near 1e-185, but -b0 / b2 underflowed to 0:
+            # from 0, Newton stopped after 100 steps at 3.6e-145.
+            (3, True, 4.1771881737189154e-98, 3.490454311209505e-98,
+             1.972544131647961e-86, 5.1585497512775945e-256, 1.0175419892236494e-123,
+             5786.723700801917),
+            (3, True, 6.365727888912031e-105, 8.773080655444225e-112,
+             2.8625292674076227e-93, 5.404044414652212e-235, 2.718673487315765e-213,
+             7.717760275154665),
+            # The same, where k = gamma s / lam is large: the cubic's own
+            # scale fixes -b0 / b2 near 1e-336 at every scale of the scalars.
+            (3, True, 2.2396918789493148e-142, 4.337447896252656e-195,
+             1.9238957163275754e-193, 2.1833530412235008e-297, 8519598955.3623495,
+             2.9259209852229733e-162),
+            # b2^2 overflows in the shift that starts Newton: with a shift
+            # of 0 Newton started left of the root and went below 0.
+            (3, False, 1.1255286081113207e259, 1.1255286081113207e259,
+             1.244717267984171e-267, 8.338804126228226e-269, 1.0783393114857697e-126,
+             6.1488991376251334e-46),
+            # A large k sets the cubic's own scale, at which b0 underflows to
+            # 0 while b1 < 0: the root is the shift, not 0.
+            (2, False, 8.999198882313749e-240, 9.787298271853956e124,
+             1.0202008543114213e223, 1.8702328439115615e-157, 0.0,
+             2.3866990763539496e-269),
+        ],
+    )
+    def test_newton_at_extreme_scale_matches_the_50_digit_root(
+        self, game, literal, gamma, gamma0, c, sigma2, v, lam
+    ):
+        ctx = BRContext(gamma=gamma, gamma0=gamma0, s=sigma2 + c, c=c, v=v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve(game, ctx, sigma2, lam, literal)
+        ref = mp_best_response(game, ctx, sigma2, lam, literal)
+        assert ref > 0.0
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_g3_literal_shift_beyond_double_range_gives_zero(self):
+        # At a subnormal sigma2 the literal shift 1 / (sigma2 + gamma) is inf
+        # (the solve once returned inf); the root lies below 2^-1100.
+        ctx = BRContext(gamma=1e-320, gamma0=1e-320, s=2e-320, c=1e-320)
+        with pytest.raises(BracketError):
+            mp_best_response(3, ctx, 1e-320, 2.0, literal=True)
+        assert br_g3(ctx, 1e-320, 2.0, literal=True) == 0.0
 
     def test_g1_weight_floor(self, scalar_model):
         ctx = br_context(scalar_model, 0, [0.0])
@@ -424,6 +476,53 @@ class TestHighPrecisionReference:
                 ref = mp_best_response(game, ctx, model.sigma2, lam, literal)
                 assert math.isfinite(got)
                 assert abs(got - ref) <= 1e-14 * ref, (ctx, got, ref)
+
+    def test_log_uniform_contexts_match_50_digit_root(self, monkeypatch):
+        # Scalars log-uniform in a window of 20, 200 or 400 decades anywhere
+        # in 1e+-300, weights log-uniform in [1, 1e300] for game 1 and in
+        # [1e-300, 1e300] for games 2 and 3, with one subnormal weight.  Where
+        # the scale rule's r keeps every product it lists in range (always in
+        # the box, where the rule is skipped), the root is the 50-digit one
+        # to 1e-14, or to a subnormal's spacing, or inf beyond double range.
+        # Where no r does, at wide spans only, the response is still >= 0.
+        kept = []
+
+        def spy(*sizes):
+            r = scale_exponent(*sizes)
+            kept.append(all(-1018.0 <= e - k * r <= 1019.0 for k, degree in
+                            enumerate(sizes, 1) for e in degree if e > -math.inf))
+            return r
+
+        scale_exponent = bestresponse._scale_exponent
+        monkeypatch.setattr(bestresponse, "_scale_exponent", spy)
+        rng = np.random.default_rng(2024)
+        checked = unkept = 0
+        for span in (20.0, 200.0, 400.0):
+            for n in range(200):
+                low = rng.uniform(-300.0, 300.0 - span)
+                sigma2, c, gamma, gamma0, v = (10.0 ** rng.uniform(low, low + span, 5)).tolist()
+                ctx = BRContext(gamma, gamma if n % 5 == 0 else gamma0, sigma2 + c, c,
+                                0.0 if n % 7 == 0 else v)
+                for game, literal in SOLVERS:
+                    lam = 10.0 ** float(rng.uniform(0.0 if game == 1 else -300.0, 300.0))
+                    if game > 1 and span == 400.0 and n == 0:
+                        lam = 5e-324
+                    kept.clear()
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = solve(game, ctx, sigma2, lam, literal)
+                    assert 0.0 <= got <= math.inf
+                    try:
+                        ref = mp_best_response(game, ctx, sigma2, lam, literal)
+                    except BracketError:
+                        continue
+                    if not all(kept):
+                        unkept += 1
+                        continue
+                    checked += 1
+                    assert got == ref or abs(got - ref) <= 1e-14 * ref + 2.0**-1074, (
+                        game, literal, ctx, sigma2, lam, got, ref)
+        assert checked > 2000 and unkept < 30
 
     @pytest.mark.parametrize("game,literal", SOLVERS[1:])
     def test_root_does_not_depend_on_the_start(self, game, literal, ring3_model, rng):

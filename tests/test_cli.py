@@ -251,6 +251,25 @@ class TestRun:
         assert responses[0] > 1e299
         np.testing.assert_allclose(ne["v_star"], responses, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("game", [1, 2, 3])
+    def test_tiny_scale_reaches_the_finite_equilibrium(self, tmp_path, capsys, game):
+        # At sigma2 = 1e-300 the products of the scalars underflow unless
+        # they are solved at a larger scale; every game's equilibrium is
+        # sigma2 (5^(1/2) - 1) / 2 = 6.18e-301, not 0.
+        path = tmp_path / "tiny.mat"
+        path.write_text("1e-150\n")
+        out = tmp_path / "tiny"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--h-matrix", str(path), "--rho", "0.5", "--sigma2", "1e-300",
+                       "--game", str(game), "--lambda", "2", "--out", str(out)])
+        assert rc == 0
+        ne = json.loads((tmp_path / "tiny.ne.json").read_text())
+        model = build_model(np.array([[1e-150]]), toeplitz_cov(StatePriorSpec(1, 0.5)), 1e-300)
+        responses = mp_profile_responses(model, GameSpec(game, 2.0), ne["v_star"])
+        assert responses[0] > 6e-301
+        np.testing.assert_allclose(ne["v_star"], responses, rtol=1e-14, atol=0.0)
+
     def test_trajectory_roundtrip_reproduces_potential(self, tmp_path, capsys):
         out = tmp_path / "rt"
         assert main(["run", *MODEL_FLAGS, "--game", "3", "--lambda", "2",
@@ -522,6 +541,49 @@ def run_module(argv, cwd):
     return subprocess.run([sys.executable, "-m", "stealthgame.cli", *argv],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+# Caps the process's own address space at 3 GiB before numpy is imported,
+# so an allocation too large for memory fails at once with MemoryError.
+CAPPED_MAIN = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from stealthgame.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestOutOfMemory:
+    """An input too large for memory exits 4 with one line, naming the file
+    when the file is too large; each command runs in a fresh process that
+    caps its own memory, never without the cap."""
+
+    def run_capped(self, argv, cwd):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_network_too_large_for_a_dense_jacobian(self, tmp_path):
+        # A connected 100,000-bus chain: H would take 149 GiB.
+        path = tmp_path / "chain.net"
+        path.write_text("bus 100000\nslack 1\n"
+                        + "".join(f"branch {k} {k + 1} x:0.1\n" for k in range(1, 100000)))
+        proc = self.run_capped(["build", "--case", str(path), "--rho", "0.5",
+                                "--snr-db", "30"], tmp_path)
+        assert proc.returncode == 4
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: {path}: out of memory")
+
+    def test_sample_count_too_large(self, tmp_path, capsys):
+        ne = tmp_path / "g1"
+        assert main(["run", *MODEL_FLAGS, "--game", "1", "--lambda", "2", "--out", str(ne)]) == 0
+        proc = self.run_capped(["detect", *MODEL_FLAGS, "--ne", f"{ne}.ne.json",
+                                "--samples", "1000000000000", "--out", "roc.csv"], tmp_path)
+        assert proc.returncode == 4
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: out of memory")
+        assert not (tmp_path / "roc.csv").exists()
 
 
 class TestModuleEntryPoint:

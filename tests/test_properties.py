@@ -128,6 +128,44 @@ def test_newton_cubic_needs_no_bracket(b2, b1, b0, start, share):
             assert bestresponse._newton_cubic(b2, b1, b0, t) == got
 
 
+def in_box(limit=199.0):
+    """Powers of two strictly inside the box 2^+-200 in which a best response
+    skips the scale rule."""
+    return st.floats(-limit, limit).map(lambda e: 2.0**e)
+
+
+SOLVERS = st.sampled_from([(1, False), (2, False), (3, False), (3, True)])
+EDGES = [2.0**-199, 2.0**199]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(SOLVERS, in_box(), in_box(198.0), in_box(), in_box(), in_box(), in_box() | st.just(0.0))
+# The first example has the literal shift 1 / (sigma2 + gamma) at its largest.
+@example((3, True), *EDGES[:1] * 4, EDGES[1], 0.0)
+@example((2, False), EDGES[0], EDGES[1] / 2, EDGES[1], EDGES[0], EDGES[1], 0.0)
+@example((2, False), EDGES[0], EDGES[0], EDGES[1], EDGES[0], EDGES[1], EDGES[1])
+@example((3, False), EDGES[1], EDGES[1] / 2, EDGES[0], EDGES[0], EDGES[1], EDGES[0])
+@example((1, False), EDGES[1], EDGES[0], EDGES[1], EDGES[0], EDGES[1], 0.0)
+def test_scale_rule_takes_r_zero_inside_the_box(solver, sigma2, c, gamma, gamma0, lam, v):
+    # Every nonzero scalar and lam inside 2^+-200: the rule itself picks
+    # r = 0, so the box only skips it, and the response has the same bits
+    # either way.
+    game, literal = solver
+    if game == 1:
+        lam = max(lam, 1.0 / lam)
+    spec = GameSpec(game, lam, literal)
+    ctx = BRContext(gamma, min(gamma0, gamma), sigma2 + c, c, v)
+    fast = bestresponse.respond(spec, ctx, sigma2)
+    scale_exponent, rules = bestresponse._scale_exponent, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bestresponse, "_HI", 0.0)  # the box is empty: the rule always runs
+        patch.setattr(bestresponse, "_scale_exponent",
+                      lambda *sizes: rules.append(scale_exponent(*sizes)) or rules[-1])
+        slow = bestresponse.respond(spec, ctx, sigma2)
+    assert rules == [0]
+    assert slow == fast
+
+
 @PROPERTY
 @given(small_models(), specs())
 def test_run_brd_returns_a_fixed_point(model, spec):
