@@ -30,6 +30,7 @@ from .metrics import kl_global, mi_global
 from .model import (
     StatePriorSpec,
     as_profile,
+    attacked_cov,
     build_model,
     calibrate_noise,
     toeplitz_cov,
@@ -137,6 +138,7 @@ def _header(title: str, args, model, source: str, settings: str) -> list[str]:
 def cmd_build(parser, args) -> int:
     model, source = _build_from_args(args)
     cond_H = float(np.linalg.cond(model.H))
+    Sigma_YY = attacked_cov(model, np.zeros(model.m))
     summary = {
         "source": source,
         "m": model.m,
@@ -145,7 +147,7 @@ def cmd_build(parser, args) -> int:
         "sigma2": model.sigma2,
         "snr_db": model.snr_db(),
         "cond_H": cond_H if math.isfinite(cond_H) else None,  # None: H singular
-        "cond_Sigma_YY": float(np.linalg.cond(model.Sigma_YY)),
+        "cond_Sigma_YY": float(np.linalg.cond(Sigma_YY)),
     }
     print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK

@@ -7,19 +7,21 @@ overflow.  Every draw comes from an explicitly seeded generator, so
 every result is reproducible byte for byte.
 
 :func:`sample_observations` multiplies standard normals by the lower
-Cholesky factor of the covariance (the clean one is cached as
-``model.chol_YY``).  The joint LLR of an observation is one quadratic
-form, ``(1/2) y^T Delta y`` plus a log-determinant ratio, with ``Delta =
-Sigma_YY^{-1} diag(v) Sigma_a^{-1}`` (``Sigma_a = Sigma_YY + diag(v)``):
-this equals ``Sigma_YY^{-1} - Sigma_a^{-1}`` without the cancellation of
-the difference, and is exactly 0 at ``v = 0``.
+Cholesky factor of the covariance.  The model keeps no m-by-m matrix:
+each function here factors ``Sigma_YY + diag(v)`` as
+:func:`attacked_cov` forms it, with ``v = 0`` for ``Sigma_YY``.  The
+joint LLR of an observation is one quadratic form, ``(1/2) y^T Delta
+y`` plus a log-determinant ratio, with ``Delta = Sigma_YY^{-1} diag(v)
+Sigma_a^{-1}`` (``Sigma_a = Sigma_YY + diag(v)``): this equals
+``Sigma_YY^{-1} - Sigma_a^{-1}`` without the cancellation of the
+difference, and is exactly 0 at ``v = 0``.
 
 :func:`llr_samples` (hence :func:`error_curve`, :func:`roc_auc` and the
 ``detect`` command) draws LLR values without forming observations.  With
-``F = L^{-1} diag(sqrt(v))`` for ``L = model.chol_YY`` and ``kappa_k >= 0``
-the eigenvalues of ``F F^T`` (so ``1 + kappa_k`` are the generalized
-eigenvalues of ``(Sigma_a, Sigma_YY)``), the joint LLR of a clean
-observation is distributed as
+``F = L^{-1} diag(sqrt(v))`` for ``L`` the factor of ``Sigma_YY`` and
+``kappa_k >= 0`` the eigenvalues of ``F F^T`` (so ``1 + kappa_k`` are
+the generalized eigenvalues of ``(Sigma_a, Sigma_YY)``), the joint LLR
+of a clean observation is distributed as
 ``(1/2) sum_k kappa_k / (1 + kappa_k) z_k^2 - (1/2) sum_k log1p(kappa_k)``
 and that of an attacked one as
 ``(1/2) sum_k kappa_k z_k^2 - (1/2) sum_k log1p(kappa_k)``, z standard
@@ -76,10 +78,7 @@ def sample_observations(
     (attacked); the same seed gives the same ``z_k`` under both.
     """
     v, n_samples = as_profile(model, v), _sample_count(n_samples)
-    if attacked:
-        chol = np.linalg.cholesky(attacked_cov(model, v))
-    else:
-        chol = model.chol_YY
+    chol = np.linalg.cholesky(attacked_cov(model, v if attacked else np.zeros_like(v)))
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n_samples, model.m)) @ chol.T
 
@@ -104,11 +103,12 @@ def llr_joint(model: MeasurementModel, v, y) -> float | np.ndarray:
     if Y.shape[1] != model.m:
         raise ValueError(f"observations have {Y.shape[1]} columns, expected {model.m}")
 
+    chol_0, logdet_0 = chol_logdet(attacked_cov(model, np.zeros_like(v)))
     chol_a, logdet_a = chol_logdet(attacked_cov(model, v))
-    delta = chol_inverse(model.chol_YY) @ (v[:, None] * chol_inverse(chol_a))
+    delta = chol_inverse(chol_0) @ (v[:, None] * chol_inverse(chol_a))
     delta = 0.5 * (delta + delta.T)
     quad = np.einsum("ij,ij->i", Y @ delta, Y)
-    out = 0.5 * quad + 0.5 * (model.logdet_YY - logdet_a)
+    out = 0.5 * quad + 0.5 * (logdet_0 - logdet_a)
     return float(out[0]) if single else out
 
 
@@ -149,7 +149,8 @@ def llr_samples(
 
 def _whitened_spectrum(model: MeasurementModel, v: np.ndarray) -> np.ndarray:
     """kappa: the eigenvalues of F F^T, F = L^{-1} diag(sqrt(v)), clipped at 0."""
-    F = np.linalg.inv(model.chol_YY) * np.sqrt(v)
+    chol = np.linalg.cholesky(attacked_cov(model, np.zeros_like(v)))
+    F = np.linalg.inv(chol) * np.sqrt(v)
     return np.clip(np.linalg.eigvalsh(F @ F.T), 0.0, None)
 
 

@@ -105,16 +105,13 @@ def calibrate_noise(H: np.ndarray, Sigma_XX: np.ndarray, snr_db_target: float) -
 class MeasurementModel:
     """Immutable observation model with cached derived quantities.
 
-    Build through :func:`build_model`; every consumer in the package
-    reads the cached ``Sigma_YY`` factorization rather than refactoring,
-    and :meth:`snr_db` reads the cached diagonal ``c``.
+    Build through :func:`build_model`.  Every array it keeps is O(m n):
+    ``Sigma_YY`` is formed only where it is read, by :func:`attacked_cov`.
 
-    Cached fields: ``chol_YY`` is the lower Cholesky factor of
-    ``Sigma_YY``, the factor detection draws and whitens with, and its
-    only positive-definiteness check; ``logdet_YY`` its log-determinant;
-    ``s`` the diagonal of ``Sigma_YY``; ``c`` the diagonal of
-    ``H Sigma_XX H^T`` (so ``s = c + sigma2``); ``B`` is ``H L`` for a
-    factor ``Sigma_XX = L L^T`` (from ``eigh``, so singular priors work);
+    Cached fields: ``s`` the diagonal of ``Sigma_YY``; ``c`` the diagonal
+    of ``H Sigma_XX H^T`` (so ``s = c + sigma2``), which :meth:`snr_db`
+    reads; ``B`` is ``H L`` for a factor ``Sigma_XX = L L^T`` (from
+    ``eigh``, so singular priors work);
     ``logdet_M0`` is the log-determinant of the kernel matrix ``M(0)``;
     and ``gain0`` holds each player's gain ``gamma_i(0)`` with every other
     measurement clean.  ``M(0)`` is factored by :func:`posterior_factor`
@@ -127,9 +124,6 @@ class MeasurementModel:
     H: np.ndarray
     sigma2: float
     Sigma_XX: np.ndarray
-    Sigma_YY: np.ndarray
-    chol_YY: np.ndarray = field(repr=False)
-    logdet_YY: float = field(repr=False)
     s: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
@@ -177,14 +171,14 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
     B = H @ (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)))
 
     signal_cov = _signal_cov(H, Sigma_XX)
-    Sigma_YY = signal_cov + sigma2 * np.eye(m)
+    Sigma_YY = signal_cov + sigma2 * np.eye(m)  # as attacked_cov forms it
     # M(0) and the gains as a kernel at v = 0 forms them, so that
     # kl_global(model, 0) is exactly 0 and the gain differences
     # gamma_i(v) - gamma_i(0) of the best responses are exactly 0 while a
     # kernel is at v = 0.
     w0 = np.full(m, 1.0 / sigma2)
     try:
-        chol_YY, logdet_YY = chol_logdet(Sigma_YY)
+        np.linalg.cholesky(Sigma_YY)  # only to check it is positive definite
         with np.errstate(over="ignore", invalid="ignore"):
             inv_M0, logdet_M0 = posterior_factor(B, w0)
     except np.linalg.LinAlgError:
@@ -202,9 +196,6 @@ def build_model(H: np.ndarray, Sigma_XX: np.ndarray, sigma2: float) -> Measureme
         H=H,
         sigma2=sigma2,
         Sigma_XX=Sigma_XX,
-        Sigma_YY=Sigma_YY,
-        chol_YY=chol_YY,
-        logdet_YY=logdet_YY,
         s=np.diag(Sigma_YY).copy(),
         c=np.diag(signal_cov).copy(),
         B=B,
@@ -271,9 +262,13 @@ def check_nonnegative(name: str, value) -> float:
 
 
 def attacked_cov(model: MeasurementModel, v) -> np.ndarray:
-    """Covariance of the compromised measurements, Sigma_YY + diag(v)."""
+    """Covariance of the compromised measurements, Sigma_YY + diag(v).
+
+    Formed from ``H`` and ``Sigma_XX`` as :func:`build_model` forms
+    ``Sigma_YY``, so ``v = 0`` gives the same bits.
+    """
     v = as_profile(model, v)
-    out = model.Sigma_YY.copy()
+    out = _signal_cov(model.H, model.Sigma_XX) + model.sigma2 * np.eye(model.m)
     out[np.diag_indices_from(out)] += v
     return out
 
@@ -307,7 +302,10 @@ def kernel_gain(B, w, inv, i: int) -> tuple[np.ndarray, float]:
     (``w_i q > 1 - CANCELLED``), u is refined once against M (applied as
     ``I + B^T diag(w) B``), and ``M u = b_i`` gives the same gain as
     ``q^2 / (|u|^2 + sum_{j != i} w_j (b_j . u)^2)``, a ratio of sums of
-    squares, in O(m n).  The returned u is the refined one.
+    squares, in O(m n).  Each square is of ``sqrt(w_j) (b_j . u)`` and q
+    divides before it multiplies, so no term has the square of a
+    variance, which leaves double range at extreme scale.  The returned
+    u is the refined one.
     """
     b = B[i]
     u = inv.dot(b)
@@ -317,9 +315,9 @@ def kernel_gain(B, w, inv, i: int) -> tuple[np.ndarray, float]:
         return u, q / (1.0 - wq)
     u = u + inv @ (b - u - B.T @ (w * (B @ u)))
     q = float(b @ u)
-    Bu = B @ u
+    Bu = np.sqrt(w) * (B @ u)
     Bu[i] = 0.0
-    return u, q * q / float(u @ u + w @ (Bu * Bu))
+    return u, q / float(u @ u + Bu @ Bu) * q
 
 
 class PosteriorKernel:
@@ -372,10 +370,6 @@ class PosteriorKernel:
     def gain(self, i: int) -> float:
         """gamma_i: variance of (H x)_i given the other attacked measurements."""
         return self._solve_row(i)[1]
-
-    def gains(self) -> np.ndarray:
-        """gamma_i for every player."""
-        return np.array([self.gain(i) for i in range(self.model.m)])
 
     def update(self, i: int, v_i: float) -> None:
         """Set player i's variance to v_i by a rank-one update from its row.

@@ -130,9 +130,27 @@ def low_redundancy_model(shape: str, snr: float) -> MeasurementModel:
     return build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, snr))
 
 
+class CleanCov(NamedTuple):
+    Sigma_YY: np.ndarray
+    chol_YY: np.ndarray
+    logdet_YY: float
+
+
+def clean_cov(model: MeasurementModel) -> CleanCov:
+    """Sigma_YY, its lower Cholesky factor and its log-determinant, which a
+    model does not keep, formed as detection forms them."""
+    Sigma_YY = attacked_cov(model, np.zeros(model.m))
+    return CleanCov(Sigma_YY, *chol_logdet(Sigma_YY))
+
+
+def kernel_gains(kernel: PosteriorKernel) -> np.ndarray:
+    """gamma_i of every player at the kernel's profile."""
+    return np.array([kernel.gain(i) for i in range(kernel.model.m)])
+
+
 def random_profile(rng, model, scale=3.0):
     return rng.uniform(0.0, scale, size=model.m) * float(
-        np.mean(np.diag(model.Sigma_YY))
+        np.mean(np.diag(clean_cov(model).Sigma_YY))
     )
 
 
@@ -187,7 +205,7 @@ def oracle_br_context(model, i, v):
     """
     v_others = np.asarray(v, dtype=float).copy()
     v_others[i] = 0.0
-    G = model.Sigma_YY - model.sigma2 * np.eye(model.m)
+    G = clean_cov(model).Sigma_YY - model.sigma2 * np.eye(model.m)
 
     def gain(profile):
         weights = 1.0 / (model.sigma2 + profile)
@@ -491,8 +509,9 @@ def mc_kl_oracle(model: MeasurementModel, v, n_samples: int, seed: int) -> McEst
     chol_A, logdet_A = chol_logdet(attacked_cov(model, v))
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((n_samples, model.m)) @ chol_A.T
+    clean = clean_cov(model)
     ratio = _gauss_logpdf(chol_A, logdet_A, Y) - _gauss_logpdf(
-        model.chol_YY, model.logdet_YY, Y
+        clean.chol_YY, clean.logdet_YY, Y
     )
     return McEstimate(
         value=float(np.mean(ratio)),

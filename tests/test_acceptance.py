@@ -22,6 +22,7 @@ from stealthgame.metrics import kl_global, kl_local, mi_global, mi_local
 
 from _helpers import (
     br_numeric,
+    clean_cov,
     mc_kl_oracle,
     mc_mi_oracle,
     oracle_mi_joint,
@@ -164,7 +165,7 @@ def test_criterion_6_equilibrium_uniqueness_and_achievability(game, ieee9_model)
     assert report.ne_residual <= 1e-7
 
     rng = np.random.default_rng(300 + game)
-    scale = 10.0 * float(np.mean(np.diag(ieee9_model.Sigma_YY)))
+    scale = 10.0 * float(np.mean(np.diag(clean_cov(ieee9_model).Sigma_YY)))
     for _ in range(10):
         v0 = rng.uniform(0.0, scale, size=ieee9_model.m)
         v_star, trajectory, rep = run_brd(spec, ieee9_model, v0=v0, tol=1e-9)

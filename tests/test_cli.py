@@ -13,7 +13,12 @@ import stealthgame.cli as cli
 from stealthgame.cli import _fmt, main
 from stealthgame.dynamics import NonFiniteUpdateError, run_brd
 from stealthgame.games import GameSpec, potential
-from stealthgame.grid import bundled_case, serialize_network
+from stealthgame.grid import (
+    build_dc_jacobian,
+    bundled_case,
+    parse_network,
+    serialize_network,
+)
 from stealthgame.model import (
     StatePriorSpec,
     build_model,
@@ -270,6 +275,36 @@ class TestRun:
         assert responses[0] > 6e-301
         np.testing.assert_allclose(ne["v_star"], responses, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "k, sigma2, tol",
+        [
+            # Squares of the switched gain's terms underflowed: 6 of the 18
+            # variances were written as 0.
+            (-400, "2.6087471678852601e-242", "1e-250"),
+            # They overflowed: player 12's gain was NaN and the run exited 4.
+            (300, "7.2181502875203385e+179", "%.17g" % math.ldexp(1e-9, 600)),
+        ],
+    )
+    def test_game_3_in_other_units_scales_the_equilibrium(
+        self, tmp_path, capsys, k, sigma2, tol
+    ):
+        # The README's game-3 run with H times 2^k, written exactly, and
+        # sigma2 (30 dB) times 4^k: v* is the README v* times 4^k.
+        with open(IEEE9, encoding="utf-8") as fh:
+            H = np.ldexp(build_dc_jacobian(parse_network(fh.read())).H, k)
+        path = tmp_path / "scaled.mat"
+        path.write_text("".join(" ".join("%.17g" % x for x in row) + "\n" for row in H))
+        game = ["--game", "3", "--lambda", "2"]
+        assert main(["run", *MODEL_FLAGS, *game, "--out", str(tmp_path / "unit")]) == 0
+        rc = main(["run", "--h-matrix", str(path), "--rho", "0.9", "--sigma2", sigma2,
+                   *game, "--tol", tol, "--out", str(tmp_path / "scaled")])
+        assert rc == 0
+        unit = json.loads((tmp_path / "unit.ne.json").read_text())
+        scaled = json.loads((tmp_path / "scaled.ne.json").read_text())
+        assert scaled["rounds"] == unit["rounds"] == 12
+        assert min(scaled["v_star"]) > 0.0
+        np.testing.assert_array_equal(scaled["v_star"], np.ldexp(unit["v_star"], 2 * k))
+
     def test_trajectory_roundtrip_reproduces_potential(self, tmp_path, capsys):
         out = tmp_path / "rt"
         assert main(["run", *MODEL_FLAGS, "--game", "3", "--lambda", "2",
@@ -282,9 +317,6 @@ class TestRun:
         header = lines[0].split(",")
         v_cols = [k for k, name in enumerate(header) if name.startswith("v_")]
         pot_col = header.index("potential")
-
-        from stealthgame.grid import build_dc_jacobian, parse_network
-        from stealthgame.model import calibrate_noise
 
         with open(IEEE9, encoding="utf-8") as fh:
             jac = build_dc_jacobian(parse_network(fh.read()))

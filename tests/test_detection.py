@@ -19,16 +19,21 @@ from stealthgame.games import GameSpec
 from stealthgame.metrics import kl_global, kl_local
 from stealthgame.model import attacked_cov
 
-from _helpers import llr_local, oracle_rank_auc, random_profile, shuffled_samples
+from _helpers import (
+    clean_cov,
+    llr_local,
+    oracle_rank_auc,
+    random_profile,
+    shuffled_samples,
+)
 
 
 class TestSampleObservations:
     def test_sample_covariance_matches(self, ring3_model):
         obs = sample_observations(ring3_model, np.zeros(6), 100_000, 1, attacked=False)
         sample_cov = obs.T @ obs / obs.shape[0]
-        rel = np.linalg.norm(sample_cov - ring3_model.Sigma_YY) / np.linalg.norm(
-            ring3_model.Sigma_YY
-        )
+        Sigma_YY = clean_cov(ring3_model).Sigma_YY
+        rel = np.linalg.norm(sample_cov - Sigma_YY) / np.linalg.norm(Sigma_YY)
         assert rel < 0.05
 
     def test_seed_repeat_is_identical(self, ring3_model, rng):
@@ -58,7 +63,7 @@ class TestSamplingConvention:
         model = ieee9_model
         obs = sample_observations(model, np.zeros(model.m), 300, seed, attacked=False)
         expected = np.random.default_rng(seed).standard_normal((300, model.m))
-        np.testing.assert_array_equal(obs, expected @ model.chol_YY.T)
+        np.testing.assert_array_equal(obs, expected @ clean_cov(model).chol_YY.T)
 
     def test_attacked_draw_at_zero_profile_equals_clean(self, ieee9_model):
         v = np.zeros(ieee9_model.m)
@@ -83,7 +88,7 @@ class TestLlrJoint:
         v = random_profile(rng, ring3_model)
         value = llr_joint(ring3_model, v, np.zeros(6))
         sign, logdet_a = np.linalg.slogdet(attacked_cov(ring3_model, v))
-        expected = 0.5 * (ring3_model.logdet_YY - logdet_a)
+        expected = 0.5 * (clean_cov(ring3_model).logdet_YY - logdet_a)
         assert value == pytest.approx(expected, rel=1e-10)
         assert value <= 0.0
 
@@ -108,7 +113,7 @@ class TestWhitenedLlrSamples:
     @staticmethod
     def spectrum(model, v):
         """kappa and eigenvectors of F F^T, F = L^{-1} diag(sqrt(v)), by eigh."""
-        F = np.linalg.inv(model.chol_YY) * np.sqrt(v)
+        F = np.linalg.inv(clean_cov(model).chol_YY) * np.sqrt(v)
         kappa, U = np.linalg.eigh(F @ F.T)
         return np.clip(kappa, 0.0, None), U
 
@@ -125,7 +130,7 @@ class TestWhitenedLlrSamples:
         kappa, U = self.spectrum(model, v)
         Z = rng.standard_normal((200, model.m))
         scale = np.sqrt(1.0 + kappa) if attacked else np.ones(model.m)
-        Y = (Z * scale) @ (model.chol_YY @ U).T
+        Y = (Z * scale) @ (clean_cov(model).chol_YY @ U).T
         expected = self.weighted_squares(kappa, Z, attacked)
         err = np.max(np.abs(llr_joint(model, v, Y) - expected))
         assert err <= 1e-10 * np.max(np.abs(expected))

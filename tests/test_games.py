@@ -6,7 +6,7 @@ import pytest
 from stealthgame.games import GameSpec, cost, potential
 from stealthgame.metrics import kl_global, mi_global, mi_local
 
-from _helpers import random_desk_model, random_profile
+from _helpers import clean_cov, random_desk_model, random_profile
 
 HALF_LN2 = 0.5 * math.log(2.0)
 
@@ -163,7 +163,7 @@ class TestConvexityAndDerivative:
             model = random_desk_model(rng, m_max=7)
             v = random_profile(rng, model)
             i = int(rng.integers(0, model.m))
-            G = model.Sigma_YY - model.sigma2 * np.eye(model.m)
+            G = clean_cov(model).Sigma_YY - model.sigma2 * np.eye(model.m)
 
             def logdet_term(v_i):
                 w = v.copy()

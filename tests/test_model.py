@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,10 @@ from stealthgame.model import (
 )
 
 from _helpers import (
+    chain_model,
+    clean_cov,
     ieee9_model_at,
+    kernel_gains,
     low_redundancy_model,
     mp_gains,
     mp_inv_diag,
@@ -89,11 +94,11 @@ class TestCalibrateNoise:
 
 class TestBuildModel:
     def test_scalar(self, scalar_model):
-        np.testing.assert_allclose(scalar_model.Sigma_YY, [[2.0]])
+        np.testing.assert_allclose(clean_cov(scalar_model).Sigma_YY, [[2.0]])
 
     def test_two_measurements_one_state(self):
         model = build_model([[1.0], [1.0]], [[1.0]], 1.0)
-        np.testing.assert_allclose(model.Sigma_YY, [[2.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose(clean_cov(model).Sigma_YY, [[2.0, 1.0], [1.0, 2.0]])
 
     def test_sigma_yy_identity_holds(self, rng):
         for _ in range(10):
@@ -101,18 +106,19 @@ class TestBuildModel:
             expected = model.H @ model.Sigma_XX @ model.H.T + model.sigma2 * np.eye(
                 model.m
             )
-            np.testing.assert_allclose(model.Sigma_YY, expected, rtol=1e-12)
+            np.testing.assert_allclose(clean_cov(model).Sigma_YY, expected, rtol=1e-12)
 
     def test_signal_part_is_psd(self, rng):
         for _ in range(10):
             model = random_desk_model(rng)
-            diff = model.Sigma_YY - model.sigma2 * np.eye(model.m)
+            diff = clean_cov(model).Sigma_YY - model.sigma2 * np.eye(model.m)
             assert np.linalg.eigvalsh(diff)[0] >= -1e-12
 
     def test_min_eigenvalue_at_least_noise(self, rng):
         for _ in range(10):
             model = random_desk_model(rng)
-            assert np.linalg.eigvalsh(model.Sigma_YY)[0] >= model.sigma2 - 1e-12
+            Sigma_YY = clean_cov(model).Sigma_YY
+            assert np.linalg.eigvalsh(Sigma_YY)[0] >= model.sigma2 - 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="Sigma_XX shape"):
@@ -130,12 +136,23 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="symmetric"):
             build_model(np.eye(2), [[1.0, 0.5], [0.2, 1.0]], 1.0)
 
+    def test_model_keeps_no_m_by_m_array(self):
+        # Sigma_YY and its factor are formed where they are read; a model
+        # keeps only O(m n) arrays (n = 59 < m = 149 here).
+        model = chain_model(60, 30.0)
+        assert model.m == 149
+        for f in dataclasses.fields(model):
+            value = getattr(model, f.name)
+            if isinstance(value, np.ndarray):
+                assert value.size < model.m**2, f.name
+
     def test_cached_diagonals(self, ring3_model):
-        np.testing.assert_allclose(ring3_model.s, np.diag(ring3_model.Sigma_YY))
+        Sigma_YY = clean_cov(ring3_model).Sigma_YY
+        np.testing.assert_allclose(ring3_model.s, np.diag(Sigma_YY))
         np.testing.assert_allclose(
             ring3_model.c, ring3_model.s - ring3_model.sigma2
         )
-        inv = np.linalg.inv(ring3_model.Sigma_YY)
+        inv = np.linalg.inv(Sigma_YY)
         beta = 1.0 / (ring3_model.sigma2 + ring3_model.gain0)
         np.testing.assert_allclose(beta, np.diag(inv), rtol=1e-10)
 
@@ -180,7 +197,7 @@ class TestBuildModel:
 class TestAttackedCov:
     def test_zero_profile(self, ring3_model):
         np.testing.assert_allclose(
-            attacked_cov(ring3_model, np.zeros(6)), ring3_model.Sigma_YY
+            attacked_cov(ring3_model, np.zeros(6)), clean_cov(ring3_model).Sigma_YY
         )
 
     def test_scalar(self, scalar_model):
@@ -189,15 +206,16 @@ class TestAttackedCov:
     def test_only_diagonal_changes(self, ring3_model, rng):
         v = random_profile(rng, ring3_model)
         out = attacked_cov(ring3_model, v)
-        np.testing.assert_allclose(np.diag(out), np.diag(ring3_model.Sigma_YY) + v)
+        Sigma_YY = clean_cov(ring3_model).Sigma_YY
+        np.testing.assert_allclose(np.diag(out), np.diag(Sigma_YY) + v)
         off = out - np.diag(np.diag(out))
-        base_off = ring3_model.Sigma_YY - np.diag(np.diag(ring3_model.Sigma_YY))
+        base_off = Sigma_YY - np.diag(np.diag(Sigma_YY))
         np.testing.assert_allclose(off, base_off)
 
     def test_psd_dominance(self, ring3_model, rng):
         for _ in range(10):
             v = random_profile(rng, ring3_model)
-            diff = attacked_cov(ring3_model, v) - ring3_model.Sigma_YY
+            diff = attacked_cov(ring3_model, v) - clean_cov(ring3_model).Sigma_YY
             assert np.linalg.eigvalsh(diff)[0] >= -1e-12
 
     def test_length_mismatch(self, ring3_model):
@@ -229,7 +247,9 @@ class TestPosteriorKernel:
             fresh = PosteriorKernel(model, kernel.v)
             np.testing.assert_allclose(kernel.inv, fresh.inv, rtol=1e-10, atol=1e-13)
             assert kernel.logdet == pytest.approx(fresh.logdet, rel=1e-12)
-            np.testing.assert_allclose(kernel.gains(), fresh.gains(), rtol=1e-10)
+            np.testing.assert_allclose(
+                kernel_gains(kernel), kernel_gains(fresh), rtol=1e-10
+            )
 
     def test_rank_one_term_is_the_outer_product_bit_for_bit(self, rng):
         # update forms (scale u) u^T by one BLAS product, not by

@@ -21,7 +21,7 @@ from stealthgame.dynamics import run_brd
 from stealthgame.games import GameSpec
 from stealthgame.model import StatePriorSpec, toeplitz_cov
 
-from _helpers import random_desk_model
+from _helpers import clean_cov, random_desk_model
 
 
 def _fresh_env(**extra):
@@ -65,7 +65,7 @@ def test_inv_diag_matches_dense_inverse(rng):
         model = random_desk_model(rng)
         np.testing.assert_allclose(
             1.0 / (model.sigma2 + model.gain0),
-            np.diag(np.linalg.inv(model.Sigma_YY)),
+            np.diag(np.linalg.inv(clean_cov(model).Sigma_YY)),
             rtol=1e-12,
             atol=0.0,
         )
@@ -80,7 +80,7 @@ def test_llr_joint_matches_high_precision_reference(ieee9_model, lam):
     Y = sample_observations(model, v, 20, 7, attacked=True)
     values = llr_joint(model, v, Y)
     with mpmath.workdps(50):
-        clean = mpmath.matrix(model.Sigma_YY.tolist())
+        clean = mpmath.matrix(clean_cov(model).Sigma_YY.tolist())
         attacked = clean.copy()
         for j in range(model.m):
             attacked[j, j] += mpmath.mpf(v[j])
