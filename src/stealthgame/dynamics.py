@@ -13,10 +13,10 @@ each update is a rank-one change, O(n^2), and the kernel is refactored
 once per round.  A round's records are built at its end and share two
 read-only length-m profiles, the round's start and its end (which is
 the next round's start), so a trajectory keeps O(m) numbers per round
-and O(1) per record.  Their potentials are one row-wise evaluation: in
-games 2 and 3 over an m-by-m block of the round's profiles that lives
-only for that evaluation, in game 1 from the metrics alone.  A round
-costs O(m n^2) plus O(m^2) numpy work.
+and O(1) per record.  Their potentials come from the metrics and, in
+games 2 and 3, from the local terms of those two profiles
+(:func:`~stealthgame.games.row_potentials`), O(m) a round.  A round
+costs O(m n^2) and forms no m-by-m array.
 
 A move does only what it needs: the player's row and gain (two BLAS
 calls), its context from constants read into Python floats once per run
@@ -95,6 +95,16 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """How a run of :func:`run_brd` ended.
+
+    ``converged``: the last round moved no coordinate by ``tol`` or more.
+    ``rounds_used``: the number of full rounds run.
+    ``max_delta_last_round``: the largest absolute change of a coordinate
+    in the last round.  ``ne_residual``: :func:`verify_ne` at the final
+    profile, the largest absolute gap between a player's variance and its
+    best response.  Both are absolute, in the units of the variances.
+    """
+
     converged: bool
     rounds_used: int
     max_delta_last_round: float
@@ -106,11 +116,7 @@ def _records(spec: GameSpec, model: MeasurementModel, t: int, start, end, metric
     ``start`` and ``end`` profiles; ``metrics`` holds the kernel's (mi, kl)
     after each move.  Round 0 is the start, player -1."""
     mi, kl = np.array(metrics).T
-    V = None  # game 1's potential reads only the metrics
-    if spec.game != 1:
-        # Row k is the profile after move k: end up to player k, start after.
-        V = np.where(np.tri(len(metrics), model.m, dtype=bool), end, start)
-    potentials = row_potentials(spec, model, V, mi, kl).tolist()
+    potentials = row_potentials(spec, model, start, end, mi, kl).tolist()
     players = range(len(metrics)) if t else [-1]
     rows = zip(players, potentials, mi.tolist(), kl.tolist())
     return [TrajectoryRecord(t, k, start, end, p, a, b) for k, p, a, b in rows]

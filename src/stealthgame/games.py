@@ -87,21 +87,28 @@ def potential(spec: GameSpec, model: MeasurementModel, v) -> float:
     """
     kernel = PosteriorKernel(model, v)
     mi, kl = np.array([kernel.mi]), np.array([kernel.kl])
-    return row_potentials(spec, model, kernel.v[None], mi, kl).item()
+    return row_potentials(spec, model, kernel.v, kernel.v, mi, kl).item()
 
 
-def row_potentials(spec: GameSpec, model: MeasurementModel, V, mi, kl) -> np.ndarray:
-    """Exact potential at each row of the profile block V.
+def row_potentials(spec: GameSpec, model: MeasurementModel, start, end, mi, kl) -> np.ndarray:
+    """Exact potential after each of a round's first len(mi) moves.
 
-    ``mi`` and ``kl`` hold the global metrics of the rows; the sums of
-    ``mi_local`` and ``kl_local`` over all players are taken row-wise.
-    Game 1 does not read V.
+    Move k sets player k's variance from ``start[k]`` to ``end[k]``, so the
+    profile after it is ``end`` up to k and ``start`` after; ``mi`` and
+    ``kl`` hold the global metrics after each move.  The sums of
+    ``mi_local`` and ``kl_local`` in games 2 and 3 are ``start``'s sum plus
+    the running sum of the moved players' changes, O(m) in all, except
+    after the last move, whose profile is ``end`` and gets ``end``'s own
+    sum.  The changes are summed apart from ``start``'s sum, so their
+    rounding stays on their own scale.  Game 1 reads neither profile.
     """
     if spec.game == 1:
         return mi + spec.lam * kl
     if spec.game == 2:
-        local_mi = 0.5 * np.sum(np.log1p(model.c / (model.sigma2 + V)), axis=1)
-        return local_mi + spec.lam * kl
-    s = model.s
-    local_kl = 0.5 * np.sum(V / s + np.log(s) - np.log(s + V), axis=1)
-    return mi + spec.lam * local_kl
+        f_start, f_end = (np.log1p(model.c / (model.sigma2 + v)) for v in (start, end))
+    else:
+        s = model.s
+        f_start, f_end = (v / s + np.log(s) - np.log(s + v) for v in (start, end))
+    local = 0.5 * (np.sum(f_start) + np.cumsum((f_end - f_start)[: len(mi)]))
+    local[-1] = 0.5 * np.sum(f_end)
+    return local + spec.lam * kl if spec.game == 2 else mi + spec.lam * local

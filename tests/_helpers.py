@@ -17,8 +17,9 @@ and ``kl_global`` from the m-by-m matrix ``sigma2 I + B B^T``.
 oracle for the package's ``kl_local``.  ``brd_per_move`` is the one
 oracle that runs the package's kernel: it redoes ``run_brd`` through the
 public, validated ``player_contexts`` and ``br_g1``/``br_g2``/``br_g3``, with
-one trajectory record formed after every move, to check bit for bit the
-moves and the records that ``run_brd`` assembles once per round.
+one trajectory record formed after every move and the local sums of games
+2 and 3 kept one term at a time, to check bit for bit the moves and the
+records that ``run_brd`` assembles once per round.
 ``naive_trajectory_lines`` renders every cell of every record, the
 reference for ``run``'s trajectory writer.
 """
@@ -238,22 +239,25 @@ def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
     """``run_brd`` from v = 0 through the public, validated calls: each
     context from ``player_contexts`` and each response from ``br_g1``,
     ``br_g2`` or ``br_g3``.  After each update the kernel's profile is
-    copied and the potential formed from its global metrics, with the
-    local sums of games 2 and 3 over one profile at a time; the residual
-    is formed the same way from a fresh kernel."""
+    copied and the potential formed from its global metrics.  In games 2
+    and 3 the local sum is the round start's plus a running sum of the
+    moved players' changes, one term at a time; the last move of a round,
+    where the kernel is refactored, takes the sum over the whole profile
+    afresh.  The residual is formed from a fresh kernel."""
 
-    def record(kernel, t, player):
-        v = kernel.v
+    def local_terms(v):
+        if spec.game == 2:
+            return np.log1p(model.c / (model.sigma2 + v))
+        return v / model.s + np.log(model.s) - np.log(model.s + v)
+
+    def record(kernel, t, player, local_sum):
         if spec.game == 1:
             pot = kernel.mi + spec.lam * kernel.kl
         elif spec.game == 2:
-            local_mi = 0.5 * float(np.sum(np.log1p(model.c / (model.sigma2 + v))))
-            pot = local_mi + spec.lam * kernel.kl
+            pot = 0.5 * local_sum + spec.lam * kernel.kl
         else:
-            s = model.s
-            local_kl = 0.5 * float(np.sum(v / s + np.log(s) - np.log(s + v)))
-            pot = kernel.mi + spec.lam * local_kl
-        snapshot = v.copy()  # start = end, so v_snapshot is this profile
+            pot = kernel.mi + spec.lam * (0.5 * local_sum)
+        snapshot = kernel.v.copy()  # start = end, so v_snapshot is this profile
         return TrajectoryRecord(t, player, snapshot, snapshot, pot, kernel.mi,
                                 kernel.kl)
 
@@ -263,17 +267,22 @@ def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
 
     context = player_contexts(model)
     kernel = PosteriorKernel(model, np.zeros(model.m))
-    trajectory = [record(kernel, 0, -1)]
+    local_sum = float(np.sum(local_terms(kernel.v)))
+    trajectory = [record(kernel, 0, -1, local_sum)]
     converged, rounds_used = False, 0
     for t in range(1, t_max + 1):
-        max_delta = 0.0
+        max_delta, start_sum, change = 0.0, local_sum, 0.0
         for i in range(model.m):
             new_vi = response(kernel, i)
             max_delta = max(max_delta, float(abs(new_vi - kernel.v[i])))
+            before = local_terms(kernel.v)[i]
             kernel.update(i, new_vi)
+            change = change + (local_terms(kernel.v)[i] - before)
+            local_sum = start_sum + change
             if i == model.m - 1:
                 kernel.refactor()
-            trajectory.append(record(kernel, t, i))
+                local_sum = float(np.sum(local_terms(kernel.v)))
+            trajectory.append(record(kernel, t, i, local_sum))
         rounds_used = t
         if max_delta < tol:
             converged = True

@@ -13,6 +13,7 @@ from stealthgame.bestresponse import (
     br_g1,
     br_g2,
     br_g3,
+    player_contexts,
 )
 from stealthgame.games import GameSpec, cost
 from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
@@ -107,6 +108,12 @@ class TestBRContext:
         other = v.copy()
         other[2] = 123.0
         assert br_context(ring3_model, 2, v) == br_context(ring3_model, 2, other)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1e-300])
+    def test_invalid_gain_rejected(self, ring3_model, gamma):
+        context = player_contexts(ring3_model)
+        with pytest.raises(np.linalg.LinAlgError, match=f"player 2: gamma={gamma}"):
+            context(2, gamma, 0.0)
 
     def test_index_validation(self, ring3_model):
         with pytest.raises(IndexError):

@@ -99,9 +99,13 @@ class TestBuild:
          "branch graph is not connected"),
         ("undecodable.net", b"bus 2\nbranch 1 2 1 # \xff\n", "'utf-8' codec can't decode"),
         ("undecodable.mat", b"1 \xff\n", "'utf-8' codec can't decode"),
+        ("two-value.net", "bus 2\nbranch 1 2\n",
+         "line 2: branch needs <from> <to> <value>"),
+        ("bus-args.net", "# c\nbus 3 4\nbranch 1 2 1\n",
+         "line 2: expected 1 argument(s) for bus"),
     ], ids=["self-loop", "disconnected", "no-bus", "ragged", "empty-matrix",
             "zero-matrix", "overflowing-matrix", "huge-bus-count", "undecodable-case",
-            "undecodable-matrix"])
+            "undecodable-matrix", "two-value-branch", "two-argument-bus"])
     def test_file_errors_name_the_file(self, tmp_path, capsys, name, text, message):
         # Under either noise flag: --sigma2 reaches build_model without
         # calibrate_noise.
@@ -376,6 +380,18 @@ class TestZeroWeight:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("weights,message", [
+        ("1,x", "bad --lambda-list '1,x'"),
+        (" , ", "--lambda-list must contain at least one value"),
+    ], ids=["non-numeric", "empty"])
+    def test_bad_lambda_list_is_usage_error(self, tmp_path, capsys, weights, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *MODEL_FLAGS, "--game", "1", "--lambda-list", weights,
+                  "--out", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tradeoff_monotone_on_small_case(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", *MODEL_FLAGS, "--game", "1",

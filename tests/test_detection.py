@@ -98,6 +98,11 @@ class TestLlrJoint:
         se = llr_attacked.std(ddof=1) / math.sqrt(llr_attacked.size)
         assert abs(llr_attacked.mean() - kl_global(ring3_model, v)) <= 3.0 * se
 
+    @pytest.mark.parametrize("shape", [(5,), (4, 7)])
+    def test_wrong_column_count_rejected(self, ring3_model, shape):
+        with pytest.raises(ValueError, match=f"have {shape[-1]} columns, expected 6"):
+            llr_joint(ring3_model, np.zeros(6), np.zeros(shape))
+
     def test_batch_matches_scalar(self, ring3_model, rng):
         v = random_profile(rng, ring3_model)
         Y = rng.standard_normal((4, 6))

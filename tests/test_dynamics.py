@@ -14,6 +14,7 @@ from stealthgame.dynamics import (
 )
 from stealthgame.bestresponse import br_context
 from stealthgame.games import GameSpec, potential
+from stealthgame.grid import load_matrix
 from stealthgame.metrics import kl_global, mi_global
 from stealthgame.model import (
     CANCELLED,
@@ -21,6 +22,7 @@ from stealthgame.model import (
     StatePriorSpec,
     attacked_cov,
     build_model,
+    calibrate_noise,
     kernel_gain,
     toeplitz_cov,
 )
@@ -63,6 +65,23 @@ class TestRunBrd:
         assert report.converged
         assert report.rounds_used == 1
         np.testing.assert_array_equal(v_star, 0.0)
+
+    @pytest.mark.parametrize("game,rounds", [(1, 7), (2, 8), (3, 7)])
+    def test_zero_sensing_row_is_never_attacked(self, game, rounds):
+        # Measurement 2 senses no state (c = 0), so its best response is 0
+        # whatever the others do; game 2 returns it before its cubic.
+        H = load_matrix("1 0\n0 0\n0 1\n1 1\n").H
+        Sigma_XX = toeplitz_cov(StatePriorSpec(2, 0.5))
+        model = build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, 20.0))
+        assert model.c[1] == 0.0
+        spec = GameSpec(game, 2.0)
+        v_star, _, report = run_brd(spec, model)
+        assert report.converged and report.rounds_used == rounds
+        assert v_star[1] == 0.0 and np.all(v_star[[0, 2, 3]] > 0.0)
+        assert report.ne_residual == verify_ne(spec, model, v_star) <= 1e-10
+        bumped = v_star.copy()
+        bumped[1] = 1.0
+        assert verify_ne(spec, model, bumped) == 1.0
 
     def test_huge_weight_shrinks_equilibrium(self, ring3_model):
         # As the detectability weight grows the equilibrium attack
@@ -251,17 +270,29 @@ class TestKernelDynamics:
                 kl_global(ieee9_model, rec.v_snapshot), rel=1e-11, abs=0.0
             )
 
-    @pytest.mark.parametrize("game", [1, 2, 3])
-    def test_records_match_fresh_potential(self, ieee9_model, game):
+    @pytest.mark.parametrize("game,literal", [(1, False), (2, False), (3, False),
+                                              (3, True)])
+    @pytest.mark.parametrize("m", [18, 149])
+    def test_records_match_fresh_potential(self, ieee9_model, m, game, literal):
         # Players jumping from v = 0 take rank-one pivots down to 1.3e-2 in
         # game 3, which amplify any error in the pivot; update forms each
         # from gamma_i as (1 + w_new gamma_i) / (1 + w_old gamma_i), and
-        # the records stay within 4e-14.
-        spec = GameSpec(game, 2.0)
-        _, trajectory, _ = run_brd(spec, ieee9_model)
+        # the 9-bus records stay within 4e-14.  At m = 149 the potentials
+        # are up to 8 times larger and the kernel takes 149 rank-one updates
+        # between refactors; its records stay within 1.7e-15 of the fresh
+        # value, relative.  A round's last record is a fresh evaluation.
+        model = ieee9_model if m == 18 else chain_model(60, 30.0)
+        assert model.m == m
+        spec = GameSpec(game, 2.0, literal)
+        _, trajectory, _ = run_brd(spec, model)
         for rec in trajectory:
-            fresh = potential(spec, ieee9_model, rec.v_snapshot)
-            assert abs(rec.potential - fresh) <= 1e-13
+            fresh = potential(spec, model, rec.v_snapshot)
+            if rec.player in (-1, m - 1):
+                assert rec.potential == fresh
+            elif m == 18:
+                assert abs(rec.potential - fresh) <= 1e-13
+            else:
+                assert abs(rec.potential - fresh) <= 4e-15 * fresh
 
     @pytest.mark.parametrize("snr", [30.0, 70.0])
     @pytest.mark.parametrize("game,literal", [(1, False), (2, False), (3, False),
@@ -437,9 +468,11 @@ class TestTrajectoryStorage:
     def test_memory_is_o_of_rounds_times_m(self):
         # Records share their round's start and end profiles, so what a
         # run keeps grows by O(1) per record (O(m) per round); a profile
-        # per record would add 8 m = 1.2 kB to each.  The only m-by-m
-        # arrays are one round's transient potential block and its
-        # temporaries.
+        # per record would add 8 m = 1.2 kB to each.  No m-by-m array is
+        # formed: beyond the records, a run holds only O(m n) arrays at
+        # once, the kernels' n-by-n matrices and a refactor's m-by-n
+        # temporaries, 3.5 * 8 m n here.  One m-by-m array would add
+        # 8 m^2 = 0.18 MB, 2.5 * 8 m n.
         model, spec = chain_model(60, 30.0), GameSpec(3, 2.0)
         assert model.m == 149
         run_brd(spec, model)  # first-call allocations stay out of the count
@@ -451,7 +484,7 @@ class TestTrajectoryStorage:
             tracemalloc.stop()
         assert report.converged and len(trajectory) == 1 + report.rounds_used * model.m
         assert kept <= 400 * len(trajectory)
-        assert peak <= 400 * len(trajectory) + 8 * (8 * model.m**2)
+        assert peak - kept <= 5 * (8 * model.m * model.n)
 
     @pytest.mark.parametrize("game", [1, 3])
     def test_mutating_outputs_changes_no_record(self, ieee9_model, game):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from stealthgame.grid import (
     Branch,
     BusNetwork,
+    JacobianMatrix,
     NetworkFormatError,
     build_dc_jacobian,
     bundled_case,
@@ -210,6 +213,11 @@ class TestLoadMatrix:
     def test_empty(self):
         with pytest.raises(NetworkFormatError, match="empty"):
             load_matrix("# nothing here\n")
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 1)])
+    def test_jacobian_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"H must be 2-D, got shape {shape}")):
+            JacobianMatrix(np.ones(shape))
 
 
 class TestBundledCase:

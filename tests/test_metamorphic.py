@@ -1,4 +1,4 @@
-"""Metamorphic tests: a change of units is an exact symmetry of the games.
+"""Metamorphic tests: exact symmetries of the games as oracles.
 
 With ``H -> 2^k H`` and ``sigma2 -> 4^k sigma2`` every variance of the
 model scales by ``4^k`` and every metric is unchanged, and the games are
@@ -6,8 +6,15 @@ homogeneous of degree 1 in the variances, so the equilibrium scales as
 ``v* -> 4^k v*``.  A power-of-two scale commutes with every
 floating-point step while no intermediate leaves the normal range, so
 with ``tol`` scaled by ``4^k`` as well the relation holds bit for bit,
-with the same round count.  It needs no reference solution, so it
-reaches models too large for the 50-digit ones.
+with the same round count.
+
+The metrics depend on (H, Sigma_XX) only through ``H Sigma_XX H^T``, so
+two more changes leave the game itself unchanged: reordering the
+measurements (``H -> P H`` permutes ``v*`` by P) and a change of state
+basis (``H -> H T``, ``Sigma_XX -> T^-1 Sigma_XX T^-T`` leaves ``v*``).
+These hold to rounding, so they are checked with ``tol`` at ``1e-13`` of
+``max v*`` (and at least 1e-13), to within ``1e-13`` of ``max v*``.  None of the relations needs a reference
+solution, so they reach models too large for the 50-digit ones.
 
 The networks are the bundled 9-bus case and the benchmark's synthetic
 60-bus network (m = 149), read from ``bench/synthnet.py`` without
@@ -86,3 +93,59 @@ def test_equilibrium_scales_exactly_with_the_units(name, game, k):
     assert rounds_scaled == rounds_unit
     np.testing.assert_array_equal(v_scaled, np.ldexp(v_unit, 2 * k))
     assert np.all(v_scaled > 0)
+
+
+RELATION_TOL = 1e-13
+GAMES = [(1, False), (2, False), (3, False), (3, True)]
+
+
+@functools.cache
+def _relation_tol(name: str, game: int, literal: bool) -> float:
+    """RELATION_TOL times the largest entry of v* (at least 1).  Game 3's
+    v* reaches 1.3e3 at m = 149, where an absolute 1e-13 is below one ulp
+    of it and the literal rule's dynamics never stop."""
+    spec = GameSpec(game, 2.0, literal)
+    v_star = run_brd(spec, build_model(*_unit_model(name)))[0]
+    return RELATION_TOL * max(1.0, float(np.max(v_star)))
+
+
+def _equilibrium(name, H, Sigma_XX, sigma2, game, literal):
+    spec, tol = GameSpec(game, 2.0, literal), _relation_tol(name, game, literal)
+    v_star, _, report = run_brd(spec, build_model(H, Sigma_XX, sigma2), tol=tol)
+    assert report.converged
+    return v_star
+
+
+@functools.cache
+def _unit_equilibrium(name: str, game: int, literal: bool):
+    return _equilibrium(name, *_unit_model(name), game, literal)
+
+
+def _assert_close(v, reference):
+    """v within RELATION_TOL of max(reference), entry by entry."""
+    gap = np.max(np.abs(v - reference)) / np.max(reference)
+    assert gap <= RELATION_TOL, f"gap {gap:.2e} of max v*"
+
+
+@pytest.mark.parametrize("game,literal", GAMES)
+@pytest.mark.parametrize("name", ["ieee9", "synth60"])
+def test_reordering_the_measurements_permutes_the_equilibrium(name, game, literal):
+    H, Sigma_XX, sigma2 = _unit_model(name)
+    order = np.random.default_rng(12).permutation(H.shape[0])
+    v_star = _equilibrium(name, H[order], Sigma_XX, sigma2, game, literal)
+    _assert_close(v_star, _unit_equilibrium(name, game, literal)[order])
+
+
+@pytest.mark.parametrize("game,literal", GAMES)
+@pytest.mark.parametrize("name", ["ieee9", "synth60"])
+def test_a_change_of_state_basis_leaves_the_equilibrium(name, game, literal):
+    # T = Q diag(d) R with orthogonal Q, R and d in [1, 2]: cond T <= 2.
+    H, Sigma_XX, sigma2 = _unit_model(name)
+    rng = np.random.default_rng(13)
+    n = H.shape[1]
+    Q, R = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    T = (Q * rng.uniform(1.0, 2.0, n)) @ R
+    T_inv = np.linalg.inv(T)
+    prior = T_inv @ Sigma_XX @ T_inv.T
+    v_star = _equilibrium(name, H @ T, 0.5 * (prior + prior.T), sigma2, game, literal)
+    _assert_close(v_star, _unit_equilibrium(name, game, literal))

@@ -52,6 +52,11 @@ class TestToeplitzCov:
         with pytest.raises(ValueError, match="n must be an integer"):
             StatePriorSpec(n, 0.5)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_state_dimension_must_be_positive(self, n):
+        with pytest.raises(ValueError, match=f"state dimension must be positive, got {n}"):
+            StatePriorSpec(n, 0.5)
+
     @pytest.mark.parametrize("rho", [True, False, np.False_, "0.5", None])
     def test_rho_must_be_a_real_number(self, rho):
         with pytest.raises(ValueError, match="rho must be a real number"):
