@@ -27,9 +27,27 @@ and that of an attacked one as
 ``(1/2) sum_k kappa_k z_k^2 - (1/2) sum_k log1p(kappa_k)``, z standard
 normal.  That is the distribution of :func:`llr_joint` of
 :func:`sample_observations` draws, with other realizations, and there
-is no cancellation: at ``v = 0`` every value is exactly 0.  One draw of
-z serves both hypotheses, as in :func:`sample_observations`: each array
-has the distribution above, and since the weight gap
+is no cancellation: at ``v = 0`` every value is exactly 0.
+
+Both sums read z only through its squares, which are drawn in pairs.
+With ``h = ceil(m / 2)`` (and ``kappa`` padded with one zero weight when
+m is odd), each row takes ``E_j ~ Exp(1)`` and ``U_j ~ U(0, 1)`` for
+``j < h`` and sets ``z_j^2 = 2 E_j cos^2(pi U_j / 2)`` and
+``z_{j+h}^2 = 2 E_j - z_j^2``.  This is the polar form of two
+independent normals (Box and Muller, 1958): ``z_j = R cos(theta)``,
+``z_{j+h} = R sin(theta)`` with ``R^2 / 2 ~ Exp(1)`` and ``theta``
+uniform on [0, 2 pi) and independent of R, so ``z_j^2 + z_{j+h}^2 =
+R^2`` and ``z_{j+h}^2 = R^2 - z_j^2``; ``cos^2`` is symmetric about 0
+and about ``pi / 2``, so ``cos^2(theta)`` has the law of
+``cos^2(pi U / 2)``.  The squares therefore have the joint law of the
+squares of m independent standard normals, and every LLR keeps its
+law.  One exponential and one uniform replace two normals, and both
+are cheaper to draw.  Both squares of a pair are nonnegative in
+floating point, since ``2 E cos^2 <= 2 E``.
+
+One draw of z serves both hypotheses, as in
+:func:`sample_observations`: each array has the distribution above, and
+since the weight gap
 ``(1/2) kappa_k^2 / (1 + kappa_k)`` is nonnegative, every attacked value
 is at least the clean value of its draw.  An empirical ROC therefore
 never dips below chance (Type-I plus Type-II error is at most 1 at every
@@ -53,7 +71,7 @@ from .model import (
 )
 
 MIN_CURVE_SAMPLES = 1000
-# Rows of standard normals drawn at a time by llr_samples: a 0.6 MB
+# Rows of squared normals drawn at a time by llr_samples: a 0.6 MB
 # buffer at m = 74.
 SAMPLE_CHUNK_ROWS = 1024
 
@@ -118,29 +136,47 @@ def llr_samples(
     """Joint LLR values of ``n_samples`` clean and attacked observations.
 
     Draws the weighted sums of squared standard normals of the module
-    docstring from one generator seeded with ``seed``,
-    ``SAMPLE_CHUNK_ROWS`` rows at a time, so no observation matrix is
-    formed; a chunked draw is the same stream as one draw, and the first
-    k values do not depend on ``n_samples``.  Value k of both arrays
-    comes from the same row z_k, weighted by ``kappa / (1 + kappa)``
-    (clean) and ``kappa`` (attacked), so ``llr_attacked >= llr_null``
-    elementwise while each array keeps its own distribution; a rank AUC
-    of the two arrays is biased up by at most ``1 / (2 n_samples)``.  At
-    ``v = 0`` every value is exactly 0.
+    docstring from one generator seeded with ``seed``, in chunks of
+    ``SAMPLE_CHUNK_ROWS`` rows, so no observation matrix is formed.  Each
+    chunk draws a block of ``SAMPLE_CHUNK_ROWS x h`` standard
+    exponentials E, then one of uniforms U (``h = ceil(m / 2)``), and
+    row k's squares are ``z_j^2 = 2 E_kj cos^2(pi U_kj / 2)`` and
+    ``z_{j+h}^2 = 2 E_kj - z_j^2``, weighted against ``kappa`` padded
+    with one zero when m is odd.  Whole chunks are drawn and reduced, and
+    the rows needed copied out, so the first k values do not depend on
+    ``n_samples``.  Value k of both arrays comes from the same row of
+    squares, weighted by ``kappa / (1 + kappa)`` (clean) and ``kappa``
+    (attacked), so ``llr_attacked >= llr_null`` elementwise while each
+    array keeps its own distribution; a rank AUC of the two arrays is
+    biased up by at most ``1 / (2 n_samples)``.  At ``v = 0`` every value
+    is exactly 0.
     """
     v, n_samples = as_profile(model, v), _sample_count(n_samples)
     kappa = _whitened_spectrum(model, v)
-    weights_null, weights_attacked = 0.5 * kappa / (1.0 + kappa), 0.5 * kappa
+    pairs = -(-model.m // 2)
+    padded = np.zeros(2 * pairs)
+    padded[: model.m] = kappa
+    # first and second hold z^2 / 2, so the module docstring's weights lose their 1/2.
+    weights = [(w[:pairs], w[pairs:]) for w in (padded / (1.0 + padded), padded)]
     rng = np.random.default_rng(seed)
     llr_null, llr_attacked = np.empty(n_samples), np.empty(n_samples)
-    chunk = np.empty((min(SAMPLE_CHUNK_ROWS, n_samples), model.m))
+    first, second = np.empty((2, SAMPLE_CHUNK_ROWS, pairs))  # z_j^2 / 2, z_{j+h}^2 / 2
+    reduced, term = np.empty((2, SAMPLE_CHUNK_ROWS)), np.empty(SAMPLE_CHUNK_ROWS)
     for start in range(0, n_samples, SAMPLE_CHUNK_ROWS):
+        rng.standard_exponential(out=second)  # E = R^2 / 2
+        rng.random(out=first)
+        first *= 0.5 * math.pi
+        np.cos(first, out=first)
+        np.square(first, out=first)
+        first *= second  # E cos^2
+        second -= first  # E - E cos^2 >= 0
+        for out, (w_first, w_second) in zip(reduced, weights):
+            np.matmul(first, w_first, out=out)
+            np.matmul(second, w_second, out=term)
+            out += term
         stop = min(start + SAMPLE_CHUNK_ROWS, n_samples)
-        rows = chunk[: stop - start]
-        rng.standard_normal(out=rows)
-        np.square(rows, out=rows)
-        np.matmul(rows, weights_null, out=llr_null[start:stop])
-        np.matmul(rows, weights_attacked, out=llr_attacked[start:stop])
+        llr_null[start:stop] = reduced[0, : stop - start]
+        llr_attacked[start:stop] = reduced[1, : stop - start]
     half_logdet = 0.5 * float(np.sum(np.log1p(kappa)))
     llr_null -= half_logdet
     llr_attacked -= half_logdet

@@ -17,7 +17,7 @@ from stealthgame.detection import (
 from stealthgame.dynamics import run_brd
 from stealthgame.games import GameSpec
 from stealthgame.metrics import kl_global, kl_local
-from stealthgame.model import attacked_cov
+from stealthgame.model import attacked_cov, build_model
 
 from _helpers import (
     clean_cov,
@@ -111,6 +111,41 @@ class TestLlrJoint:
             assert batch[k] == pytest.approx(llr_joint(ring3_model, v, Y[k]))
 
 
+def ks_distance(sample, cdf):
+    """Kolmogorov-Smirnov distance between a sample and a continuous CDF."""
+    x = np.sort(sample)
+    F = cdf(x)
+    n = x.size
+    return max(np.max(np.arange(1, n + 1) / n - F), np.max(F - np.arange(n) / n))
+
+
+def chi2_1_cdf(x):
+    """CDF of chi-squared with one degree of freedom, erf(sqrt(x / 2))."""
+    return np.vectorize(math.erf)(np.sqrt(np.maximum(x, 0.0) / 2.0))
+
+
+def exp_mean_2_cdf(x):
+    """CDF of the exponential law of mean 2 (chi-squared, two degrees)."""
+    return -np.expm1(-np.maximum(x, 0.0) / 2.0)
+
+
+def paired_squares(seed, n, m):
+    """z^2 of llr_samples' documented recipe: each chunk of
+    SAMPLE_CHUNK_ROWS rows draws E ~ Exp(1), then U ~ U(0, 1), both
+    SAMPLE_CHUNK_ROWS x h with h = ceil(m / 2); column j < h is
+    2 E cos^2(pi U / 2) and column j + h is 2 E less column j.  The pad
+    column of an odd m is dropped."""
+    pairs = -(-m // 2)
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for _ in range(-(-n // SAMPLE_CHUNK_ROWS)):
+        E = rng.standard_exponential((SAMPLE_CHUNK_ROWS, pairs))
+        U = rng.random((SAMPLE_CHUNK_ROWS, pairs))
+        first = 2.0 * E * np.cos(0.5 * math.pi * U) ** 2
+        chunks.append(np.hstack([first, 2.0 * E - first]))
+    return np.vstack(chunks)[:n, :m]
+
+
 class TestWhitenedLlrSamples:
     """llr_samples draws (1/2) sum_k w_k z_k^2 - (1/2) sum_k log1p(kappa_k),
     w = kappa / (1 + kappa) (clean) or kappa (attacked)."""
@@ -123,9 +158,9 @@ class TestWhitenedLlrSamples:
         return np.clip(kappa, 0.0, None), U
 
     @staticmethod
-    def weighted_squares(kappa, Z, attacked):
+    def weighted_squares(kappa, squares, attacked):
         weights = kappa if attacked else kappa / (1.0 + kappa)
-        return 0.5 * (Z**2 @ weights) - 0.5 * np.sum(np.log1p(kappa))
+        return 0.5 * (squares @ weights) - 0.5 * np.sum(np.log1p(kappa))
 
     @pytest.mark.parametrize("attacked", [False, True])
     @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
@@ -136,7 +171,7 @@ class TestWhitenedLlrSamples:
         Z = rng.standard_normal((200, model.m))
         scale = np.sqrt(1.0 + kappa) if attacked else np.ones(model.m)
         Y = (Z * scale) @ (clean_cov(model).chol_YY @ U).T
-        expected = self.weighted_squares(kappa, Z, attacked)
+        expected = self.weighted_squares(kappa, Z**2, attacked)
         err = np.max(np.abs(llr_joint(model, v, Y) - expected))
         assert err <= 1e-10 * np.max(np.abs(expected))
 
@@ -145,14 +180,15 @@ class TestWhitenedLlrSamples:
         model = request.getfixturevalue(name)
         v = random_profile(rng, model)
         kappa, _ = self.spectrum(model, v)
-        Z = np.random.default_rng(3).standard_normal((500, model.m))
-        for values, attacked in zip(llr_samples(model, v, 500, 3), (False, True)):
-            expected = self.weighted_squares(kappa, Z, attacked)
+        n = SAMPLE_CHUNK_ROWS + 500  # two chunks: E, U, E, U
+        squares = paired_squares(3, n, model.m)
+        for values, attacked in zip(llr_samples(model, v, n, 3), (False, True)):
+            expected = self.weighted_squares(kappa, squares, attacked)
             err = np.max(np.abs(values - expected))
             assert err <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n", [1, 2 * SAMPLE_CHUNK_ROWS + 5])
-    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
+    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model", "scalar_model"])
     def test_attacked_never_below_clean(self, request, rng, name, n):
         # Same z_k, weights kappa_k >= kappa_k / (1 + kappa_k): the attacked
         # value of every draw is at least its clean value, exactly.
@@ -170,18 +206,44 @@ class TestWhitenedLlrSamples:
         mean = 0.5 * np.sum(kappa) - 0.5 * np.sum(np.log1p(kappa))
         assert mean == pytest.approx(kl_global(model, v), rel=1e-12, abs=0.0)
 
-    def test_zero_profile_gives_zero_everywhere(self, ieee9_model):
-        for values in llr_samples(ieee9_model, np.zeros(ieee9_model.m), 1_000, 2):
+    @pytest.mark.parametrize("name", ["ieee9_model", "scalar_model"])
+    def test_zero_profile_gives_zero_everywhere(self, request, name):
+        model = request.getfixturevalue(name)
+        for values in llr_samples(model, np.zeros(model.m), 1_000, 2):
             np.testing.assert_array_equal(values, np.zeros(1_000))
             assert not np.any(np.signbit(values))
 
-    def test_prefix_consistency_across_chunks(self, ring3_model, rng):
-        v = random_profile(rng, ring3_model)
-        k = SAMPLE_CHUNK_ROWS + 3
-        short = llr_samples(ring3_model, v, k, 8)
-        long = llr_samples(ring3_model, v, 2 * SAMPLE_CHUNK_ROWS + 5, 8)
-        for head, full in zip(short, long):
-            np.testing.assert_array_equal(head, full[:k])
+    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model", "scalar_model"])
+    def test_prefix_consistency_across_chunks(self, request, rng, name):
+        model = request.getfixturevalue(name)
+        v = random_profile(rng, model)
+        long = llr_samples(model, v, 2 * SAMPLE_CHUNK_ROWS + 5, 8)
+        for k in (SAMPLE_CHUNK_ROWS + 1, SAMPLE_CHUNK_ROWS + 3):
+            for head, full in zip(llr_samples(model, v, k, 8), long):
+                np.testing.assert_array_equal(head, full[:k])
+
+    def test_pair_has_the_law_of_two_squared_normals(self):
+        # Sigma_YY = 2 I, so kappa = v / 2 = (1, 3): m = 2 is one pair, and
+        # the clean and attacked arrays give both of its squares per row.
+        model = build_model(np.eye(2), np.eye(2), 1.0)
+        kappa, n = np.array([1.0, 3.0]), 100_000
+        llr = np.array(llr_samples(model, 2.0 * kappa, n, 12))
+        llr += 0.5 * np.sum(np.log1p(kappa))
+        squares = np.linalg.solve(0.5 * np.array([kappa / (1.0 + kappa), kappa]), llr)
+        bound = 1.63 / math.sqrt(n)  # KS at the 1% level
+        for column in squares:
+            assert ks_distance(column, chi2_1_cdf) < bound
+        assert ks_distance(squares.sum(axis=0), exp_mean_2_cdf) < bound
+        assert abs(np.corrcoef(squares)[0, 1]) < 4.0 / math.sqrt(n)
+
+    def test_odd_m_pads_a_zero_weight(self, scalar_model):
+        # Sigma_YY = [2], so kappa = v / 2 = 1: each array is one weighted
+        # chi-squared square, and a weight on the pad column would add the
+        # pair's other square.
+        n = 100_000
+        for values, weight in zip(llr_samples(scalar_model, [2.0], n, 13), (0.25, 0.5)):
+            square = (values + 0.5 * math.log(2.0)) / weight
+            assert ks_distance(square, chi2_1_cdf) < 1.63 / math.sqrt(n)
 
     def test_sample_count_validated(self, ring3_model):
         with pytest.raises(ValueError, match="n_samples"):

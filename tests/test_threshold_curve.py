@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from stealthgame.cli import main
-from stealthgame.detection import error_curve, llr_samples, threshold_curve
+from stealthgame.detection import (
+    SAMPLE_CHUNK_ROWS,
+    error_curve,
+    llr_samples,
+    threshold_curve,
+)
 from stealthgame.grid import bundled_case
 
 from _helpers import oracle_threshold_curve, random_profile, shuffled_samples
@@ -123,17 +128,24 @@ def test_detect_draws_the_normals_once(tmp_path, capsys, monkeypatch):
             seeds.append(seed)
             self._rng = default_rng(seed)
 
-        def standard_normal(self, *args, out, **kwargs):
-            drawn.append(out.size)
-            return self._rng.standard_normal(*args, out=out, **kwargs)
+        def standard_exponential(self, *args, out, **kwargs):
+            drawn.append(("exponential", out.size))
+            return self._rng.standard_exponential(*args, out=out, **kwargs)
+
+        def random(self, *args, out, **kwargs):
+            drawn.append(("uniform", out.size))
+            return self._rng.random(*args, out=out, **kwargs)
 
     monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
     assert main(["detect", *MODEL_FLAGS, "--ne", ne,
                  "--samples", "2000", "--seed", "4",
                  "--out", str(tmp_path / "roc.csv")]) == 0
-    # One generator, and one n-by-m block of normals for both hypotheses.
+    # One generator for both hypotheses, and per whole chunk one block of
+    # exponentials and one of uniforms, chunk x ceil(m / 2) values each.
     assert seeds == [4]
-    assert sum(drawn) == 2000 * 18
+    block = SAMPLE_CHUNK_ROWS * 9  # m = 18
+    chunks = -(-2000 // SAMPLE_CHUNK_ROWS)
+    assert drawn == [("exponential", block), ("uniform", block)] * chunks
 
 
 def test_detect_errors_never_sum_above_one(tmp_path, capsys):
