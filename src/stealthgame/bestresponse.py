@@ -18,18 +18,17 @@ Games 2 and 3: multiplying the derivative by its positive denominators
 gives a cubic,
 
     game 2: lam (sigma2 + l)(s + l)(d + l) - c (sigma2 + gamma0)(sigma2 + gamma + l)
-    game 3: lam l (sigma2 + l)(sigma2 + g + l) - gamma s (s + l)
+    game 3: lam l (sigma2 + l)(sigma2 + gamma + l) - gamma s (s + l)
 
-with g = gamma, or g = alpha = 1 / (sigma2 + gamma) for the literal rule
-(below).  The weight is positive (at lam = 0 the cost of games 2 and 3
-strictly decreases in l, so there is no best response and no
-equilibrium, and :func:`~stealthgame.games.check_weight` rejects it).
-So the l^3 and l^2 coefficients are positive, and a root is needed only
-when the constant is negative; Descartes' rule of signs then leaves
-exactly one positive root, and the cubic is convex on [0, inf).  Newton
-iteration finds that root, started from the player's current variance
-(``BRContext.v``) when that lies near the root; by convexity every step
-after the first stays at or right of the root, so no bracket is needed.
+The weight is positive (at lam = 0 the cost of games 2 and 3 strictly
+decreases in l, so there is no best response and no equilibrium, and
+:func:`~stealthgame.games.check_weight` rejects it).  So the l^3 and l^2
+coefficients are positive, and a root is needed only when the constant
+is negative; Descartes' rule of signs then leaves exactly one positive
+root, and the cubic is convex on [0, inf).  Newton iteration finds that
+root, started from the player's current variance (``BRContext.v``) when
+that lies near the root; by convexity every step after the first stays
+at or right of the root, so no bracket is needed.
 
 One scale rule keeps each solve in double range: a root is homogeneous
 of degree 1 in its scalars, so at the scalars divided by 2^r it is the
@@ -39,13 +38,6 @@ normal range.  r is 0 when every product lies within [2^-1018, 2^1019],
 else the middle of the r that keep them all there, else the least r
 that keeps them below overflow.  Where every nonzero scalar and lam lie
 within 2^+-200, the rule gives r = 0 and the solve skips it.
-
-For game 3 the stationarity condition uses the scalar ``gamma_i`` in
-both the numerator and the shifted denominator factor.  The literal rule
-pairs ``gamma_i`` with ``alpha_i`` in the denominator instead (kept for
-comparison, see README); a game selects it with
-``GameSpec(3, lam, literal=True)``, which :func:`respond` passes on to
-the game-3 solver.
 
 :func:`br_g1`, :func:`br_g2` and :func:`br_g3` check the weight and the
 noise variance, then run their game's arithmetic.  :func:`respond`, which
@@ -257,25 +249,24 @@ def _g2_root(lam: float, sigma2: float, s: float, c: float, gamma: float, gamma0
     return rho * _newton_cubic(b2, b1, b0, v / rho)
 
 
-def br_g3(ctx: BRContext, sigma2: float, lam: float, literal: bool = False) -> float:
+def br_g3(ctx: BRContext, sigma2: float, lam: float) -> float:
     """Best response in game 3 (lam > 0): root of the cost derivative.
 
-    Solves lam l / ((s + l) s) - gamma / ((sigma2 + l)(sigma2 + l + g))
-    = 0 for l >= 0, where g = gamma by default and
-    g = alpha = 1 / (sigma2 + gamma) when ``literal`` is set, as the cubic
-    l (sigma2 + l)(sigma2 + g + l) - k (s + l) = 0, k = gamma s / lam.
+    Solves lam l / ((s + l) s) - gamma / ((sigma2 + l)(sigma2 + l + gamma)) = 0
+    for l >= 0, as the cubic l (sigma2 + l)(sigma2 + gamma + l) - k (s + l) = 0,
+    k = gamma s / lam.
     """
     check_weight(3, lam)
-    return _g3(ctx, check_positive("sigma2", sigma2), lam, literal)
+    return _g3(ctx, check_positive("sigma2", sigma2), lam)
 
 
-def _g3(ctx: BRContext, sigma2: float, lam: float, literal: bool) -> float:
+def _g3(ctx: BRContext, sigma2: float, lam: float) -> float:
     gamma, s = ctx.gamma, ctx.s
     if gamma <= 0.0:
         # A zero sensing row contributes nothing: the disruption term is
         # flat and the detection term pins the optimum at 0.
         return 0.0
-    z = sigma2 + (1.0 / (sigma2 + gamma) if literal else gamma)
+    z = sigma2 + gamma
     if _LO < lam < _HI and _LO < sigma2 < _HI and _LO < gamma < _HI and _LO < s < _HI:
         return _g3_root(lam, sigma2, z, gamma, s, ctx.v)
     return _rescaled(_g3_root, lam, (sigma2, z, gamma, s, ctx.v), *_cubic_sizes(
@@ -283,7 +274,7 @@ def _g3(ctx: BRContext, sigma2: float, lam: float, literal: bool) -> float:
 
 
 def _g3_root(lam: float, sigma2: float, z: float, gamma: float, s: float, v: float) -> float:
-    """The game-3 root for these scalars (z = sigma2 + g), from v."""
+    """The game-3 root for these scalars (z = sigma2 + gamma), from v."""
     rho, b2, b1, b0, _ = _scaled_cubic(0.0, sigma2, z, gamma * s, lam, s)
     if not (b0 < 0.0 or b0 == 0.0 > b1):  # b0 = 0 only if k s underflows
         return 0.0
@@ -329,7 +320,7 @@ def _log2(*xs: float) -> list[float]:
 
 def _scale_exponent(*sizes: tuple[float, ...]) -> int:
     """The scale rule's r for products of k scalars of log2 sizes ``sizes[k - 1]``; a 0
-    (size -inf) is exact at every scale, and an inf (a literal shift) is left out."""
+    (size -inf) is exact at every scale, and an inf (an overflowed sum) is left out."""
     ranges = [((e - 1019.0) / k, (e + 1018.0) / k)
               for k, degree in enumerate(sizes, 1) for e in degree if abs(e) < math.inf]
     lo, hi = math.ceil(max(a for a, _ in ranges)), math.floor(min(b for _, b in ranges))
@@ -360,4 +351,4 @@ def respond(spec: GameSpec, ctx: BRContext, sigma2: float) -> float:
         return _g1(ctx, sigma2, spec.lam)
     if spec.game == 2:
         return _g2(ctx, sigma2, spec.lam)
-    return _g3(ctx, sigma2, spec.lam, spec.literal)
+    return _g3(ctx, sigma2, spec.lam)

@@ -101,22 +101,13 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--game", type=int, choices=(1, 2, 3), required=True)
     parser.add_argument("--tmax", type=int, default=DEFAULT_T_MAX)
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    parser.add_argument(
-        "--br3-literal",
-        action="store_true",
-        help="game 3 only: use the literal alpha-paired stationarity condition",
-    )
 
 
 def _game_spec(parser: argparse.ArgumentParser, args, lam: float) -> GameSpec:
     try:
-        return GameSpec(game=args.game, lam=lam, literal=args.br3_literal)
+        return GameSpec(game=args.game, lam=lam)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _variant(spec: GameSpec) -> str:
-    return "literal" if spec.literal else "gamma"
 
 
 def _header(title: str, args, model, source: str, settings: str) -> list[str]:
@@ -182,10 +173,8 @@ def cmd_run(parser, args) -> int:
     model, source = _build_from_args(args)
     v_star, trajectory, report = run_brd(spec, model, t_max=args.tmax, tol=args.tol)
 
-    settings = (
-        f"game={spec.game} lambda={_fmt(spec.lam)} tmax={args.tmax} "
-        f"tol={_fmt(args.tol)} br3={_variant(spec)}"
-    )
+    settings = (f"game={spec.game} lambda={_fmt(spec.lam)} tmax={args.tmax} "
+                f"tol={_fmt(args.tol)}")
     columns = ["t", "player"] + [f"v_{j + 1}" for j in range(model.m)]
     columns += ["potential", "mi_global", "kl_global"]
     header = _header("trajectory", args, model, source, settings)
@@ -195,7 +184,6 @@ def cmd_run(parser, args) -> int:
     result = {
         "game": spec.game,
         "lambda": spec.lam,
-        "br3_variant": _variant(spec),
         "v_star": [float(x) for x in v_star],
         "ne_residual": report.ne_residual,
         "rounds": report.rounds_used,
@@ -235,18 +223,17 @@ def cmd_sweep(parser, args) -> int:
     converged, rows = zip(*runs)
     settings = f"game={args.game} tmax={args.tmax} tol={_fmt(args.tol)}"
     header = _header("lambda sweep", args, model, source, settings)
-    columns = ["lambda", "v_min", "v_mean", "v_max", "mi_global", "kl_global"]
-    row = "%.17g," * len(columns) + "%s\n"
-    _write_csv(args.out, header, columns + ["br3_variant"], (row % r for r in rows))
+    columns = ["lambda", "v_min", "v_mean", "v_max", "mi_global", "kl_global", "rounds"]
+    row = "%.17g," * (len(columns) - 1) + "%d\n"
+    _write_csv(args.out, header, columns, (row % r for r in rows))
     return EXIT_OK if all(converged) else EXIT_NO_CONVERGENCE
 
 
 def _sweep_row(spec: GameSpec, v_star, trajectory, report) -> tuple[bool, tuple]:
     """Whether one sweep run converged, and its CSV row."""
     last = trajectory[-1]
-    variant = _variant(spec) if spec.game == 3 else "-"
     row = (spec.lam, np.min(v_star), np.mean(v_star), np.max(v_star),
-           last.mi_global, last.kl_global, variant)
+           last.mi_global, last.kl_global, report.rounds_used)
     return report.converged, row
 
 

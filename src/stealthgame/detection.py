@@ -66,6 +66,7 @@ from .model import (
     MeasurementModel,
     as_profile,
     attacked_cov,
+    check_integer,
     chol_inverse,
     chol_logdet,
 )
@@ -102,9 +103,10 @@ def sample_observations(
 
 
 def _sample_count(n_samples) -> int:
-    """``n_samples`` as an int, which must be at least 1."""
-    if int(n_samples) < 1:
-        raise ValueError(f"n_samples must be >= 1, got {int(n_samples)}")
+    """``n_samples``, an integer of at least 1, as an int."""
+    check_integer("n_samples", n_samples)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     return int(n_samples)
 
 
@@ -272,7 +274,7 @@ def roc_auc(model: MeasurementModel, v, n_samples: int, seed: int) -> float:
     AUC of independent samples by ``(1 - AUC) / n <= 1 / (2 n)``; the
     other n^2 - n pairs are independent.
     """
-    llr_null, llr_attacked = llr_samples(model, v, int(n_samples), seed)
+    llr_null, llr_attacked = llr_samples(model, v, n_samples, seed)
     llr_null.sort()  # the draw is ours: sorted in place, not copied
     llr_attacked.sort()
     return rank_auc(llr_null, llr_attacked)

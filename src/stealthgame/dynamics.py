@@ -39,7 +39,8 @@ import numpy as np
 from .bestresponse import best_response, player_contexts, respond  # noqa: F401
 from .games import GameSpec, potential, row_potentials  # noqa: F401
 from .metrics import kl_global, mi_global  # noqa: F401
-from .model import MeasurementModel, PosteriorKernel, check_nonnegative, check_positive
+from .model import MeasurementModel, PosteriorKernel, check_integer, check_nonnegative
+from .model import check_positive
 
 DEFAULT_T_MAX = 100
 DEFAULT_TOL = 1e-9
@@ -145,6 +146,7 @@ def run_brd(
     fixed point.  Each move keeps only the kernel's ``mi`` and ``kl``;
     a round's records are assembled at its end, or at an abort.
     """
+    check_integer("t_max", t_max)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     tol = check_positive("tol", tol)

@@ -28,15 +28,11 @@ __all__ = ["GameSpec", "cost", "potential", "row_potentials"]
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Game index (1, 2 or 3), trade-off weight lam (checked by
-    :func:`check_weight`), and for game 3 the best-response rule:
-    ``literal=True`` pairs ``gamma_i`` with ``alpha_i`` in the stationarity
-    condition (see :func:`~stealthgame.bestresponse.br_g3`).
-    """
+    """Game index (1, 2 or 3) and trade-off weight lam (checked by
+    :func:`check_weight`)."""
 
     game: int
     lam: float
-    literal: bool = False
 
     def __post_init__(self):
         check_integer("game", self.game)
@@ -44,12 +40,6 @@ class GameSpec:
             raise ValueError(f"game must be 1, 2 or 3, got {self.game}")
         check_real("lam", self.lam)
         check_weight(self.game, self.lam)
-        if not isinstance(self.literal, bool):
-            raise ValueError(f"literal must be a bool, got {self.literal!r}")
-        if self.literal and self.game != 3:
-            raise ValueError(
-                f"the literal best response exists in game 3 only, got game {self.game}"
-            )
 
 
 def check_weight(game: int, lam: float) -> None:

@@ -226,11 +226,11 @@ def as_profile(model: MeasurementModel, v) -> np.ndarray:
 
 
 def check_index(model: MeasurementModel, i: int) -> int:
-    """Validate a 0-based measurement index."""
-    i = int(i)
+    """Validate a 0-based measurement index: an integer in [0, m)."""
+    check_integer("measurement index", i)
     if not 0 <= i < model.m:
         raise IndexError(f"measurement index {i} outside [0, {model.m})")
-    return i
+    return int(i)
 
 
 def check_integer(name: str, value) -> None:

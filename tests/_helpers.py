@@ -231,7 +231,7 @@ def checked_response(spec: GameSpec, ctx: BRContext, sigma2: float) -> float:
         return br_g1(ctx, sigma2, spec.lam)
     if spec.game == 2:
         return br_g2(ctx, sigma2, spec.lam)
-    return br_g3(ctx, sigma2, spec.lam, literal=spec.literal)
+    return br_g3(ctx, sigma2, spec.lam)
 
 
 def brd_per_move(spec: GameSpec, model: MeasurementModel, t_max=DEFAULT_T_MAX,
@@ -607,10 +607,10 @@ def mp_root(slope):
     return scale * above
 
 
-def mp_best_response(game: int, ctx, sigma2, lam, literal: bool = False) -> float:
+def mp_best_response(game: int, ctx, sigma2, lam) -> float:
     """Best response on the context's scalars at MP_DPS digits, as a float."""
     with mpmath.workdps(MP_DPS):
-        return float(mp_root(mp_cost_slope(game, ctx, sigma2, lam, literal)))
+        return float(mp_root(mp_cost_slope(game, ctx, sigma2, lam)))
 
 
 def mp_gain(B, sigma2, v, i: int):
@@ -653,7 +653,7 @@ def _mp_response(model, spec, data, v, i: int):
     ctx = SimpleNamespace(
         gamma=mp_gain(B, sigma2, v, i), gamma0=gains0[i], s=model.s[i], c=model.c[i]
     )
-    return mp_root(mp_cost_slope(spec.game, ctx, sigma2, spec.lam, spec.literal))
+    return mp_root(mp_cost_slope(spec.game, ctx, sigma2, spec.lam))
 
 
 def mp_kernel_brd(model, spec: GameSpec, tol: float):

@@ -1,11 +1,13 @@
-"""Every package name the benchmark uses stays bound.
+"""Every package name the benchmark uses stays bound, and the CLI's
+output meets the benchmark's checks.
 
 The benchmark (``bench/``) builds its inputs through ``stealthgame.*``
 and traces the functions listed in ``bench/tracer.py`` by replacing them
-where a module binds them.  A name that a simplification removes would
-fail a workload or ``--trace 1`` only when the benchmark runs; these
-tests catch it in the suite.  They read ``bench/`` and write nothing
-there.
+where a module binds them; its CLI workloads parse the files that
+``run`` and ``sweep`` write.  A name that a simplification removes, or a
+column or key that a change moves, would fail a workload or
+``--trace 1`` only when the benchmark runs; these tests catch it in the
+suite.  They read ``bench/`` and write nothing there.
 """
 
 import ast
@@ -18,12 +20,16 @@ from pathlib import Path
 import pytest
 
 import stealthgame
+from stealthgame.cli import main
+
+from _helpers import ieee9_model_at
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _load_bench(stem: str):
+    """The module of ``bench/<stem>.py``, under the name ``bench_<stem>``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", BENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
@@ -34,7 +40,8 @@ def _load_tracer():
     return module
 
 
-TRACER = _load_tracer()
+TRACER = _load_bench("tracer")
+RUN = _load_bench("run")
 BINDINGS = sorted(
     {(module, attr) for module, attr, _ in
      TRACER.SETUP_BINDINGS + TRACER.OP_BINDINGS + TRACER.CLI_BINDINGS}
@@ -72,3 +79,19 @@ def test_best_response_keeps_its_leading_parameters():
     # The tracer's per-call info reads (spec, model, i, v) = args[:4].
     params = list(inspect.signature(stealthgame.dynamics.best_response).parameters)
     assert params[:4] == ["spec", "model", "i", "v"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_outputs_pass_the_benchmark_checks(command, tmp_path, monkeypatch, capsys):
+    # The benchmark's own steps: the README's run for games 1, 2 and 3,
+    # or its sweep of game 1 over SWEEP_LAMBDAS, each writing into the
+    # working directory.
+    monkeypatch.chdir(tmp_path)
+    model = ieee9_model_at(30.0)
+    codes = {name: main(args) for name, args in
+             RUN.cli_steps(command, stealthgame.bundled_case("ieee9"))}
+    refs = {}
+    if command == "run":
+        refs = {g: stealthgame.run_brd(stealthgame.GameSpec(g, RUN.LAM), model)[0].tolist()
+                for g in (1, 2, 3)}
+    assert RUN.check_cli_outputs(command, tmp_path, codes, refs, model.m) == []

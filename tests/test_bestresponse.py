@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,10 +28,13 @@ from stealthgame.model import (
 )
 
 from _helpers import (
+    MP_DPS,
     BracketError,
     br_numeric,
     low_redundancy_model,
     mp_best_response,
+    mp_cost_slope,
+    mp_root,
     oracle_alpha,
     oracle_br_context,
     random_desk_model,
@@ -60,15 +64,15 @@ def reference_contexts(model):
     return [br_context(model, i, v) for v in profiles for i in range(m)]
 
 
-def solve(game, ctx, sigma2, lam, literal=False):
+def solve(game, ctx, sigma2, lam):
     if game == 1:
         return br_g1(ctx, sigma2, lam)
     if game == 2:
         return br_g2(ctx, sigma2, lam)
-    return br_g3(ctx, sigma2, lam, literal=literal)
+    return br_g3(ctx, sigma2, lam)
 
 
-SOLVERS = [(1, False), (2, False), (3, False), (3, True)]
+SOLVERS = [1, 2, 3]
 
 
 class TestBRContext:
@@ -217,7 +221,7 @@ class TestClosedForms:
         ref = mp_best_response(1, ctx, sigma2, lam)
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("game, literal", [(2, False), (3, False), (3, True)])
+    @pytest.mark.parametrize("game", [2, 3])
     @pytest.mark.parametrize(
         "gamma, gamma0, c, sigma2, lam",
         [
@@ -236,7 +240,7 @@ class TestClosedForms:
         ],
     )
     def test_g2_g3_at_extreme_scale_match_the_50_digit_root(
-        self, gamma, gamma0, c, sigma2, lam, game, literal
+        self, gamma, gamma0, c, sigma2, lam, game
     ):
         ctx = BRContext(gamma=gamma, gamma0=gamma0, s=sigma2 + c, c=c)
         with warnings.catch_warnings():
@@ -244,58 +248,47 @@ class TestClosedForms:
             if game == 2:
                 got = br_g2(ctx, sigma2, lam)
             else:
-                got = br_g3(ctx, sigma2, lam, literal=literal)
-        ref = mp_best_response(game, ctx, sigma2, lam, literal)
+                got = br_g3(ctx, sigma2, lam)
+        ref = mp_best_response(game, ctx, sigma2, lam)
         assert ref > 0.0
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
-        "game, literal, gamma, gamma0, c, sigma2, v, lam",
+        "game, gamma, gamma0, c, sigma2, v, lam",
         [
-            # The literal rule's bound (-b0 / b2)^(1/2) on the root, where
-            # Newton starts, is near 1e-185, but -b0 / b2 underflowed to 0:
-            # from 0, Newton stopped after 100 steps at 3.6e-145.
-            (3, True, 4.1771881737189154e-98, 3.490454311209505e-98,
-             1.972544131647961e-86, 5.1585497512775945e-256, 1.0175419892236494e-123,
-             5786.723700801917),
-            (3, True, 6.365727888912031e-105, 8.773080655444225e-112,
-             2.8625292674076227e-93, 5.404044414652212e-235, 2.718673487315765e-213,
-             7.717760275154665),
-            # The same, where k = gamma s / lam is large: the cubic's own
-            # scale fixes -b0 / b2 near 1e-336 at every scale of the scalars.
-            (3, True, 2.2396918789493148e-142, 4.337447896252656e-195,
-             1.9238957163275754e-193, 2.1833530412235008e-297, 8519598955.3623495,
-             2.9259209852229733e-162),
+            # The bound (-b0 / c2)^(1/2) on the root, where Newton starts,
+            # is 4.7e-184, but -b0 / c2 underflows to 0: from 0, Newton
+            # stopped after 100 steps at 1.1e-145.
+            (3, 3.176699222284325e220, 3.606681558832973e-14, 2.8702023922246107e-67,
+             3.3045609293923214e-252, 2.4368706447404472e284, 3.745470550173926e233),
+            # The same in game 2: the root is 1.2e-167, and Newton from 0
+            # stopped at 1.4e-110.
+            (2, 1.1121223033597172e-41, 1.336098423935034e191, 8.121192611703549e94,
+             1.6481916457340899e-254, 6.551443978829209e-275, 8.645123028271798e251),
             # b2^2 overflows in the shift that starts Newton: with a shift
             # of 0 Newton started left of the root and went below 0.
-            (3, False, 1.1255286081113207e259, 1.1255286081113207e259,
+            (3, 1.1255286081113207e259, 1.1255286081113207e259,
              1.244717267984171e-267, 8.338804126228226e-269, 1.0783393114857697e-126,
              6.1488991376251334e-46),
+            (2, 2.9336739066777473e-265, 1.849433551816642e-112, 5.192455127994009e287,
+             1.8563057185829661e-146, 8.594093208809488e-18, 5.866368616602167e-84),
             # A large k sets the cubic's own scale, at which b0 underflows to
             # 0 while b1 < 0: the root is the shift, not 0.
-            (2, False, 8.999198882313749e-240, 9.787298271853956e124,
+            (2, 8.999198882313749e-240, 9.787298271853956e124,
              1.0202008543114213e223, 1.8702328439115615e-157, 0.0,
              2.3866990763539496e-269),
         ],
     )
     def test_newton_at_extreme_scale_matches_the_50_digit_root(
-        self, game, literal, gamma, gamma0, c, sigma2, v, lam
+        self, game, gamma, gamma0, c, sigma2, v, lam
     ):
         ctx = BRContext(gamma=gamma, gamma0=gamma0, s=sigma2 + c, c=c, v=v)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = solve(game, ctx, sigma2, lam, literal)
-        ref = mp_best_response(game, ctx, sigma2, lam, literal)
+            got = solve(game, ctx, sigma2, lam)
+        ref = mp_best_response(game, ctx, sigma2, lam)
         assert ref > 0.0
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
-
-    def test_g3_literal_shift_beyond_double_range_gives_zero(self):
-        # At a subnormal sigma2 the literal shift 1 / (sigma2 + gamma) is inf
-        # (the solve once returned inf); the root lies below 2^-1100.
-        ctx = BRContext(gamma=1e-320, gamma0=1e-320, s=2e-320, c=1e-320)
-        with pytest.raises(BracketError):
-            mp_best_response(3, ctx, 1e-320, 2.0, literal=True)
-        assert br_g3(ctx, 1e-320, 2.0, literal=True) == 0.0
 
     def test_g1_weight_floor(self, scalar_model):
         ctx = br_context(scalar_model, 0, [0.0])
@@ -326,16 +319,6 @@ class TestClosedForms:
         # already lies beyond the oracle's bracket.
         with pytest.raises(BracketError):
             br_numeric(GameSpec(2, 1e-30), scalar_model, 0, [0.0])
-
-    def test_g3_literal_variant_differs(self, ring3_model, rng):
-        v = random_profile(rng, ring3_model)
-        i = 1
-        ctx = br_context(ring3_model, i, v)
-        default = br_g3(ctx, ring3_model.sigma2, 2.0)
-        literal = br_g3(ctx, ring3_model.sigma2, 2.0, literal=True)
-        assert default >= 0 and literal >= 0
-        if abs(1.0 / (ring3_model.sigma2 + ctx.gamma) - ctx.gamma) > 1e-9:
-            assert default != literal
 
 
 class TestOracleAgreement:
@@ -439,16 +422,16 @@ class TestHighPrecisionReference:
     derivative (``mp_best_response``) on the same context scalars."""
 
     @pytest.mark.parametrize("snr", [10.0, 30.0, 50.0, 70.0])
-    @pytest.mark.parametrize("game,literal", SOLVERS)
-    def test_matches_50_digit_root(self, game, literal, snr):
+    @pytest.mark.parametrize("game", SOLVERS)
+    def test_matches_50_digit_root(self, game, snr):
         model = ieee9_at(snr)
         lams = (1.0, 2.0, 10.0, 1e3, 1e6) if game == 1 else (
             0.01, 1.0, 2.0, 10.0, 1e3, 1e6)
         interior = 0
         for ctx in reference_contexts(model):
             for lam in lams:
-                got = solve(game, ctx, model.sigma2, lam, literal)
-                ref = mp_best_response(game, ctx, model.sigma2, lam, literal)
+                got = solve(game, ctx, model.sigma2, lam)
+                ref = mp_best_response(game, ctx, model.sigma2, lam)
                 assert abs(got - ref) <= 1e-14 * ref, (ctx, lam, got, ref)
                 interior += ref > 0.0
         assert interior >= 50
@@ -463,24 +446,24 @@ class TestHighPrecisionReference:
             v = random_profile(rng, model, scale=float(rng.choice([0.01, 0.3, 3.0])))
             for i in range(model.m):
                 ctx = br_context(model, i, v)
-                for game, literal in SOLVERS:
+                for game in SOLVERS:
                     lam = float(np.exp(rng.uniform(
                         math.log(1.0 if game == 1 else 0.01), math.log(1e6))))
-                    got = solve(game, ctx, model.sigma2, lam, literal)
-                    ref = mp_best_response(game, ctx, model.sigma2, lam, literal)
+                    got = solve(game, ctx, model.sigma2, lam)
+                    ref = mp_best_response(game, ctx, model.sigma2, lam)
                     assert abs(got - ref) <= 1e-14 * ref, (ctx, lam, got, ref)
 
     @pytest.mark.parametrize("lam", [1e-300, 1e300])
-    @pytest.mark.parametrize("game,literal", SOLVERS[1:])
-    def test_extreme_weights_give_the_finite_root(self, game, literal, lam):
+    @pytest.mark.parametrize("game", SOLVERS[1:])
+    def test_extreme_weights_give_the_finite_root(self, game, lam):
         # The root ranges from about 1e-305 to 1e152 here; no step may
         # overflow or underflow to a wrong 0.
         model = ieee9_at(30.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for ctx in reference_contexts(model):
-                got = solve(game, ctx, model.sigma2, lam, literal)
-                ref = mp_best_response(game, ctx, model.sigma2, lam, literal)
+                got = solve(game, ctx, model.sigma2, lam)
+                ref = mp_best_response(game, ctx, model.sigma2, lam)
                 assert math.isfinite(got)
                 assert abs(got - ref) <= 1e-14 * ref, (ctx, got, ref)
 
@@ -505,22 +488,22 @@ class TestHighPrecisionReference:
         rng = np.random.default_rng(2024)
         checked = unkept = 0
         for span in (20.0, 200.0, 400.0):
-            for n in range(200):
+            for n in range(267):  # 801 contexts, 2,403 solves
                 low = rng.uniform(-300.0, 300.0 - span)
                 sigma2, c, gamma, gamma0, v = (10.0 ** rng.uniform(low, low + span, 5)).tolist()
                 ctx = BRContext(gamma, gamma if n % 5 == 0 else gamma0, sigma2 + c, c,
                                 0.0 if n % 7 == 0 else v)
-                for game, literal in SOLVERS:
+                for game in SOLVERS:
                     lam = 10.0 ** float(rng.uniform(0.0 if game == 1 else -300.0, 300.0))
                     if game > 1 and span == 400.0 and n == 0:
                         lam = 5e-324
                     kept.clear()
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        got = solve(game, ctx, sigma2, lam, literal)
+                        got = solve(game, ctx, sigma2, lam)
                     assert 0.0 <= got <= math.inf
                     try:
-                        ref = mp_best_response(game, ctx, sigma2, lam, literal)
+                        ref = mp_best_response(game, ctx, sigma2, lam)
                     except BracketError:
                         continue
                     if not all(kept):
@@ -528,16 +511,32 @@ class TestHighPrecisionReference:
                         continue
                     checked += 1
                     assert got == ref or abs(got - ref) <= 1e-14 * ref + 2.0**-1074, (
-                        game, literal, ctx, sigma2, lam, got, ref)
+                        game, ctx, sigma2, lam, got, ref)
         assert checked > 2000 and unkept < 30
 
-    @pytest.mark.parametrize("game,literal", SOLVERS[1:])
-    def test_root_does_not_depend_on_the_start(self, game, literal, ring3_model, rng):
+    def test_g3_root_is_not_the_alpha_paired_root(self):
+        # Pairing gamma with alpha = 1 / (sigma2 + gamma) in the shifted
+        # factor of game 3's slope moves its root off the slope's zero: on
+        # the 9-bus case at lam = 2 the fixed point of that pairing is no
+        # game-3 equilibrium (a potential audit flags 115 of its 235
+        # records).  br_g3's root is a zero to 1e-14; the paired root lies
+        # more than 1e-6 from one (4e-4 at least, here).
+        model = ieee9_at(30.0)
+        with mpmath.workdps(MP_DPS):
+            for ctx in reference_contexts(model):
+                slope = mp_cost_slope(3, ctx, model.sigma2, 2.0)
+                paired = mp_root(mp_cost_slope(3, ctx, model.sigma2, 2.0, literal=True))
+                root = mpmath.mpf(br_g3(ctx, model.sigma2, 2.0))
+                assert slope(root * (1 - 1e-14)) < 0 <= slope(root * (1 + 1e-14))
+                assert (slope(paired * (1 - 1e-6)) < 0) == (slope(paired * (1 + 1e-6)) < 0)
+
+    @pytest.mark.parametrize("game", SOLVERS[1:])
+    def test_root_does_not_depend_on_the_start(self, game, ring3_model, rng):
         v = random_profile(rng, ring3_model)
         for i in range(ring3_model.m):
             ctx = br_context(ring3_model, i, v)
-            ref = solve(game, ctx, ring3_model.sigma2, 2.0, literal)
+            ref = solve(game, ctx, ring3_model.sigma2, 2.0)
             for start in (0.0, 1e-300, 0.5 * ref, 2.0 * ref, 1e300):
                 moved = dataclasses.replace(ctx, v=start)
-                got = solve(game, moved, ring3_model.sigma2, 2.0, literal)
+                got = solve(game, moved, ring3_model.sigma2, 2.0)
                 assert got == pytest.approx(ref, rel=4e-16, abs=0.0)

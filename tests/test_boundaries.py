@@ -10,6 +10,8 @@ import pytest
 
 from stealthgame.bestresponse import br_context, br_g1, br_g2, br_g3
 from stealthgame.cli import main
+from stealthgame.detection import llr_samples, roc_auc, sample_observations
+from stealthgame.dynamics import run_brd
 from stealthgame.games import GameSpec
 from stealthgame.grid import (
     Branch,
@@ -376,3 +378,37 @@ class TestRoundCapBelowOne:
         assert rc == 4
         assert "t_max must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestIntegerArguments:
+    """An index or a count is checked as an integer: a float, a string or a
+    bool is refused, not truncated or read as 0 or 1."""
+
+    @pytest.mark.parametrize("i", [1.7, 1.0, np.float64(1.0), "2", True])
+    def test_measurement_index(self, ring3_model, i):
+        kernel = PosteriorKernel(ring3_model, np.zeros(6))
+        v = kernel.v.copy()
+        calls = (lambda: mi_local(ring3_model, i, 1.0), lambda: kl_local(ring3_model, i, 1.0),
+                 lambda: br_context(ring3_model, i, np.zeros(6)),
+                 lambda: kernel.update(i, 1.0))
+        for call in calls:
+            with pytest.raises(ValueError, match="measurement index must be an integer"):
+                call()
+        np.testing.assert_array_equal(kernel.v, v)
+        assert kl_local(ring3_model, np.int64(1), 1.0) == kl_local(ring3_model, 1, 1.0)
+
+    @pytest.mark.parametrize("t_max", [2.5, 2.0, math.nan, True, "3"])
+    def test_round_cap(self, ring3_model, t_max):
+        with pytest.raises(ValueError, match="t_max must be an integer"):
+            run_brd(GameSpec(1, 2.0), ring3_model, t_max=t_max)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 1000.7, 1000.0, "1000", True])
+    def test_sample_count(self, ring3_model, n_samples):
+        v = np.full(6, ring3_model.sigma2)
+        calls = (lambda: sample_observations(ring3_model, v, n_samples, 0, True),
+                 lambda: llr_samples(ring3_model, v, n_samples, 0),
+                 lambda: roc_auc(ring3_model, v, n_samples, 0))
+        for call in calls:
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                call()
+        assert len(llr_samples(ring3_model, v, np.int64(3), 0)[0]) == 3

@@ -235,9 +235,9 @@ class TestRun:
         assert min(responses) > 0.0
         np.testing.assert_allclose(ne["v_star"], responses, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("game, literal", [(2, False), (3, False), (3, True)])
+    @pytest.mark.parametrize("game", [2, 3])
     def test_extreme_scale_games_2_and_3_reach_the_finite_equilibrium(
-        self, tmp_path, capsys, game, literal
+        self, tmp_path, capsys, game
     ):
         # Beside sigma2 = 1e299 and gamma = 1e300 the cubics' products
         # overflow unless they are solved at a smaller scale; the game-1,
@@ -248,15 +248,14 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["run", "--h-matrix", str(path), "--rho", "0.5", "--snr-db", "10",
-                       "--game", str(game), "--lambda", "2", "--out", str(out),
-                       *(["--br3-literal"] if literal else [])])
+                       "--game", str(game), "--lambda", "2", "--out", str(out)])
         assert rc == 0
         ne = json.loads((tmp_path / "huge.ne.json").read_text())
         assert ne["converged"] is True
         H = np.array([[1e150]])
         Sigma_XX = toeplitz_cov(StatePriorSpec(1, 0.5))
         model = build_model(H, Sigma_XX, calibrate_noise(H, Sigma_XX, 10.0))
-        responses = mp_profile_responses(model, GameSpec(game, 2.0, literal), ne["v_star"])
+        responses = mp_profile_responses(model, GameSpec(game, 2.0), ne["v_star"])
         assert responses[0] > 1e299
         np.testing.assert_allclose(ne["v_star"], responses, rtol=1e-14, atol=0.0)
 
@@ -336,31 +335,16 @@ class TestRun:
             assert abs(potential(spec, model, v) - recorded) <= 1e-12
 
 
-class TestLiteralRule:
-    """``--br3-literal`` selects game 3's alpha-paired best response; it
-    has no meaning in games 1 and 2, so the command refuses it there."""
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("game", ["1", "2"])
-    def test_rejected_outside_game_3(self, tmp_path, capsys, command, game):
-        weight = ["--lambda", "2"] if command == "run" else ["--lambda-list", "2"]
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, *MODEL_FLAGS, "--game", game, *weight, "--br3-literal",
-                  "--out", str(tmp_path / "lit")])
-        assert excinfo.value.code == 2
-        assert "game 3 only" in capsys.readouterr().err
+class TestRemovedFlag:
+    def test_br3_literal_is_a_usage_error(self, tmp_path, capsys):
+        # Game 3 has one best response, so no flag selects another.
+        for command, weight in (("run", "--lambda"), ("sweep", "--lambda-list")):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, *MODEL_FLAGS, "--game", "3", weight, "2", "--br3-literal",
+                      "--out", str(tmp_path / "lit")])
+            assert excinfo.value.code == 2
+            assert "--br3-literal" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    def test_run_game_3_certifies_the_literal_equilibrium(self, tmp_path, capsys):
-        out = tmp_path / "lit"
-        assert main(["run", *MODEL_FLAGS, "--game", "3", "--lambda", "2",
-                     "--br3-literal", "--out", str(out)]) == 0
-        ne = json.loads((tmp_path / "lit.ne.json").read_text())
-        assert ne["br3_variant"] == "literal"
-        assert ne["converged"] is True
-        assert ne["ne_residual"] <= 1e-8
-        header = (tmp_path / "lit.trajectory.csv").read_text().splitlines()[3]
-        assert header.endswith(" br3=literal")
 
 
 class TestZeroWeight:
@@ -418,17 +402,6 @@ class TestSweep:
         ]
         assert len(rows) == 1
 
-    def test_br3_literal_tag_in_output(self, tmp_path, capsys):
-        out = tmp_path / "lit.csv"
-        assert main(["sweep", *MODEL_FLAGS, "--game", "3",
-                     "--lambda-list", "2", "--br3-literal",
-                     "--out", str(out)]) == 0
-        data_row = [
-            ln for ln in out.read_text().splitlines()
-            if ln and not ln.startswith("#") and not ln.startswith("lambda")
-        ][0]
-        assert data_row.endswith(",literal")
-
     def test_deterministic(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "sa.csv", tmp_path / "sb.csv"
         for out in (out_a, out_b):
@@ -447,24 +420,23 @@ class TestSweep:
         ]
         assert lams == sorted(lams)
 
-    @pytest.mark.parametrize("game, extra", [("1", []), ("3", ["--br3-literal"])])
-    def test_rows_are_the_run_summaries(self, tmp_path, capsys, game, extra):
+    @pytest.mark.parametrize("game", ["1", "3"])
+    def test_rows_are_the_run_summaries(self, tmp_path, capsys, game):
         """Each sweep row is, byte for byte, the summary of ``run``'s NE
-        file at the same weight."""
+        file at the same weight, its round count last."""
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", *MODEL_FLAGS, "--game", game, *extra,
+        assert main(["sweep", *MODEL_FLAGS, "--game", game,
                      "--lambda-list", "1,2,5,10", "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[5:]
-        variant = "literal" if extra else "-"
         for row, lam in zip(rows, ["1", "2", "5", "10"], strict=True):
             prefix = tmp_path / f"run{lam}"
-            assert main(["run", *MODEL_FLAGS, "--game", game, *extra,
+            assert main(["run", *MODEL_FLAGS, "--game", game,
                          "--lambda", lam, "--out", str(prefix)]) == 0
             ne = json.loads((tmp_path / f"run{lam}.ne.json").read_text())
             v = np.array(ne["v_star"])
             cells = [float(lam), np.min(v), np.mean(v), np.max(v),
                      ne["mi_global"], ne["kl_global"]]
-            assert row == ",".join([*map(_fmt, cells), variant])
+            assert row == ",".join([*map(_fmt, cells), str(ne["rounds"])])
 
     def test_failed_run_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -488,8 +460,9 @@ class TestSweep:
         assert main(["sweep", *MODEL_FLAGS, "--game", "1", "--tmax", "1",
                      "--lambda-list", "1,2,5,10", "--out", str(out)]) == 3
         lines = out.read_text().splitlines()
-        assert lines[4] == "lambda,v_min,v_mean,v_max,mi_global,kl_global,br3_variant"
-        assert [ln.split(",")[0] for ln in lines[5:]] == ["1", "2", "5", "10"]
+        assert lines[4] == "lambda,v_min,v_mean,v_max,mi_global,kl_global,rounds"
+        rows = [ln.split(",") for ln in lines[5:]]
+        assert [(row[0], row[-1]) for row in rows] == [(lam, "1") for lam in "1 2 5 10".split()]
 
 
 class TestDetect:

@@ -270,10 +270,9 @@ class TestKernelDynamics:
                 kl_global(ieee9_model, rec.v_snapshot), rel=1e-11, abs=0.0
             )
 
-    @pytest.mark.parametrize("game,literal", [(1, False), (2, False), (3, False),
-                                              (3, True)])
+    @pytest.mark.parametrize("game", [1, 2, 3])
     @pytest.mark.parametrize("m", [18, 149])
-    def test_records_match_fresh_potential(self, ieee9_model, m, game, literal):
+    def test_records_match_fresh_potential(self, ieee9_model, m, game):
         # Players jumping from v = 0 take rank-one pivots down to 1.3e-2 in
         # game 3, which amplify any error in the pivot; update forms each
         # from gamma_i as (1 + w_new gamma_i) / (1 + w_old gamma_i), and
@@ -283,7 +282,7 @@ class TestKernelDynamics:
         # value, relative.  A round's last record is a fresh evaluation.
         model = ieee9_model if m == 18 else chain_model(60, 30.0)
         assert model.m == m
-        spec = GameSpec(game, 2.0, literal)
+        spec = GameSpec(game, 2.0)
         _, trajectory, _ = run_brd(spec, model)
         for rec in trajectory:
             fresh = potential(spec, model, rec.v_snapshot)
@@ -295,22 +294,20 @@ class TestKernelDynamics:
                 assert abs(rec.potential - fresh) <= 4e-15 * fresh
 
     @pytest.mark.parametrize("snr", [30.0, 70.0])
-    @pytest.mark.parametrize("game,literal", [(1, False), (2, False), (3, False),
-                                              (3, True)])
+    @pytest.mark.parametrize("game", [1, 2, 3])
     @pytest.mark.parametrize("lam", [1.0, 2.0, 1e3])
-    def test_records_bit_identical_to_per_move_records(self, snr, game, literal, lam):
+    def test_records_bit_identical_to_per_move_records(self, snr, game, lam):
         model = ieee9_model_at(snr)
-        spec = GameSpec(game, lam, literal)
+        spec = GameSpec(game, lam)
         assert run_bits(*run_brd(spec, model)) == run_bits(*brd_per_move(spec, model))
 
-    @pytest.mark.parametrize("game,literal", [(1, False), (2, False), (3, False),
-                                              (3, True)])
-    def test_moves_bit_identical_to_the_public_path_at_m74(self, game, literal):
+    @pytest.mark.parametrize("game", [1, 2, 3])
+    def test_moves_bit_identical_to_the_public_path_at_m74(self, game):
         # run_brd reads the players' constants once per run and skips the
         # public solvers' weight check; nothing else may differ.
         model = chain_model(30, 30.0)
         assert model.m == 74
-        spec = GameSpec(game, 2.0, literal)
+        spec = GameSpec(game, 2.0)
         result = run_brd(spec, model)
         assert type(result[2].max_delta_last_round) is float
         assert run_bits(*result) == run_bits(*brd_per_move(spec, model))
@@ -414,35 +411,6 @@ class TestSingleGainRule:
             assert report.converged
             ref = mp_profile_responses(model, spec, v)
             np.testing.assert_allclose(v, ref, rtol=1e-14, atol=0)
-
-
-class TestLiteralRule:
-    """GameSpec(3, lam, literal=True) carries game 3's alpha-paired rule to
-    every best response, so the solve and its certificate agree."""
-
-    def test_certified_by_the_same_spec(self, ieee9_model):
-        spec = GameSpec(3, 2.0, literal=True)
-        v_star, _, report = run_brd(spec, ieee9_model)
-        assert report.converged
-        assert report.ne_residual <= 1e-8
-        assert verify_ne(spec, ieee9_model, v_star) == report.ne_residual
-        # The gamma-paired rule moves the players far from this profile.
-        assert verify_ne(GameSpec(3, 2.0), ieee9_model, v_star) > 1.0
-
-    def test_matches_50_digit_responses(self, ieee9_model):
-        spec = GameSpec(3, 2.0, literal=True)
-        v_star, _, _ = run_brd(spec, ieee9_model, tol=1e-12)
-        responses = mp_profile_responses(ieee9_model, spec, v_star)
-        np.testing.assert_allclose(v_star, responses, rtol=1e-12, atol=0.0)
-
-    def test_fixed_point_is_not_a_game_3_equilibrium(self, ieee9_model):
-        # Game 3's potential is exact for the gamma-paired rule only: the
-        # literal rule converges, yet its moves raise that potential.
-        _, literal, report = run_brd(GameSpec(3, 2.0, literal=True), ieee9_model)
-        assert report.converged
-        assert potential_audit(literal) != []
-        _, default, _ = run_brd(GameSpec(3, 2.0), ieee9_model)
-        assert potential_audit(default) == []
 
 
 class TestVerifyNe:

@@ -50,18 +50,6 @@ class TestGameSpec:
     def test_integer_and_numpy_weights_accepted(self, lam):
         assert GameSpec(1, lam).lam == lam
 
-    @pytest.mark.parametrize("literal", ["yes", 1, 0, None, np.True_])
-    def test_literal_must_be_a_bool(self, literal):
-        with pytest.raises(ValueError, match="literal must be a bool"):
-            GameSpec(3, 2.0, literal=literal)
-
-    @pytest.mark.parametrize("game", [1, 2])
-    def test_literal_rule_is_game_3_only(self, game):
-        with pytest.raises(ValueError, match="game 3 only"):
-            GameSpec(game, 2.0, literal=True)
-        assert GameSpec(3, 2.0, literal=True).literal
-        assert not GameSpec(game, 2.0).literal
-
 
 class TestCost:
     def test_game1_scalar_composition(self, scalar_model):

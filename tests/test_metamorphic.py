@@ -96,29 +96,29 @@ def test_equilibrium_scales_exactly_with_the_units(name, game, k):
 
 
 RELATION_TOL = 1e-13
-GAMES = [(1, False), (2, False), (3, False), (3, True)]
+GAMES = [1, 2, 3]
 
 
 @functools.cache
-def _relation_tol(name: str, game: int, literal: bool) -> float:
+def _relation_tol(name: str, game: int) -> float:
     """RELATION_TOL times the largest entry of v* (at least 1).  Game 3's
     v* reaches 1.3e3 at m = 149, where an absolute 1e-13 is below one ulp
-    of it and the literal rule's dynamics never stop."""
-    spec = GameSpec(game, 2.0, literal)
+    of it."""
+    spec = GameSpec(game, 2.0)
     v_star = run_brd(spec, build_model(*_unit_model(name)))[0]
     return RELATION_TOL * max(1.0, float(np.max(v_star)))
 
 
-def _equilibrium(name, H, Sigma_XX, sigma2, game, literal):
-    spec, tol = GameSpec(game, 2.0, literal), _relation_tol(name, game, literal)
+def _equilibrium(name, H, Sigma_XX, sigma2, game):
+    spec, tol = GameSpec(game, 2.0), _relation_tol(name, game)
     v_star, _, report = run_brd(spec, build_model(H, Sigma_XX, sigma2), tol=tol)
     assert report.converged
     return v_star
 
 
 @functools.cache
-def _unit_equilibrium(name: str, game: int, literal: bool):
-    return _equilibrium(name, *_unit_model(name), game, literal)
+def _unit_equilibrium(name: str, game: int):
+    return _equilibrium(name, *_unit_model(name), game)
 
 
 def _assert_close(v, reference):
@@ -127,18 +127,18 @@ def _assert_close(v, reference):
     assert gap <= RELATION_TOL, f"gap {gap:.2e} of max v*"
 
 
-@pytest.mark.parametrize("game,literal", GAMES)
+@pytest.mark.parametrize("game", GAMES)
 @pytest.mark.parametrize("name", ["ieee9", "synth60"])
-def test_reordering_the_measurements_permutes_the_equilibrium(name, game, literal):
+def test_reordering_the_measurements_permutes_the_equilibrium(name, game):
     H, Sigma_XX, sigma2 = _unit_model(name)
     order = np.random.default_rng(12).permutation(H.shape[0])
-    v_star = _equilibrium(name, H[order], Sigma_XX, sigma2, game, literal)
-    _assert_close(v_star, _unit_equilibrium(name, game, literal)[order])
+    v_star = _equilibrium(name, H[order], Sigma_XX, sigma2, game)
+    _assert_close(v_star, _unit_equilibrium(name, game)[order])
 
 
-@pytest.mark.parametrize("game,literal", GAMES)
+@pytest.mark.parametrize("game", GAMES)
 @pytest.mark.parametrize("name", ["ieee9", "synth60"])
-def test_a_change_of_state_basis_leaves_the_equilibrium(name, game, literal):
+def test_a_change_of_state_basis_leaves_the_equilibrium(name, game):
     # T = Q diag(d) R with orthogonal Q, R and d in [1, 2]: cond T <= 2.
     H, Sigma_XX, sigma2 = _unit_model(name)
     rng = np.random.default_rng(13)
@@ -147,5 +147,5 @@ def test_a_change_of_state_basis_leaves_the_equilibrium(name, game, literal):
     T = (Q * rng.uniform(1.0, 2.0, n)) @ R
     T_inv = np.linalg.inv(T)
     prior = T_inv @ Sigma_XX @ T_inv.T
-    v_star = _equilibrium(name, H @ T, 0.5 * (prior + prior.T), sigma2, game, literal)
-    _assert_close(v_star, _unit_equilibrium(name, game, literal))
+    v_star = _equilibrium(name, H @ T, 0.5 * (prior + prior.T), sigma2, game)
+    _assert_close(v_star, _unit_equilibrium(name, game))
