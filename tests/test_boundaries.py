@@ -384,31 +384,44 @@ class TestIntegerArguments:
     """An index or a count is checked as an integer: a float, a string or a
     bool is refused, not truncated or read as 0 or 1."""
 
+    # Each entry point that takes a measurement index, as a call on a model
+    # and a kernel; a refused call must leave the kernel as it was.
+    INDEX_CALLS = {
+        "mi_local": lambda model, kernel, i: mi_local(model, i, 1.0),
+        "kl_local": lambda model, kernel, i: kl_local(model, i, 1.0),
+        "br_context": lambda model, kernel, i: br_context(model, i, np.zeros(6)).gamma,
+        "update": lambda model, kernel, i: kernel.update(i, 1.0) or kernel.v.copy(),
+    }
+
+    @pytest.mark.parametrize("entry", INDEX_CALLS)
     @pytest.mark.parametrize("i", [1.7, 1.0, np.float64(1.0), "2", True])
-    def test_measurement_index(self, ring3_model, i):
+    def test_measurement_index(self, ring3_model, i, entry):
+        call = self.INDEX_CALLS[entry]
         kernel = PosteriorKernel(ring3_model, np.zeros(6))
         v = kernel.v.copy()
-        calls = (lambda: mi_local(ring3_model, i, 1.0), lambda: kl_local(ring3_model, i, 1.0),
-                 lambda: br_context(ring3_model, i, np.zeros(6)),
-                 lambda: kernel.update(i, 1.0))
-        for call in calls:
-            with pytest.raises(ValueError, match="measurement index must be an integer"):
-                call()
+        with pytest.raises(ValueError, match="measurement index must be an integer"):
+            call(ring3_model, kernel, i)
         np.testing.assert_array_equal(kernel.v, v)
-        assert kl_local(ring3_model, np.int64(1), 1.0) == kl_local(ring3_model, 1, 1.0)
+        np.testing.assert_array_equal(
+            call(ring3_model, PosteriorKernel(ring3_model, np.zeros(6)), np.int64(1)),
+            call(ring3_model, PosteriorKernel(ring3_model, np.zeros(6)), 1))
 
     @pytest.mark.parametrize("t_max", [2.5, 2.0, math.nan, True, "3"])
     def test_round_cap(self, ring3_model, t_max):
         with pytest.raises(ValueError, match="t_max must be an integer"):
             run_brd(GameSpec(1, 2.0), ring3_model, t_max=t_max)
 
+    SAMPLE_CALLS = {
+        "sample_observations": lambda model, v, n: sample_observations(model, v, n, 0, True),
+        "llr_samples": lambda model, v, n: llr_samples(model, v, n, 0),
+        "roc_auc": lambda model, v, n: roc_auc(model, v, n, 0),
+    }
+
+    @pytest.mark.parametrize("entry", SAMPLE_CALLS)
     @pytest.mark.parametrize("n_samples", [2.5, 1000.7, 1000.0, "1000", True])
-    def test_sample_count(self, ring3_model, n_samples):
+    def test_sample_count(self, ring3_model, n_samples, entry):
+        call = self.SAMPLE_CALLS[entry]
         v = np.full(6, ring3_model.sigma2)
-        calls = (lambda: sample_observations(ring3_model, v, n_samples, 0, True),
-                 lambda: llr_samples(ring3_model, v, n_samples, 0),
-                 lambda: roc_auc(ring3_model, v, n_samples, 0))
-        for call in calls:
-            with pytest.raises(ValueError, match="n_samples must be an integer"):
-                call()
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            call(ring3_model, v, n_samples)
         assert len(llr_samples(ring3_model, v, np.int64(3), 0)[0]) == 3

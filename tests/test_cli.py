@@ -336,14 +336,17 @@ class TestRun:
 
 
 class TestRemovedFlag:
-    def test_br3_literal_is_a_usage_error(self, tmp_path, capsys):
-        # Game 3 has one best response, so no flag selects another.
-        for command, weight in (("run", "--lambda"), ("sweep", "--lambda-list")):
-            with pytest.raises(SystemExit) as excinfo:
-                main([command, *MODEL_FLAGS, "--game", "3", weight, "2", "--br3-literal",
-                      "--out", str(tmp_path / "lit")])
-            assert excinfo.value.code == 2
-            assert "--br3-literal" in capsys.readouterr().err
+    @pytest.mark.parametrize("game", ["1", "2", "3"])
+    @pytest.mark.parametrize("command,weight", [("run", "--lambda"),
+                                                ("sweep", "--lambda-list")],
+                             ids=["run", "sweep"])
+    def test_br3_literal_is_a_usage_error(self, tmp_path, capsys, command, weight, game):
+        # Each game has one best response, so no flag selects another.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *MODEL_FLAGS, "--game", game, weight, "2", "--br3-literal",
+                  "--out", str(tmp_path / "lit")])
+        assert excinfo.value.code == 2
+        assert "--br3-literal" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -420,7 +423,7 @@ class TestSweep:
         ]
         assert lams == sorted(lams)
 
-    @pytest.mark.parametrize("game", ["1", "3"])
+    @pytest.mark.parametrize("game", ["1", "2", "3"])
     def test_rows_are_the_run_summaries(self, tmp_path, capsys, game):
         """Each sweep row is, byte for byte, the summary of ``run``'s NE
         file at the same weight, its round count last."""
