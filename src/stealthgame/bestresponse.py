@@ -39,10 +39,13 @@ else the middle of the r that keep them all there, else the least r
 that keeps them below overflow.  Where every nonzero scalar and lam lie
 within 2^+-200, the rule gives r = 0 and the solve skips it.
 
-:func:`br_g1`, :func:`br_g2` and :func:`br_g3` check the weight and the
-noise variance, then run their game's arithmetic.  :func:`respond`, which
-:func:`~stealthgame.dynamics.run_brd` calls once per move, runs the same
-arithmetic and takes the weight as checked by ``GameSpec``.
+:func:`br_g1`, :func:`br_g2` and :func:`br_g3` are each game's only
+best response: they check the weight and the noise variance, then run
+their game's arithmetic.  :func:`respond` picks one of them by
+``GameSpec.game`` at each call, so every move of
+:func:`~stealthgame.dynamics.run_brd`, every player of
+:func:`~stealthgame.dynamics.verify_ne` and :func:`best_response` run
+the checked function of their game.
 """
 
 from __future__ import annotations
@@ -138,10 +141,7 @@ def br_g1(ctx: BRContext, sigma2: float, lam: float) -> float:
     is nondecreasing on [0, inf).
     """
     check_weight(1, lam)
-    return _g1(ctx, check_positive("sigma2", sigma2), lam)
-
-
-def _g1(ctx: BRContext, sigma2: float, lam: float) -> float:
+    sigma2 = check_positive("sigma2", sigma2)
     gamma, gamma0 = ctx.gamma, min(ctx.gamma0, ctx.gamma)
     if _LO < lam < _HI and _LO < sigma2 < _HI and _LO < gamma0 and gamma < _HI:
         return _g1_root(lam, sigma2, gamma, gamma0)
@@ -219,10 +219,7 @@ def br_g2(ctx: BRContext, sigma2: float, lam: float) -> float:
     already nonnegative.
     """
     check_weight(2, lam)
-    return _g2(ctx, check_positive("sigma2", sigma2), lam)
-
-
-def _g2(ctx: BRContext, sigma2: float, lam: float) -> float:
+    sigma2 = check_positive("sigma2", sigma2)
     s, c, gamma, gamma0 = ctx.s, ctx.c, ctx.gamma, min(ctx.gamma0, ctx.gamma)
     if c <= 0.0:
         # A zero sensing row has no local information to destroy, and
@@ -257,10 +254,7 @@ def br_g3(ctx: BRContext, sigma2: float, lam: float) -> float:
     k = gamma s / lam.
     """
     check_weight(3, lam)
-    return _g3(ctx, check_positive("sigma2", sigma2), lam)
-
-
-def _g3(ctx: BRContext, sigma2: float, lam: float) -> float:
+    sigma2 = check_positive("sigma2", sigma2)
     gamma, s = ctx.gamma, ctx.s
     if gamma <= 0.0:
         # A zero sensing row contributes nothing: the disruption term is
@@ -341,14 +335,6 @@ def best_response(spec: GameSpec, model: MeasurementModel, i: int, v) -> float:
 
 
 def respond(spec: GameSpec, ctx: BRContext, sigma2: float) -> float:
-    """Best response of the player described by ``ctx`` in game ``spec``.
-
-    The same arithmetic as :func:`br_g1`, :func:`br_g2` and :func:`br_g3`;
-    the weight is not checked again, since ``GameSpec`` checked it.
-    """
-    sigma2 = check_positive("sigma2", sigma2)
-    if spec.game == 1:
-        return _g1(ctx, sigma2, spec.lam)
-    if spec.game == 2:
-        return _g2(ctx, sigma2, spec.lam)
-    return _g3(ctx, sigma2, spec.lam)
+    """Best response of the player described by ``ctx`` in game ``spec``:
+    :func:`br_g1`, :func:`br_g2` or :func:`br_g3`, looked up when called."""
+    return (br_g1, br_g2, br_g3)[spec.game - 1](ctx, sigma2, spec.lam)

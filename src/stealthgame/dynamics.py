@@ -20,8 +20,8 @@ costs O(m n^2) and forms no m-by-m array.
 
 A move does only what it needs: the player's row and gain (two BLAS
 calls), its context from constants read into Python floats once per run
-(:func:`~stealthgame.bestresponse.player_contexts`), :func:`respond` in
-Python floats with the weight already checked by ``GameSpec``, and the
+(:func:`~stealthgame.bestresponse.player_contexts`), its game's checked
+best response in Python floats, reached through :func:`respond`, and the
 kernel's rank-one update (two more BLAS calls).  At m = 149 (n = 59) a
 move, with its share of the round's records, takes about 20 us on 2
 vCPUs.
@@ -39,8 +39,7 @@ import numpy as np
 from .bestresponse import best_response, player_contexts, respond  # noqa: F401
 from .games import GameSpec, potential, row_potentials  # noqa: F401
 from .metrics import kl_global, mi_global  # noqa: F401
-from .model import MeasurementModel, PosteriorKernel, check_integer, check_nonnegative
-from .model import check_positive
+from .model import MeasurementModel, PosteriorKernel, check_integer, check_positive
 
 DEFAULT_T_MAX = 100
 DEFAULT_TOL = 1e-9
@@ -211,20 +210,15 @@ def verify_ne(spec: GameSpec, model: MeasurementModel, v) -> float:
     return float(np.max(np.abs(kernel.v - responses)))
 
 
-def potential_audit(
-    trajectory: list[TrajectoryRecord], threshold: float = AUDIT_THRESHOLD
-) -> list[tuple[int, float]]:
-    """Consecutive potential increases exceeding ``threshold``.
+def potential_audit(trajectory: list[TrajectoryRecord]) -> list[tuple[int, float]]:
+    """Consecutive potential increases exceeding ``AUDIT_THRESHOLD``.
 
     Returns (record index, increase) pairs; expected empty for any
-    best-response trajectory since the potential is exact.  Raises
-    ValueError for a non-finite or negative ``threshold``: a NaN one
-    would flag nothing.
+    best-response trajectory since the potential is exact.
     """
-    threshold = check_nonnegative("threshold", threshold)
     violations = []
     for k in range(1, len(trajectory)):
         rise = trajectory[k].potential - trajectory[k - 1].potential
-        if rise > threshold:
+        if rise > AUDIT_THRESHOLD:
             violations.append((k, rise))
     return violations

@@ -238,13 +238,14 @@ def build_dc_jacobian(net: BusNetwork) -> JacobianMatrix:
 
 def load_matrix(text: str) -> JacobianMatrix:
     """Load a dense numeric matrix (whitespace- or comma-separated), one
-    measurement per row in file order."""
+    measurement per row in file order.  An empty comma-separated field,
+    as in ``1,,2`` or ``1,2,``, is a non-numeric token, not a skipped one."""
     rows: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.replace(",", " ").split()
+        tokens = [tok for field in line.split(",") for tok in field.split() or [""]]
         try:
             rows.append([float(tok) for tok in tokens])
         except ValueError as exc:

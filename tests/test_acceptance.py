@@ -15,7 +15,7 @@ import pytest
 from stealthgame.bestresponse import best_response
 from stealthgame.cli import main
 from stealthgame.detection import roc_auc
-from stealthgame.dynamics import potential_audit, run_brd, verify_ne
+from stealthgame.dynamics import AUDIT_THRESHOLD, potential_audit, run_brd, verify_ne
 from stealthgame.games import GameSpec, cost, potential
 from stealthgame.grid import bundled_case
 from stealthgame.metrics import kl_global, kl_local, mi_global, mi_local
@@ -158,10 +158,11 @@ def test_criterion_6_equilibrium_uniqueness_and_achievability(game, ieee9_model)
     """9-bus case: 10 random starts reach one equilibrium (1e-5 inf-norm),
     the potential never rises by more than 1e-9 per update, and the
     fixed-point residual is at most 1e-7."""
+    assert AUDIT_THRESHOLD == 1e-9  # the rise potential_audit flags
     spec = GameSpec(game, 2.0)
     reference, trajectory, report = run_brd(spec, ieee9_model, tol=1e-9)
     assert report.converged
-    assert potential_audit(trajectory, threshold=1e-9) == []
+    assert potential_audit(trajectory) == []
     assert report.ne_residual <= 1e-7
 
     rng = np.random.default_rng(300 + game)
@@ -170,7 +171,7 @@ def test_criterion_6_equilibrium_uniqueness_and_achievability(game, ieee9_model)
         v0 = rng.uniform(0.0, scale, size=ieee9_model.m)
         v_star, trajectory, rep = run_brd(spec, ieee9_model, v0=v0, tol=1e-9)
         assert rep.converged
-        assert potential_audit(trajectory, threshold=1e-9) == []
+        assert potential_audit(trajectory) == []
         assert float(np.max(np.abs(v_star - reference))) <= 1e-5
         assert verify_ne(spec, ieee9_model, v_star) <= 1e-7
     _ok(f"criterion 6: NE uniqueness + achievability, game {game} (9-bus, 10 starts)")

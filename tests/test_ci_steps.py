@@ -1,11 +1,14 @@
-"""The CI workflow's "Console script" step, run as part of the suite.
+"""The CI workflow's "Console script" step and the README's commands,
+run as part of the suite.
 
 The step's ``run:`` block is read from ``.github/workflows/tests.yml``
 by indentation (no YAML parser is needed) and run under
 ``bash -eo pipefail``, as a GitHub Actions ``run:`` step is, in a
 temporary directory (also its ``TMPDIR``) with the step's ``env``.
 ``stealthgame`` on ``PATH`` is a shim for ``python -m stealthgame.cli`` with the package's
-sources on ``PYTHONPATH``, in place of the installed entry point.
+sources on ``PYTHONPATH``, in place of the installed entry point.  The
+README's first ``sh`` block under "## Command line" runs the same way,
+with no extra ``env``.
 """
 
 import os
@@ -16,7 +19,9 @@ from pathlib import Path
 
 import stealthgame
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+README = ROOT / "README.md"
 STEP = "Console script"
 
 
@@ -94,3 +99,16 @@ def test_a_broken_step_fails(tmp_path):
     assert "--rho 0.9" in script
     result = run_step(script.replace("--rho 0.9", "--rho 1.5"), env, tmp_path)
     assert result.returncode != 0
+
+
+def readme_commands() -> str:
+    """The first ``sh`` block under the README's "## Command line"."""
+    text = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    return text.split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_commands_run_as_written(tmp_path):
+    script = readme_commands()
+    assert script.startswith("CASE=$(python -c") and "stealthgame detect" in script
+    result = run_step(script, {}, tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr

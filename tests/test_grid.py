@@ -202,6 +202,22 @@ class TestLoadMatrix:
     def test_comma_separated(self):
         np.testing.assert_allclose(load_matrix("1,2\n3,4\n").H, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize(
+        "text", ["1, 2\n3 ,4\n", "1 2\n3,4\n", "1 ,2\n3, 4\n"], ids=["after", "mixed", "both"]
+    )
+    def test_spaces_around_commas(self, text):
+        np.testing.assert_array_equal(load_matrix(text).H, [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [("1,2\n3,,4\n", 2), ("1,2,\n", 1), (",1\n", 1)],
+        ids=["middle", "trailing", "leading"],
+    )
+    def test_empty_comma_field(self, text, lineno):
+        # A missing value would otherwise shift the row's later columns.
+        with pytest.raises(NetworkFormatError, match=f"line {lineno}: non-numeric"):
+            load_matrix(text)
+
     def test_ragged_rows(self):
         with pytest.raises(NetworkFormatError, match="ragged"):
             load_matrix("1 2\n3\n")
