@@ -32,7 +32,7 @@ is no cancellation: at ``v = 0`` every value is exactly 0.
 Both sums read z only through its squares, which are drawn in pairs.
 With ``h = ceil(m / 2)`` (and ``kappa`` padded with one zero weight when
 m is odd), each row takes ``E_j ~ Exp(1)`` and ``U_j ~ U(0, 1)`` for
-``j < h`` and sets ``z_j^2 = 2 E_j cos^2(pi U_j / 2)`` and
+``j < h`` and sets ``z_j^2 = 2 E_j / (1 + tan^2(pi U_j / 2))`` and
 ``z_{j+h}^2 = 2 E_j - z_j^2``.  This is the polar form of two
 independent normals (Box and Muller, 1958): ``z_j = R cos(theta)``,
 ``z_{j+h} = R sin(theta)`` with ``R^2 / 2 ~ Exp(1)`` and ``theta``
@@ -42,8 +42,14 @@ and about ``pi / 2``, so ``cos^2(theta)`` has the law of
 ``cos^2(pi U / 2)``.  The squares therefore have the joint law of the
 squares of m independent standard normals, and every LLR keeps its
 law.  One exponential and one uniform replace two normals, and both
-are cheaper to draw.  Both squares of a pair are nonnegative in
-floating point, since ``2 E cos^2 <= 2 E``.
+are cheaper to draw.  The squared cosine comes from the exact identity
+``cos^2 x = 1 / (1 + tan^2 x)``, because numpy runs float64 ``tan`` as
+an AVX-512 loop where the CPU has one, about 7 times faster than its
+scalar ``cos``; where float64 ``tan`` is not vectorized the draw is
+about 15% slower than with ``cos``.  ``t = tan(x)`` is at most
+``tan(fl(pi / 2))``, about 1.6e16, so ``t^2`` is finite, and both
+squares of a pair lie in [0, 2 E] in floating point: ``E / (1 + t^2)``
+divides E by a number of at least 1.
 
 One draw of z serves both hypotheses, as in
 :func:`sample_observations`: each array has the distribution above, and
@@ -142,16 +148,20 @@ def llr_samples(
     ``SAMPLE_CHUNK_ROWS`` rows, so no observation matrix is formed.  Each
     chunk draws a block of ``SAMPLE_CHUNK_ROWS x h`` standard
     exponentials E, then one of uniforms U (``h = ceil(m / 2)``), and
-    row k's squares are ``z_j^2 = 2 E_kj cos^2(pi U_kj / 2)`` and
-    ``z_{j+h}^2 = 2 E_kj - z_j^2``, weighted against ``kappa`` padded
-    with one zero when m is odd.  Whole chunks are drawn and reduced, and
-    the rows needed copied out, so the first k values do not depend on
-    ``n_samples``.  Value k of both arrays comes from the same row of
-    squares, weighted by ``kappa / (1 + kappa)`` (clean) and ``kappa``
-    (attacked), so ``llr_attacked >= llr_null`` elementwise while each
-    array keeps its own distribution; a rank AUC of the two arrays is
-    biased up by at most ``1 / (2 n_samples)``.  At ``v = 0`` every value
-    is exactly 0.
+    row k's squares are ``z_j^2 = 2 E_kj / (1 + tan^2(pi U_kj / 2))``,
+    which is ``2 E_kj cos^2(pi U_kj / 2)``, and ``z_{j+h}^2 = 2 E_kj -
+    z_j^2``, both in [0, 2 E_kj] since ``1 + tan^2 >= 1``, and finite
+    since the angle is at most ``fl(pi / 2)``, where ``tan`` is about
+    1.6e16; they are weighted against ``kappa`` padded with one zero
+    when m is odd.  The draw's speed rests on numpy's AVX-512 loop for
+    float64 ``tan`` (see the module docstring).  Whole chunks are drawn
+    and reduced, and the rows needed copied out, so the first k values
+    do not depend on ``n_samples``.  Value k of both arrays comes from
+    the same row of squares, weighted by ``kappa / (1 + kappa)`` (clean)
+    and ``kappa`` (attacked), so ``llr_attacked >= llr_null``
+    elementwise while each array keeps its own distribution; a rank AUC
+    of the two arrays is biased up by at most ``1 / (2 n_samples)``.  At
+    ``v = 0`` every value is exactly 0.
     """
     v, n_samples = as_profile(model, v), _sample_count(n_samples)
     kappa = _whitened_spectrum(model, v)
@@ -168,9 +178,10 @@ def llr_samples(
         rng.standard_exponential(out=second)  # E = R^2 / 2
         rng.random(out=first)
         first *= 0.5 * math.pi
-        np.cos(first, out=first)
+        np.tan(first, out=first)
         np.square(first, out=first)
-        first *= second  # E cos^2
+        first += 1.0  # 1 + tan^2 = 1 / cos^2, at least 1
+        np.divide(second, first, out=first)  # E cos^2 <= E
         second -= first  # E - E cos^2 >= 0
         for out, (w_first, w_second) in zip(reduced, weights):
             np.matmul(first, w_first, out=out)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from stealthgame.metrics import kl_global, kl_local
 from stealthgame.model import attacked_cov, build_model
 
 from _helpers import (
+    MP_DPS,
     clean_cov,
     llr_local,
     oracle_rank_auc,
@@ -134,7 +136,8 @@ def paired_squares(seed, n, m):
     SAMPLE_CHUNK_ROWS rows draws E ~ Exp(1), then U ~ U(0, 1), both
     SAMPLE_CHUNK_ROWS x h with h = ceil(m / 2); column j < h is
     2 E cos^2(pi U / 2) and column j + h is 2 E less column j.  The pad
-    column of an odd m is dropped."""
+    column of an odd m is dropped.  It keeps np.cos on purpose, where
+    llr_samples forms cos^2 from np.tan, so it is an independent oracle."""
     pairs = -(-m // 2)
     rng = np.random.default_rng(seed)
     chunks = []
@@ -235,6 +238,72 @@ class TestWhitenedLlrSamples:
             assert ks_distance(column, chi2_1_cdf) < bound
         assert ks_distance(squares.sum(axis=0), exp_mean_2_cdf) < bound
         assert abs(np.corrcoef(squares)[0, 1]) < 4.0 / math.sqrt(n)
+
+    def test_pair_squares_match_a_50_digit_reference(self):
+        # The model above, over two chunks and a part: row k's squares are
+        # 2 E_k cos^2(pi U_k / 2) and 2 E_k sin^2(pi U_k / 2) for the
+        # generator's E, U stream, with the angle in exact arithmetic.
+        model = build_model(np.eye(2), np.eye(2), 1.0)
+        kappa, n = np.array([1.0, 3.0]), 2 * SAMPLE_CHUNK_ROWS + 5
+        llr = np.array(llr_samples(model, 2.0 * kappa, n, 12))
+        llr += 0.5 * np.sum(np.log1p(kappa))
+        squares = np.linalg.solve(0.5 * np.array([kappa / (1.0 + kappa), kappa]), llr)
+        rng = np.random.default_rng(12)
+        reference = []
+        with mpmath.workdps(MP_DPS):
+            for _ in range(-(-n // SAMPLE_CHUNK_ROWS)):
+                E = rng.standard_exponential(SAMPLE_CHUNK_ROWS)
+                U = rng.random(SAMPLE_CHUNK_ROWS)
+                for e, u in zip(E, U):
+                    cos2 = mpmath.cos(mpmath.pi * u / 2) ** 2
+                    reference.append([float(2 * e * cos2), float(2 * e * (1 - cos2))])
+        reference = np.array(reference[:n]).T
+        assert np.max(np.abs(squares - reference)) <= 1e-13 * np.max(reference)
+
+    def test_edge_angles_give_bounded_squares(self, monkeypatch):
+        # E = 1 throughout, and U at 0, 2^-53, 1/2, 1 - 2^-53 and 10^4 values
+        # within 10^6 ulps of 1 (then 1/2).  The squares are read from the
+        # generator's own buffers, which llr_samples turns in place into
+        # (1/2) z_j^2 (the uniforms) and (1/2) z_{j+h}^2 (the exponentials)
+        # before the next chunk's draw: an LLR would round away squares far
+        # below its log-determinant term.
+        near_one = 1.0 - np.random.default_rng(14).integers(1, 10**6, 10**4) * 2.0**-53
+        U = np.concatenate([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], near_one])
+        n = U.size
+        stream = np.full((-(-n // SAMPLE_CHUNK_ROWS), SAMPLE_CHUNK_ROWS, 1), 0.5)
+        stream.flat[:n] = U
+        blocks, halves, buffers = iter(stream), [], []
+
+        def keep_last_chunk():
+            if buffers:
+                halves.append([buffer.copy().ravel() for buffer in buffers])
+                buffers.clear()
+
+        class EdgeGenerator:
+            def __init__(self, seed):
+                pass
+
+            def standard_exponential(self, *args, out, **kwargs):
+                keep_last_chunk()
+                out.fill(1.0)
+                buffers.append(out)
+
+            def random(self, *args, out, **kwargs):
+                out[...] = next(blocks)
+                buffers.insert(0, out)
+
+        monkeypatch.setattr(np.random, "default_rng", EdgeGenerator)
+        model = build_model(np.eye(2), np.eye(2), 1.0)  # one pair a row
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            llr = llr_samples(model, [2.0, 6.0], n, 0)
+        keep_last_chunk()
+        first, second = (2.0 * np.concatenate(h)[:n] for h in zip(*halves))
+        assert np.all(np.isfinite(llr)) and np.all(np.isfinite([first, second]))
+        assert np.all((first >= 0.0) & (first <= 2.0)) and np.all(second >= 0.0)
+        # cos^2 of the double angle U * (pi / 2) that the draw forms.
+        with mpmath.workdps(MP_DPS):
+            cos2 = np.array([float(mpmath.cos(x) ** 2) for x in U * (0.5 * math.pi)])
+        assert np.all(np.abs(first / 2.0 - cos2) <= 4.0 * np.spacing(cos2))
 
     def test_odd_m_pads_a_zero_weight(self, scalar_model):
         # Sigma_YY = [2], so kappa = v / 2 = 1: each array is one weighted

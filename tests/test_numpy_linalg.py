@@ -2,8 +2,9 @@
 
 A fresh import of the command line loads no scipy; the numpy forms of
 the Toeplitz prior, the diagonal of Sigma_YY^{-1} and the joint LLR
-agree with direct evaluations and with 50-digit references; and an
-equilibrium does not depend on the BLAS thread count beyond rounding.
+agree with direct evaluations and with 50-digit references; an
+equilibrium does not depend on the BLAS thread count beyond rounding,
+nor a detection draw on numpy's SIMD dispatch of float64 ``tan``.
 """
 
 import json
@@ -16,10 +17,12 @@ import numpy as np
 import pytest
 
 import stealthgame
-from stealthgame.detection import llr_joint, sample_observations
+from stealthgame.cli import main
+from stealthgame.detection import llr_joint, llr_samples, sample_observations
 from stealthgame.dynamics import run_brd
 from stealthgame.games import GameSpec
-from stealthgame.model import StatePriorSpec, toeplitz_cov
+from stealthgame.grid import bundled_case
+from stealthgame.model import StatePriorSpec, build_model, toeplitz_cov
 
 from _helpers import clean_cov, random_desk_model
 
@@ -141,3 +144,67 @@ def test_equilibria_agree_across_blas_thread_counts():
         assert rounds_one == rounds_two
         v_one, v_two = np.array(v_one), np.array(v_two)
         assert np.max(np.abs(v_one - v_two)) <= 1e-12 * np.max(v_one)
+
+
+def _avx512_dispatch_targets() -> list[str]:
+    """The AVX-512 entries of numpy's SIMD dispatch that this CPU runs."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [
+        name for name in __cpu_dispatch__
+        if ("AVX512" in name or name == "X86_V4") and __cpu_features__.get(name)
+    ]
+
+
+# One llr_samples draw saved to argv[1], then each detect command of the
+# JSON list in argv[2].
+_DRAW_AND_DETECT = """
+import json, sys
+import numpy as np
+from stealthgame.cli import main
+from stealthgame.detection import llr_samples
+from stealthgame.model import build_model
+
+np.save(sys.argv[1], llr_samples(build_model(np.eye(2), np.eye(2), 1.0), [2.0, 6.0], 100_000, 12))
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[2])))
+"""
+
+
+def test_draws_agree_without_avx512(tmp_path):
+    """llr_samples forms cos^2 from np.tan, which numpy dispatches to an
+    AVX-512 loop where the CPU has one.  With that dispatch disabled the
+    draw agrees to 1e-12 of its largest value, and the README's detect
+    runs (games 1-3 at lambda = 2, seeds 1-3, 10,000 samples) give the
+    same alpha_hat and beta_hat columns, tau to 1e-12 relative."""
+    disabled = _avx512_dispatch_targets()
+    if not disabled:
+        pytest.skip("numpy dispatches no AVX-512 loop on this CPU")
+    flags = ["--case", bundled_case("ieee9"), "--rho", "0.9", "--snr-db", "30"]
+    for game in (1, 2, 3):
+        assert main(["run", *flags, "--game", str(game), "--lambda", "2",
+                     "--out", str(tmp_path / f"g{game}")]) == 0
+
+    def detect_runs(tag):
+        return [["detect", *flags, "--ne", str(tmp_path / f"g{game}.ne.json"),
+                 "--samples", "10000", "--seed", str(seed),
+                 "--out", str(tmp_path / f"{tag}_g{game}_s{seed}.csv")]
+                for game in (1, 2, 3) for seed in (1, 2, 3)]
+
+    run = subprocess.Popen(
+        [sys.executable, "-c", _DRAW_AND_DETECT, str(tmp_path / "draw.npy"),
+         json.dumps(detect_runs("off"))],
+        env=_fresh_env(NPY_DISABLE_CPU_FEATURES=" ".join(disabled)),
+    )
+    draw = np.array(llr_samples(build_model(np.eye(2), np.eye(2), 1.0), [2.0, 6.0], 100_000, 12))
+    assert all(main(argv) == 0 for argv in detect_runs("on"))
+    assert run.wait(timeout=120) == 0
+    assert np.max(np.abs(np.load(tmp_path / "draw.npy") - draw)) <= 1e-12 * np.max(np.abs(draw))
+    for on, off in zip(detect_runs("on"), detect_runs("off")):
+        (tau_on, *errors_on), (tau_off, *errors_off) = (
+            np.array([row.split(",") for row in Path(argv[-1]).read_text().splitlines()
+                      if not row.startswith(("#", "tau"))], dtype=float).T
+            for argv in (on, off))
+        np.testing.assert_array_equal(errors_off, errors_on)
+        np.testing.assert_allclose(tau_off, tau_on, rtol=1e-12, atol=0.0)
