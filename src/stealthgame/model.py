@@ -16,8 +16,8 @@ Changing one ``v_i`` is a rank-one change of ``M``: a best-response move
 costs four BLAS calls, a matrix-vector product for ``M^{-1} b_i``, a dot
 product for ``b_i . M^{-1} b_i``, one outer product into a preallocated
 n-by-n workspace and one in-place subtraction.  At n = 59 (m = 149) they
-take about 6 us of a move's 20 us (2 vCPUs, numpy 2.4); the rest is
-Python call overhead, not flops.
+take about 5 us of a move's 15 to 19 us (2 vCPUs, numpy 2.4); the rest
+is Python call overhead, not flops.
 """
 
 from __future__ import annotations

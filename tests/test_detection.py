@@ -133,20 +133,52 @@ def exp_mean_2_cdf(x):
 
 def paired_squares(seed, n, m):
     """z^2 of llr_samples' documented recipe: each chunk of
-    SAMPLE_CHUNK_ROWS rows draws E ~ Exp(1), then U ~ U(0, 1), both
-    SAMPLE_CHUNK_ROWS x h with h = ceil(m / 2); column j < h is
-    2 E cos^2(pi U / 2) and column j + h is 2 E less column j.  The pad
-    column of an odd m is dropped.  It keeps np.cos on purpose, where
-    llr_samples forms cos^2 from np.tan, so it is an independent oracle."""
+    SAMPLE_CHUNK_ROWS rows draws one 2 x SAMPLE_CHUNK_ROWS x h block of
+    uniforms, h = ceil(m / 2): the angles U, then the U' that give
+    E = -log(1 - U') ~ Exp(1).  Column j < h is 2 E cos^2(pi U / 2) and
+    column j + h is 2 E less column j.  The pad column of an odd m is
+    dropped.  It keeps np.cos on purpose, where llr_samples forms cos^2
+    from np.tan, so it is an independent oracle."""
     pairs = -(-m // 2)
     rng = np.random.default_rng(seed)
     chunks = []
     for _ in range(-(-n // SAMPLE_CHUNK_ROWS)):
-        E = rng.standard_exponential((SAMPLE_CHUNK_ROWS, pairs))
-        U = rng.random((SAMPLE_CHUNK_ROWS, pairs))
+        U, U_radius = rng.random((2, SAMPLE_CHUNK_ROWS, pairs))
+        E = -np.log(1.0 - U_radius)
         first = 2.0 * E * np.cos(0.5 * math.pi * U) ** 2
         chunks.append(np.hstack([first, 2.0 * E - first]))
     return np.vstack(chunks)[:n, :m]
+
+
+def edge_draw(monkeypatch, angles, radii, v=(2.0, 6.0)):
+    """llr_samples of the one-pair model (Sigma_YY = 2 I, kappa = v / 2)
+    with the generator's uniforms replaced: row k of the draw takes
+    U = angles[k] and U' = radii[k], and rows past them 1/2.  Returns the
+    two LLR arrays and the squares z_j^2, z_{j+h}^2 read from the draw
+    buffer, which llr_samples turns in place into -z_j^2 / 2 and
+    -z_{j+h}^2 / 2 before the next chunk's draw: an LLR would round away
+    squares far below its log-determinant term."""
+    n = len(angles)
+    stream = np.full((-(-n // SAMPLE_CHUNK_ROWS), 2, SAMPLE_CHUNK_ROWS), 0.5)
+    stream[:, 0].flat[:n], stream[:, 1].flat[:n] = angles, radii
+    blocks, chunks, buffers = iter(stream), [], []
+
+    class EdgeGenerator:
+        def __init__(self, seed):
+            pass
+
+        def random(self, *args, out, **kwargs):
+            if buffers:
+                chunks.append(buffers.pop().copy())
+            out[...] = next(blocks)[..., None]
+            buffers.append(out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", EdgeGenerator)
+        llr = np.array(llr_samples(build_model(np.eye(2), np.eye(2), 1.0), v, n, 0))
+    chunks.append(buffers.pop())
+    halves = np.concatenate(chunks, axis=1)[:, :n, 0]
+    return llr, -2.0 * halves
 
 
 class TestWhitenedLlrSamples:
@@ -183,7 +215,7 @@ class TestWhitenedLlrSamples:
         model = request.getfixturevalue(name)
         v = random_profile(rng, model)
         kappa, _ = self.spectrum(model, v)
-        n = SAMPLE_CHUNK_ROWS + 500  # two chunks: E, U, E, U
+        n = SAMPLE_CHUNK_ROWS + 500  # two chunks, one uniform block each
         squares = paired_squares(3, n, model.m)
         for values, attacked in zip(llr_samples(model, v, n, 3), (False, True)):
             expected = self.weighted_squares(kappa, squares, attacked)
@@ -242,7 +274,8 @@ class TestWhitenedLlrSamples:
     def test_pair_squares_match_a_50_digit_reference(self):
         # The model above, over two chunks and a part: row k's squares are
         # 2 E_k cos^2(pi U_k / 2) and 2 E_k sin^2(pi U_k / 2) for the
-        # generator's E, U stream, with the angle in exact arithmetic.
+        # generator's stream of U and then U' blocks, E_k = -log(1 - U'_k),
+        # with the angle and the logarithm in exact arithmetic.
         model = build_model(np.eye(2), np.eye(2), 1.0)
         kappa, n = np.array([1.0, 3.0]), 2 * SAMPLE_CHUNK_ROWS + 5
         llr = np.array(llr_samples(model, 2.0 * kappa, n, 12))
@@ -252,58 +285,49 @@ class TestWhitenedLlrSamples:
         reference = []
         with mpmath.workdps(MP_DPS):
             for _ in range(-(-n // SAMPLE_CHUNK_ROWS)):
-                E = rng.standard_exponential(SAMPLE_CHUNK_ROWS)
-                U = rng.random(SAMPLE_CHUNK_ROWS)
-                for e, u in zip(E, U):
+                for u, u_radius in zip(*rng.random((2, SAMPLE_CHUNK_ROWS))):
+                    e = -mpmath.log(1 - mpmath.mpf(u_radius))
                     cos2 = mpmath.cos(mpmath.pi * u / 2) ** 2
                     reference.append([float(2 * e * cos2), float(2 * e * (1 - cos2))])
         reference = np.array(reference[:n]).T
         assert np.max(np.abs(squares - reference)) <= 1e-13 * np.max(reference)
 
     def test_edge_angles_give_bounded_squares(self, monkeypatch):
-        # E = 1 throughout, and U at 0, 2^-53, 1/2, 1 - 2^-53 and 10^4 values
-        # within 10^6 ulps of 1 (then 1/2).  The squares are read from the
-        # generator's own buffers, which llr_samples turns in place into
-        # (1/2) z_j^2 (the uniforms) and (1/2) z_{j+h}^2 (the exponentials)
-        # before the next chunk's draw: an LLR would round away squares far
-        # below its log-determinant term.
+        # U' = 1/2 (E = log 2) throughout, and U at 0, 2^-53, 1/2,
+        # 1 - 2^-53 and 10^4 values within 10^6 ulps of 1 (then 1/2).
         near_one = 1.0 - np.random.default_rng(14).integers(1, 10**6, 10**4) * 2.0**-53
         U = np.concatenate([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], near_one])
-        n = U.size
-        stream = np.full((-(-n // SAMPLE_CHUNK_ROWS), SAMPLE_CHUNK_ROWS, 1), 0.5)
-        stream.flat[:n] = U
-        blocks, halves, buffers = iter(stream), [], []
-
-        def keep_last_chunk():
-            if buffers:
-                halves.append([buffer.copy().ravel() for buffer in buffers])
-                buffers.clear()
-
-        class EdgeGenerator:
-            def __init__(self, seed):
-                pass
-
-            def standard_exponential(self, *args, out, **kwargs):
-                keep_last_chunk()
-                out.fill(1.0)
-                buffers.append(out)
-
-            def random(self, *args, out, **kwargs):
-                out[...] = next(blocks)
-                buffers.insert(0, out)
-
-        monkeypatch.setattr(np.random, "default_rng", EdgeGenerator)
-        model = build_model(np.eye(2), np.eye(2), 1.0)  # one pair a row
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            llr = llr_samples(model, [2.0, 6.0], n, 0)
-        keep_last_chunk()
-        first, second = (2.0 * np.concatenate(h)[:n] for h in zip(*halves))
+            llr, (first, second) = edge_draw(monkeypatch, U, np.full(U.size, 0.5))
+        E = -math.log(0.5)
         assert np.all(np.isfinite(llr)) and np.all(np.isfinite([first, second]))
-        assert np.all((first >= 0.0) & (first <= 2.0)) and np.all(second >= 0.0)
-        # cos^2 of the double angle U * (pi / 2) that the draw forms.
+        assert np.all((first >= 0.0) & (first <= 2.0 * E)) and np.all(second >= 0.0)
+        # 2 E cos^2 of the double angle U * (pi / 2) that the draw forms.
         with mpmath.workdps(MP_DPS):
-            cos2 = np.array([float(mpmath.cos(x) ** 2) for x in U * (0.5 * math.pi)])
-        assert np.all(np.abs(first / 2.0 - cos2) <= 4.0 * np.spacing(cos2))
+            reference = np.array([float(2 * E * mpmath.cos(x) ** 2) for x in U * (0.5 * math.pi)])
+        assert np.all(np.abs(first - reference) <= 4.0 * np.spacing(reference))
+
+    def test_edge_radii_give_bounded_squares(self, monkeypatch):
+        # U' at 0, 2^-53 and 1 - 2^-53, the least, next and largest values
+        # of the generator's grid, each with U at 0, 2^-53, 1/2 and
+        # 1 - 2^-53: E = -log(1 - U') is 0, about 2^-53, and 53 log 2.
+        radii = np.repeat([0.0, 2.0**-53, 1.0 - 2.0**-53], 4)
+        angles = np.tile([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], 3)
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="raise"):
+            llr, (first, second) = edge_draw(monkeypatch, angles, radii)
+            zero, _ = edge_draw(monkeypatch, angles, radii, v=[0.0, 0.0])
+        assert np.all(np.isfinite(llr)) and np.all(np.isfinite([first, second]))
+        assert np.all(first[:4] == 0.0) and np.all(second[:4] == 0.0)
+        # Zero squares leave both LLRs at the log-determinant term alone.
+        assert np.all(llr[:, :4] == llr[0, 0]) and llr[0, 0] == pytest.approx(-0.5 * math.log(8.0))
+        with mpmath.workdps(MP_DPS):
+            E = np.array([float(-mpmath.log(1 - mpmath.mpf(u))) for u in radii])
+        assert E[4] > 0.0 and E[-1] == pytest.approx(53.0 * math.log(2.0), rel=1e-15)
+        assert np.all((first >= 0.0) & (second >= 0.0))
+        assert np.all(np.abs(first + second - 2.0 * E) <= 4.0 * np.spacing(2.0 * E))
+        for values in zero:
+            np.testing.assert_array_equal(values, np.zeros(angles.size))
+            assert not np.any(np.signbit(values))
 
     def test_odd_m_pads_a_zero_weight(self, scalar_model):
         # Sigma_YY = [2], so kappa = v / 2 = 1: each array is one weighted

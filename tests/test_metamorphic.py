@@ -14,7 +14,10 @@ measurements (``H -> P H`` permutes ``v*`` by P) and a change of state
 basis (``H -> H T``, ``Sigma_XX -> T^-1 Sigma_XX T^-T`` leaves ``v*``).
 These hold to rounding, so they are checked with ``tol`` at ``1e-13`` of
 ``max v*`` (and at least 1e-13), to within ``1e-13`` of ``max v*``.  None of the relations needs a reference
-solution, so they reach models too large for the 50-digit ones.
+solution, so they reach models too large for the 50-digit ones.  A
+mutation check shows the order relation has teeth: with each gain
+perturbed by an amount that depends on the measurement's index, it
+fails.
 
 The networks are the bundled 9-bus case and the benchmark's synthetic
 60-bus network (m = 149), read from ``bench/synthnet.py`` without
@@ -30,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stealthgame.model as model_module
 from stealthgame.dynamics import DEFAULT_TOL, run_brd
 from stealthgame.games import GameSpec
 from stealthgame.grid import build_dc_jacobian, bundled_case, parse_network
@@ -149,3 +153,36 @@ def test_a_change_of_state_basis_leaves_the_equilibrium(name, game):
     prior = T_inv @ Sigma_XX @ T_inv.T
     v_star = _equilibrium(name, H @ T, 0.5 * (prior + prior.T), sigma2, game)
     _assert_close(v_star, _unit_equilibrium(name, game))
+
+
+def _gap(v, reference) -> float:
+    """max |v - reference| over max(reference), as _assert_close bounds it."""
+    return float(np.max(np.abs(v - reference)) / np.max(reference))
+
+
+@pytest.mark.parametrize("game", GAMES)
+@pytest.mark.parametrize("name", ["ieee9", "synth60"])
+def test_an_index_dependent_gain_breaks_the_measurement_order(monkeypatch, name, game):
+    # A mutation check: gamma_i * (1 + 2^-30 i / m) ties each gain to the
+    # measurement's index, so reordering the measurements no longer
+    # reorders the game, and the relation above must fail.  The same
+    # perturbation with i / m replaced by 1 treats every index alike, and
+    # the relation must still hold: it is the index that breaks it.
+    H, Sigma_XX, sigma2 = _unit_model(name)
+    order = np.random.default_rng(12).permutation(H.shape[0])
+    _relation_tol(name, game)  # cached before the mutation
+    kernel_gain = model_module.kernel_gain
+
+    def solve_both(share):
+        def perturbed(B, w, inv, i):
+            u, gamma = kernel_gain(B, w, inv, i)
+            return u, gamma * (1.0 + 2.0**-30 * share(i, B.shape[0]))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "kernel_gain", perturbed)
+            reference = _equilibrium(name, H, Sigma_XX, sigma2, game)
+            reordered = _equilibrium(name, H[order], Sigma_XX, sigma2, game)
+        return _gap(reordered, reference[order])
+
+    assert solve_both(lambda i, m: i / m) > 100.0 * RELATION_TOL
+    assert solve_both(lambda i, m: 1.0) <= RELATION_TOL

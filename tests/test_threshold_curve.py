@@ -141,11 +141,11 @@ def test_detect_draws_the_normals_once(tmp_path, capsys, monkeypatch):
                  "--samples", "2000", "--seed", "4",
                  "--out", str(tmp_path / "roc.csv")]) == 0
     # One generator for both hypotheses, and per whole chunk one block of
-    # exponentials and one of uniforms, chunk x ceil(m / 2) values each.
+    # uniforms, angles and radii, chunk x ceil(m / 2) values each.
     assert seeds == [4]
     block = SAMPLE_CHUNK_ROWS * 9  # m = 18
     chunks = -(-2000 // SAMPLE_CHUNK_ROWS)
-    assert drawn == [("exponential", block), ("uniform", block)] * chunks
+    assert drawn == [("uniform", 2 * block)] * chunks
 
 
 def test_detect_errors_never_sum_above_one(tmp_path, capsys):
