@@ -19,8 +19,9 @@ difference, and is exactly 0 at ``v = 0``.
 :func:`llr_samples` (hence :func:`error_curve`, :func:`roc_auc` and the
 ``detect`` command) draws LLR values without forming observations.  With
 ``F = L^{-1} diag(sqrt(v))`` for ``L`` the factor of ``Sigma_YY`` and
-``kappa_k >= 0`` the eigenvalues of ``F F^T`` (so ``1 + kappa_k`` are
-the generalized eigenvalues of ``(Sigma_a, Sigma_YY)``), the joint LLR
+``kappa_k >= 0`` the eigenvalues of ``F F^T``, the squared singular
+values of F (so ``1 + kappa_k`` are the generalized eigenvalues of
+``(Sigma_a, Sigma_YY)``), the joint LLR
 of a clean observation is distributed as
 ``(1/2) sum_k kappa_k / (1 + kappa_k) z_k^2 - (1/2) sum_k log1p(kappa_k)``
 and that of an attacked one as
@@ -61,6 +62,27 @@ finite, and both squares of a pair lie in [0, 2 E] in floating point:
 the sign: negation is exact, so each product, and every value, is that
 of E, the squares and the positive weights.
 
+The chunks are split into contiguous blocks, one per CPU the process
+may run on, with at least 8 chunks to a block and at most 4 blocks, so
+a 10,000-sample draw stays on the calling thread.  The calling thread
+draws the first block and one plain thread each other, started and
+joined within the call.  Each block has its own chunk buffer (0.6 MB at
+m = 74, and the cap keeps their number from growing with the CPU count)
+and its own PCG64 generator: that of ``np.random.default_rng(seed)``,
+advanced past the chunks before the block.  PCG64 jumps ahead in
+O(log n) steps (O'Neill, 2014; Brown, 1994), and each float64 of
+``Generator.random`` takes exactly one of its 64-bit outputs, so every
+value is bit for bit that of one serial draw, whatever the number of
+CPUs.  numpy releases the GIL while it fills uniforms and runs its
+loops.  At m = 74 a 100,000-sample draw takes about 24 ms on 2 vCPUs,
+against 37 ms on one.  The split pays only while OpenBLAS's worker
+threads sleep: a LAPACK call that wakes them leaves them busy-waiting
+for about 0.1 s on the other CPUs.  So kappa comes from an SVD of F,
+which below m of about 128 takes an unblocked path that wakes no
+worker, where ``eigvalsh`` of ``F F^T`` wakes them at m = 74.  From m of
+about 128 on, every factorization here wakes them, and the split is
+then about as fast as the serial draw.
+
 One draw of z serves both hypotheses, as in
 :func:`sample_observations`: each array has the distribution above, and
 since the weight gap
@@ -74,7 +96,10 @@ independent samples by ``(1 - AUC) / n <= 1 / (2 n)`` for n samples.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -91,6 +116,12 @@ MIN_CURVE_SAMPLES = 1000
 # Rows of squared normals drawn at a time by llr_samples: a 0.6 MB
 # buffer at m = 74.
 SAMPLE_CHUNK_ROWS = 1024
+# Chunks per thread at least, and threads at most, in llr_samples: a
+# 10,000-sample draw (10 chunks) stays on the calling thread, and as each
+# thread holds a chunk buffer of its own, the draw holds at most four
+# buffers whatever the CPU count.
+_MIN_THREAD_CHUNKS = 8
+_MAX_THREADS = 4
 
 __all__ = [
     "sample_observations",
@@ -154,8 +185,11 @@ def llr_samples(
     """Joint LLR values of ``n_samples`` clean and attacked observations.
 
     Draws the weighted sums of squared standard normals of the module
-    docstring from one generator seeded with ``seed``, in chunks of
-    ``SAMPLE_CHUNK_ROWS`` rows, so no observation matrix is formed.  Each
+    docstring from one PCG64 stream seeded with ``seed``, in chunks of
+    ``SAMPLE_CHUNK_ROWS`` rows, so no observation matrix is formed.  The
+    chunks are split into contiguous blocks, one per thread, each drawn
+    from the stream advanced to its first chunk, so the values do not
+    depend on the number of threads (see the module docstring).  Each
     chunk fills one ``2 x SAMPLE_CHUNK_ROWS x h`` block of uniforms
     (``h = ceil(m / 2)``): the angles U, then the U' of the exponentials
     ``E = -log(1 - U')``.  Row k's squares are ``z_j^2 = 2 E_kj / (1 +
@@ -185,13 +219,83 @@ def llr_samples(
     # -z^2 / 2, so the module docstring's weights lose their 1/2 and
     # change sign: each product is the positive one exactly.
     weights = -np.stack([padded / (1.0 + padded), padded], axis=1)
-    weights_angle, weights_radius = weights[:pairs], weights[pairs:]
-    rng = np.random.default_rng(seed)
     llr_null, llr_attacked = np.empty(n_samples), np.empty(n_samples)
+    chunks = -(-n_samples // SAMPLE_CHUNK_ROWS)
+    workers = max(1, min(_cpu_count(), chunks // _MIN_THREAD_CHUNKS, _MAX_THREADS))
+    firsts = [chunks * k // workers for k in range(workers + 1)]
+    failures = []
+
+    def draw(first: int, stop: int) -> None:
+        try:
+            _draw_chunks(weights, seed, first, stop, llr_null, llr_attacked)
+        except BaseException as exc:  # re-raised by the caller after join
+            failures.append(exc)
+
+    # A new thread starts from an empty context; copying this one carries
+    # numpy's errstate, a context variable, over to each helper.
+    helpers = [
+        threading.Thread(
+            target=contextvars.copy_context().run, args=(draw, first, stop)
+        )
+        for first, stop in zip(firsts[1:-1], firsts[2:])
+    ]
+    started = []
+    try:
+        for helper in helpers:
+            helper.start()
+            started.append(helper)
+        _draw_chunks(weights, seed, 0, firsts[1], llr_null, llr_attacked)
+    finally:
+        for helper in started:
+            helper.join()
+    if failures:
+        raise failures[0]
+    half_logdet = 0.5 * float(np.sum(np.log1p(kappa)))
+    llr_null -= half_logdet
+    llr_attacked -= half_logdet
+    return llr_null, llr_attacked
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _chunk_generator(seed, first_chunk: int, pairs: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` past the uniforms of ``first_chunk``
+    chunks of :func:`llr_samples`, ``2 x SAMPLE_CHUNK_ROWS x pairs`` each.
+
+    Each float64 of ``Generator.random`` takes exactly one 64-bit output
+    of PCG64, which jumps ahead in O(log n) steps, so the generator's
+    next uniform is the one the serial draw takes next at that chunk.
+    """
+    bits = np.random.PCG64(seed)
+    bits.advance(first_chunk * 2 * SAMPLE_CHUNK_ROWS * pairs)
+    return np.random.Generator(bits)
+
+
+def _draw_chunks(
+    weights: np.ndarray,
+    seed,
+    first: int,
+    stop: int,
+    llr_null: np.ndarray,
+    llr_attacked: np.ndarray,
+) -> None:
+    """Chunks ``[first, stop)`` of :func:`llr_samples`' draw, before its
+    log-determinant term, into their rows of ``llr_null`` and
+    ``llr_attacked``, with a generator and a chunk buffer of their own."""
+    pairs = weights.shape[0] // 2
+    weights_angle, weights_radius = weights[:pairs], weights[pairs:]
+    rng = _chunk_generator(seed, first, pairs)
     draw = np.empty((2, SAMPLE_CHUNK_ROWS, pairs))
     angle, radius = draw  # U, then U'
     reduced, term = np.empty((2, SAMPLE_CHUNK_ROWS, 2))
-    for start in range(0, n_samples, SAMPLE_CHUNK_ROWS):
+    n_samples, rows = llr_null.size, SAMPLE_CHUNK_ROWS
+    for start in range(first * rows, stop * rows, rows):
         rng.random(out=draw)
         np.subtract(1.0, radius, out=radius)  # 1 - U', exact, in (0, 1]
         np.log(radius, out=radius)  # -E = -R^2 / 2, in [-53 ln 2, 0]
@@ -204,20 +308,23 @@ def llr_samples(
         np.matmul(angle, weights_angle, out=reduced)
         np.matmul(radius, weights_radius, out=term)
         reduced += term
-        stop = min(start + SAMPLE_CHUNK_ROWS, n_samples)
-        llr_null[start:stop] = reduced[: stop - start, 0]
-        llr_attacked[start:stop] = reduced[: stop - start, 1]
-    half_logdet = 0.5 * float(np.sum(np.log1p(kappa)))
-    llr_null -= half_logdet
-    llr_attacked -= half_logdet
-    return llr_null, llr_attacked
+        end = min(start + rows, n_samples)
+        llr_null[start:end] = reduced[: end - start, 0]
+        llr_attacked[start:end] = reduced[: end - start, 1]
 
 
 def _whitened_spectrum(model: MeasurementModel, v: np.ndarray) -> np.ndarray:
-    """kappa: the eigenvalues of F F^T, F = L^{-1} diag(sqrt(v)), clipped at 0."""
+    """kappa: the eigenvalues of F F^T, F = L^{-1} diag(sqrt(v)), ascending.
+
+    They are the squared singular values of F.  LAPACK's SVD of F skips
+    the product F F^T, and below m of about 128 it takes an unblocked
+    path that leaves OpenBLAS's worker threads asleep.  ``eigvalsh`` of
+    F F^T wakes them at m = 74, and their busy-wait takes a CPU from the
+    threaded draw of :func:`llr_samples` that follows.
+    """
     chol = np.linalg.cholesky(attacked_cov(model, np.zeros_like(v)))
     F = np.linalg.inv(chol) * np.sqrt(v)
-    return np.clip(np.linalg.eigvalsh(F @ F.T), 0.0, None)
+    return np.linalg.svd(F, compute_uv=False)[::-1] ** 2
 
 
 def threshold_curve(

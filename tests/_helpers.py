@@ -21,7 +21,9 @@ one trajectory record formed after every move and the local sums of games
 2 and 3 kept one term at a time, to check bit for bit the moves and the
 records that ``run_brd`` assembles once per round.
 ``naive_trajectory_lines`` renders every cell of every record, the
-reference for ``run``'s trajectory writer.
+reference for ``run``'s trajectory writer.  ``serial_llr_samples`` is
+``llr_samples``' draw as one serial chunk loop, the reference for its
+threaded split of the chunks.
 """
 
 import math
@@ -31,6 +33,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
+from stealthgame import detection
 from stealthgame.bestresponse import (
     BRContext,
     br_g1,
@@ -38,6 +41,7 @@ from stealthgame.bestresponse import (
     br_g3,
     player_contexts,
 )
+from stealthgame.detection import SAMPLE_CHUNK_ROWS
 from stealthgame.dynamics import (
     DEFAULT_T_MAX,
     DEFAULT_TOL,
@@ -349,6 +353,47 @@ def shuffled_samples(rng, n, shift=0.0, nan=True):
         values[n // 5 : n // 5 + n // 20] = math.nan
     rng.shuffle(values)
     return values
+
+
+def serial_llr_samples(model, v, n_samples: int, seed: int):
+    """llr_samples' draw as one loop over its chunks on one generator.
+
+    The chunk loop is the single-threaded one of the package before it
+    split the chunks across threads, fed the package's own kappa and
+    weights, so the two must agree bit for bit at every thread count.
+    """
+    v = as_profile(model, v)
+    kappa = detection._whitened_spectrum(model, v)
+    pairs = -(-model.m // 2)
+    padded = np.zeros(2 * pairs)
+    padded[: model.m] = kappa
+    weights = -np.stack([padded / (1.0 + padded), padded], axis=1)
+    weights_angle, weights_radius = weights[:pairs], weights[pairs:]
+    rng = np.random.default_rng(seed)
+    llr_null, llr_attacked = np.empty(n_samples), np.empty(n_samples)
+    draw = np.empty((2, SAMPLE_CHUNK_ROWS, pairs))
+    angle, radius = draw  # U, then U'
+    reduced, term = np.empty((2, SAMPLE_CHUNK_ROWS, 2))
+    for start in range(0, n_samples, SAMPLE_CHUNK_ROWS):
+        rng.random(out=draw)
+        np.subtract(1.0, radius, out=radius)  # 1 - U', exact, in (0, 1]
+        np.log(radius, out=radius)  # -E = -R^2 / 2, in [-53 ln 2, 0]
+        angle *= 0.5 * math.pi
+        np.tan(angle, out=angle)
+        np.square(angle, out=angle)
+        angle += 1.0  # 1 + tan^2 = 1 / cos^2, at least 1
+        np.divide(radius, angle, out=angle)  # -E cos^2, in [-E, 0]
+        radius -= angle  # -(E - E cos^2) <= 0
+        np.matmul(angle, weights_angle, out=reduced)
+        np.matmul(radius, weights_radius, out=term)
+        reduced += term
+        stop = min(start + SAMPLE_CHUNK_ROWS, n_samples)
+        llr_null[start:stop] = reduced[: stop - start, 0]
+        llr_attacked[start:stop] = reduced[: stop - start, 1]
+    half_logdet = 0.5 * float(np.sum(np.log1p(kappa)))
+    llr_null -= half_logdet
+    llr_attacked -= half_logdet
+    return llr_null, llr_attacked
 
 
 def llr_local(model, i, v_i, y_i):

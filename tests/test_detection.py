@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -24,8 +27,10 @@ from _helpers import (
     MP_DPS,
     clean_cov,
     llr_local,
+    mp_clean_cov,
     oracle_rank_auc,
     random_profile,
+    serial_llr_samples,
     shuffled_samples,
 )
 
@@ -157,15 +162,16 @@ def edge_draw(monkeypatch, angles, radii, v=(2.0, 6.0)):
     two LLR arrays and the squares z_j^2, z_{j+h}^2 read from the draw
     buffer, which llr_samples turns in place into -z_j^2 / 2 and
     -z_{j+h}^2 / 2 before the next chunk's draw: an LLR would round away
-    squares far below its log-determinant term."""
+    squares far below its log-determinant term.  At most ten chunks,
+    which llr_samples draws on the calling thread from one generator."""
     n = len(angles)
     stream = np.full((-(-n // SAMPLE_CHUNK_ROWS), 2, SAMPLE_CHUNK_ROWS), 0.5)
     stream[:, 0].flat[:n], stream[:, 1].flat[:n] = angles, radii
     blocks, chunks, buffers = iter(stream), [], []
 
     class EdgeGenerator:
-        def __init__(self, seed):
-            pass
+        def __init__(self, seed, first_chunk, pairs):
+            assert first_chunk == 0
 
         def random(self, *args, out, **kwargs):
             if buffers:
@@ -174,7 +180,7 @@ def edge_draw(monkeypatch, angles, radii, v=(2.0, 6.0)):
             buffers.append(out)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.random, "default_rng", EdgeGenerator)
+        patch.setattr(detection, "_chunk_generator", EdgeGenerator)
         llr = np.array(llr_samples(build_model(np.eye(2), np.eye(2), 1.0), v, n, 0))
     chunks.append(buffers.pop())
     halves = np.concatenate(chunks, axis=1)[:, :n, 0]
@@ -341,6 +347,129 @@ class TestWhitenedLlrSamples:
     def test_sample_count_validated(self, ring3_model):
         with pytest.raises(ValueError, match="n_samples"):
             llr_samples(ring3_model, np.zeros(6), 0, 1)
+
+
+def force_workers(monkeypatch, workers):
+    """Let llr_samples split its chunks over up to ``workers`` threads,
+    one chunk each at least."""
+    monkeypatch.setattr(detection, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(detection, "_MIN_THREAD_CHUNKS", 1)
+
+
+def record_blocks(monkeypatch, hook=None):
+    """The first chunk of every block llr_samples draws, as its generators
+    are made; ``hook(first_chunk)`` runs first, on the block's thread."""
+    firsts, chunk_generator = [], detection._chunk_generator
+
+    def recording(seed, first_chunk, pairs):
+        if hook is not None:
+            hook(first_chunk)
+        firsts.append(first_chunk)
+        return chunk_generator(seed, first_chunk, pairs)
+
+    monkeypatch.setattr(detection, "_chunk_generator", recording)
+    return firsts
+
+
+class TestThreadedDraw:
+    """llr_samples splits its chunks into contiguous blocks, one per
+    thread, each drawn from the one PCG64 stream advanced to its block."""
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 8193, 20000])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
+    def test_bit_identical_to_serial_draw(
+        self, request, rng, monkeypatch, name, workers, n
+    ):
+        model = request.getfixturevalue(name)
+        v = random_profile(rng, model)
+        force_workers(monkeypatch, workers)
+        firsts = record_blocks(monkeypatch)
+        got = llr_samples(model, v, n, 5)
+        chunks = -(-n // SAMPLE_CHUNK_ROWS)
+        blocks = min(workers, chunks)
+        assert sorted(firsts) == [chunks * k // blocks for k in range(blocks)]
+        for values, want in zip(got, serial_llr_samples(model, v, n, 5)):
+            np.testing.assert_array_equal(values, want)
+
+    @pytest.mark.parametrize(
+        "cpus,chunks,blocks",
+        [(64, 1, 1), (64, 15, 1), (64, 16, 2), (64, 25, 3), (64, 98, 4), (2, 98, 2)],
+    )
+    def test_eight_chunks_a_thread_at_least_and_four_threads_at_most(
+        self, ring3_model, monkeypatch, cpus, chunks, blocks
+    ):
+        monkeypatch.setattr(detection, "_cpu_count", lambda: cpus)
+        firsts = record_blocks(monkeypatch)
+        n = (chunks - 1) * SAMPLE_CHUNK_ROWS + 1
+        got = llr_samples(ring3_model, np.ones(6), n, 2)
+        assert sorted(firsts) == [chunks * k // blocks for k in range(blocks)]
+        for values, want in zip(got, serial_llr_samples(ring3_model, np.ones(6), n, 2)):
+            np.testing.assert_array_equal(values, want)
+
+    def test_cpu_count_is_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert detection._cpu_count() == len(os.sched_getaffinity(0))
+        else:
+            assert detection._cpu_count() == os.cpu_count()
+
+    def test_helper_failure_is_raised_and_threads_end(self, ring3_model, monkeypatch):
+        failure = RuntimeError("helper draw failed")
+
+        def fail_in_a_helper(first_chunk):
+            if first_chunk > 0:
+                raise failure
+
+        force_workers(monkeypatch, 3)
+        record_blocks(monkeypatch, fail_in_a_helper)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            llr_samples(ring3_model, np.ones(6), 3 * SAMPLE_CHUNK_ROWS, 1)
+        assert info.value is failure
+        assert threading.active_count() == threads
+
+    def test_caller_waits_for_slow_helpers(self, ring3_model, monkeypatch):
+        def slow_helper(first_chunk):
+            if first_chunk > 0:
+                time.sleep(0.05)
+
+        force_workers(monkeypatch, 3)
+        record_blocks(monkeypatch, slow_helper)
+        threads = threading.active_count()
+        got = llr_samples(ring3_model, np.ones(6), 3 * SAMPLE_CHUNK_ROWS, 1)
+        assert threading.active_count() == threads
+        expected = serial_llr_samples(ring3_model, np.ones(6), 3 * SAMPLE_CHUNK_ROWS, 1)
+        for values, want in zip(got, expected):
+            np.testing.assert_array_equal(values, want)
+
+    def test_every_block_sees_the_callers_errstate(self, ring3_model, monkeypatch):
+        seen = {}
+
+        def record_errstate(first_chunk):
+            seen[first_chunk] = np.geterr()["over"]
+
+        force_workers(monkeypatch, 3)
+        record_blocks(monkeypatch, record_errstate)
+        with np.errstate(over="raise"):
+            llr_samples(ring3_model, np.ones(6), 3 * SAMPLE_CHUNK_ROWS, 1)
+        assert seen == {0: "raise", 1: "raise", 2: "raise"}
+
+    @pytest.mark.parametrize("name", ["ring3_model", "ieee9_model"])
+    def test_spectrum_matches_a_50_digit_reference(self, request, rng, name):
+        # kappa, the eigenvalues of F F^T for F = L^{-1} diag(sqrt(v)),
+        # with L the Cholesky factor of Sigma_YY = B B^T + sigma2 I, each
+        # to 1e-12 of itself; eigvalsh of F F^T misses the least of
+        # ieee9's by 1.4e-12 of itself.
+        model = request.getfixturevalue(name)
+        v = random_profile(rng, model)
+        kappa = detection._whitened_spectrum(model, v)
+        with mpmath.workdps(MP_DPS):
+            L = mpmath.cholesky(mp_clean_cov(model))
+            F = mpmath.inverse(L) * mpmath.diag([mpmath.sqrt(float(x)) for x in v])
+            reference = mpmath.eigsy(F * F.T, eigvals_only=True)
+            reference = sorted(float(x) for x in reference)
+        assert np.all(np.diff(kappa) >= 0.0)
+        assert np.all(np.abs(kappa - reference) <= 1e-12 * np.array(reference))
 
 
 class TestLlrLocal:
@@ -520,3 +649,23 @@ def test_peak_memory_is_the_draw_sorted_in_place(ieee9_model, statistic, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * n
+
+
+def test_peak_memory_does_not_grow_with_the_cpu_count(ieee9_model, monkeypatch):
+    # Each thread of the draw holds a chunk buffer of its own (0.18 MB
+    # here).  Uncapped, 64 CPUs would start 24 threads, whose buffers take
+    # 4.3 MB while they run at once, more than the two 1.6 MB outputs;
+    # four threads' buffers keep the peak below 2.5 x 8 n bytes.
+    n = 200_000
+    v, _, _ = run_brd(GameSpec(1, 2.0), ieee9_model)
+    monkeypatch.setattr(detection, "_cpu_count", lambda: 64)
+    firsts = record_blocks(monkeypatch)
+    error_curve(ieee9_model, v, n, 1, [0.5, 1.0, 2.0])
+    assert len(firsts) == 4
+    tracemalloc.start()
+    try:
+        error_curve(ieee9_model, v, n, 1, [0.5, 1.0, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n

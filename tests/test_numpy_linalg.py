@@ -173,8 +173,9 @@ sys.exit(max(main(argv) for argv in json.loads(sys.argv[2])))
 
 
 def test_draws_agree_without_avx512(tmp_path):
-    """llr_samples forms cos^2 from np.tan, which numpy dispatches to an
-    AVX-512 loop where the CPU has one.  With that dispatch disabled the
+    """llr_samples forms cos^2 from np.tan and its exponentials from
+    np.log, which numpy dispatches to AVX-512 loops where the CPU has
+    them.  With that dispatch disabled the
     draw agrees to 1e-12 of its largest value, and the README's detect
     runs (games 1-3 at lambda = 2, seeds 1-3, 10,000 samples) give the
     same alpha_hat and beta_hat columns, tau to 1e-12 relative."""

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stealthgame import detection
 from stealthgame.cli import main
 from stealthgame.detection import (
     SAMPLE_CHUNK_ROWS,
@@ -121,12 +122,12 @@ def _run_game1(tmp_path, lam="2"):
 def test_detect_draws_the_normals_once(tmp_path, capsys, monkeypatch):
     ne = _run_game1(tmp_path)
     seeds, drawn = [], []
-    default_rng = np.random.default_rng
+    chunk_generator = detection._chunk_generator
 
     class CountingGenerator:
-        def __init__(self, seed):
-            seeds.append(seed)
-            self._rng = default_rng(seed)
+        def __init__(self, seed, first_chunk, pairs):
+            seeds.append((seed, first_chunk))
+            self._rng = chunk_generator(seed, first_chunk, pairs)
 
         def standard_exponential(self, *args, out, **kwargs):
             drawn.append(("exponential", out.size))
@@ -136,13 +137,14 @@ def test_detect_draws_the_normals_once(tmp_path, capsys, monkeypatch):
             drawn.append(("uniform", out.size))
             return self._rng.random(*args, out=out, **kwargs)
 
-    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    monkeypatch.setattr(detection, "_chunk_generator", CountingGenerator)
     assert main(["detect", *MODEL_FLAGS, "--ne", ne,
                  "--samples", "2000", "--seed", "4",
                  "--out", str(tmp_path / "roc.csv")]) == 0
-    # One generator for both hypotheses, and per whole chunk one block of
-    # uniforms, angles and radii, chunk x ceil(m / 2) values each.
-    assert seeds == [4]
+    # One generator for both hypotheses, from the first chunk (2 chunks
+    # stay on one thread), and per whole chunk one block of uniforms,
+    # angles and radii, chunk x ceil(m / 2) values each.
+    assert seeds == [(4, 0)]
     block = SAMPLE_CHUNK_ROWS * 9  # m = 18
     chunks = -(-2000 // SAMPLE_CHUNK_ROWS)
     assert drawn == [("uniform", 2 * block)] * chunks
